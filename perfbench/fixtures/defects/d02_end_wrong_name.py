@@ -1,0 +1,5 @@
+# @begin pipeline @in x @out y
+# @begin Work @in x @out y
+y = transform(x)
+# @end Wrok
+# @end pipeline
