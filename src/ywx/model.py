@@ -526,6 +526,9 @@ def parse_model(text: str) -> WorkflowModel:
 
     blocks = {b.qualified_name: b for b in iter_blocks(root)}
     parents = parent_map(root)
+    declared = {
+        (q, port.name, port.direction) for q, b in blocks.items() for port in b.ports
+    }
     raw_channels = payload.get("channels")
     if not isinstance(raw_channels, list):
         raise _fail("'channels' must be a list")
@@ -545,7 +548,7 @@ def parse_model(text: str) -> WorkflowModel:
         except ValueError as exc:
             raise _fail(f"channel {data!r} has a bad role") from exc
 
-        def endpoint(raw_ep: object) -> Endpoint:
+        def endpoint(raw_ep: object, writes: bool) -> Endpoint:
             if not isinstance(raw_ep, dict):
                 raise _fail(f"channel {data!r} has a malformed endpoint")
             block_q = raw_ep.get("block")
@@ -559,12 +562,22 @@ def parse_model(text: str) -> WorkflowModel:
                 raise _fail(
                     f"channel {data!r} endpoint {block_q!r} is not in scope {scope!r}"
                 )
+            if (block_q, data, direction) not in declared:
+                raise _fail(
+                    f"channel {data!r} endpoint {block_q!r} has no "
+                    f"{direction.value} port {data!r}"
+                )
+            # A scope's own in port and its children's out ports write to the
+            # scope; the children's in ports and the scope's out port read.
+            if writes != ((block_q == scope) == (direction is Direction.IN)):
+                side = "source" if writes else "sink"
+                raise _fail(f"channel {data!r} endpoint {block_q!r} cannot be a {side}")
             return Endpoint(block_q, direction)
 
-        source = endpoint(raw.get("source"))
+        source = endpoint(raw.get("source"), writes=True)
         raw_sinks = raw.get("sinks")
         if not (isinstance(raw_sinks, list) and raw_sinks):
             raise _fail(f"channel {data!r} needs a non-empty sink list")
-        sinks = tuple(endpoint(s) for s in raw_sinks)
+        sinks = tuple(endpoint(s, writes=False) for s in raw_sinks)
         channels.append(Channel(data, scope, role, source, sinks))
     return WorkflowModel(root, tuple(channels), tuple(raw_files))

@@ -7,6 +7,13 @@ a channel on one side actually meets the re-declared name on the other.
 Names in query arguments resolve at the root scope: data names must name a
 root-scope channel or a root port, block names may be qualified or, when
 unambiguous, simple.
+
+Each query call builds one lookup index and one dependency graph, which the
+graph carries, and every step of the call shares them. Questions asked about
+many root outputs at once walk the graph once for all of them: downstream
+lineage is a single forward pass from the resolved inputs, and the
+completeness check behind lineage and YW020 scans the union of all chains,
+walking output by output only to report which chain is broken.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from typing import Iterator, Sequence
 
 from .errors import (
     AmbiguousLineage,
@@ -40,7 +48,11 @@ NodeKey = tuple
 
 
 class _Index:
-    """Lookup tables shared by the queries; built once per model."""
+    """Lookup tables shared by the queries; built once per query call.
+
+    A query that needs the dependency graph takes the index the graph was
+    built with, ``DependencyGraph.index``, instead of building another.
+    """
 
     def __init__(self, model: WorkflowModel) -> None:
         self.model = model
@@ -83,6 +95,7 @@ class DependencyGraph:
     nodes: frozenset
     forward: dict
     reverse: dict
+    index: _Index = field(repr=False, compare=False)
 
     def reachable(self, start: set, direction: str = "forward") -> set:
         adjacency = self.forward if direction == "forward" else self.reverse
@@ -143,6 +156,7 @@ def build_dependency_graph(model: WorkflowModel) -> DependencyGraph:
         frozenset(nodes),
         {k: tuple(v) for k, v in forward.items()},
         {k: tuple(v) for k, v in reverse.items()},
+        index,
     )
 
 
@@ -197,9 +211,8 @@ def containing_blocks(model: WorkflowModel, block_name: str) -> list[str]:
 # -- reachability queries ------------------------------------------------------
 
 def downstream_blocks(model: WorkflowModel, block_name: str) -> set[str]:
-    index = _Index(model)
-    block = _resolve_block(index, block_name)
     graph = build_dependency_graph(model)
+    block = _resolve_block(graph.index, block_name)
     start = {
         ("data", ch.scope, ch.data)
         for ch in model.channels
@@ -209,21 +222,25 @@ def downstream_blocks(model: WorkflowModel, block_name: str) -> set[str]:
 
 
 def blocks_affected_by_input(model: WorkflowModel, input_name: str) -> set[str]:
-    index = _Index(model)
+    graph = build_dependency_graph(model)
+    index = graph.index
     if input_name not in index.root_input_names:
         raise UnknownName(
             f"{input_name!r} is not an input of the top-level workflow"
         )
-    graph = build_dependency_graph(model)
     start = {("data", index.root_q, input_name)}
     return {n[1] for n in graph.reachable(start) if n[0] == "block"}
 
 
 def upstream_inputs(model: WorkflowModel, output_name: str) -> set[str]:
-    index = _Index(model)
-    target = _require_root_data(index, output_name)
     graph = build_dependency_graph(model)
-    seen = graph.reachable({target}, "reverse")
+    return _upstream_inputs(graph, {_require_root_data(graph.index, output_name)})
+
+
+def _upstream_inputs(graph: DependencyGraph, targets: set[NodeKey]) -> set[str]:
+    """The root inputs that any of the target nodes depends on."""
+    index = graph.index
+    seen = graph.reachable(targets, "reverse")
     return {
         name
         for name in index.root_input_names
@@ -232,9 +249,8 @@ def upstream_inputs(model: WorkflowModel, output_name: str) -> set[str]:
 
 
 def deriving_blocks(model: WorkflowModel, data_name: str) -> set[str]:
-    index = _Index(model)
-    target = _require_root_data(index, data_name)
     graph = build_dependency_graph(model)
+    target = _require_root_data(graph.index, data_name)
     return {n[1] for n in graph.reachable({target}, "reverse") if n[0] == "block"}
 
 
@@ -314,9 +330,9 @@ class Derivation:
 
 def derivation(model: WorkflowModel, output_name: str) -> Derivation:
     """Topologically ordered producing steps behind one root-scope data name."""
-    index = _Index(model)
-    target = _require_root_data(index, output_name)
     graph = build_dependency_graph(model)
+    index = graph.index
+    target = _require_root_data(index, output_name)
     involved = graph.reachable({target}, "reverse")
 
     indegree = {node: 0 for node in involved}
@@ -378,13 +394,41 @@ def chain_defects(
     inputs. Every unbound port or one-sided workflow boundary that a path runs
     into is returned; an empty result means the chain is complete.
     """
-    index = _Index(model)
     if graph is None:
         graph = build_dependency_graph(model)
-    target = ("data", index.root_q, output_name)
+    return _chain_defects(graph, output_name)
+
+
+def _chain_defects(graph: DependencyGraph, output_name: str) -> tuple[UnboundRef, ...]:
+    target = ("data", graph.index.root_q, output_name)
     if target not in graph.nodes:
         raise UnknownName(f"{output_name!r} is not a data name of the top-level workflow")
-    involved = graph.reachable({target}, "reverse")
+    return _defects(graph, graph.reachable({target}, "reverse"))
+
+
+def _broken_chains(
+    graph: DependencyGraph, outputs: Sequence[str]
+) -> Iterator[tuple[str, tuple[UnboundRef, ...]]]:
+    """Each root output whose chain has defects, with them, in the given order.
+
+    Whether a node is a defect does not depend on which output's walk reached
+    it, so the defects behind all outputs together are the union of each
+    output's. One scan over that union settles the common case, every chain
+    complete; only a broken model pays for the walk output by output.
+    """
+    root_q = graph.index.root_q
+    behind_all = graph.reachable({("data", root_q, name) for name in outputs}, "reverse")
+    if not _defects(graph, behind_all):
+        return
+    for output in outputs:
+        refs = _chain_defects(graph, output)
+        if refs:
+            yield output, refs
+
+
+def _defects(graph: DependencyGraph, involved: set[NodeKey]) -> tuple[UnboundRef, ...]:
+    """The unbound ports and one-sided boundaries among the involved nodes."""
+    index = graph.index
     defects: list[UnboundRef] = []
     seen: set[tuple[str, str]] = set()
 
@@ -486,11 +530,16 @@ def infer_file_lineage(
     every root output derived from it. Either way the answer is only trusted
     when the dependency chains involved are complete, otherwise the
     annotations cannot settle the question and AmbiguousLineage is raised.
+
+    The call builds one dependency graph. Upstream lineage walks it backwards
+    once from all resolved outputs; downstream lineage walks it forwards once
+    from all resolved inputs, and an output qualifies when that walk reaches
+    it. The chain check scans every chain involved in one pass as well.
     """
     if direction not in ("upstream", "downstream"):
         raise ValueError(f"direction must be upstream or downstream, got {direction!r}")
-    index = _Index(model)
     graph = build_dependency_graph(model)
+    index = graph.index
     role_of = {p.name: p.role.value for p in model.root.ports}
 
     if name in index.root_port_names:
@@ -504,30 +553,35 @@ def infer_file_lineage(
                 f"{name!r} is neither a top-level port nor a file in the manifest"
             )
 
-    records: set[LineageRecord] = set()
     if direction == "upstream":
         outputs = {n for n in port_names if n in index.root_output_names}
         if not outputs:
             raise UnknownName(f"{name!r} does not resolve to a workflow output")
-        for output in sorted(outputs):
-            if chain_defects(model, output, graph):
-                raise AmbiguousLineage(
-                    f"dependency chain behind output {output!r} has unbound ports"
-                )
-            for input_name in upstream_inputs(model, output):
-                for path in manifest.bindings.get(input_name, ()):
-                    records.add(LineageRecord(path, input_name, role_of[input_name]))
+        _require_complete_chains(graph, sorted(outputs))
+        reached = _upstream_inputs(graph, {("data", index.root_q, n) for n in outputs})
     else:
         inputs = {n for n in port_names if n in index.root_input_names}
         if not inputs:
             raise UnknownName(f"{name!r} does not resolve to a workflow input")
-        for output in sorted(index.root_output_names):
-            if chain_defects(model, output, graph):
-                raise AmbiguousLineage(
-                    f"dependency chain behind output {output!r} has unbound ports"
-                )
-        for output in sorted(index.root_output_names):
-            if inputs & upstream_inputs(model, output):
-                for path in manifest.bindings.get(output, ()):
-                    records.add(LineageRecord(path, output, role_of[output]))
+        _require_complete_chains(graph, sorted(index.root_output_names))
+        downstream = graph.reachable({("data", index.root_q, n) for n in inputs})
+        reached = {
+            output
+            for output in index.root_output_names
+            if ("data", index.root_q, output) in downstream
+        }
+    records = {
+        LineageRecord(path, port, role_of[port])
+        for port in reached
+        for path in manifest.bindings.get(port, ())
+    }
     return sorted(records, key=lambda r: (r.file, r.port))
+
+
+def _require_complete_chains(graph: DependencyGraph, outputs: list[str]) -> None:
+    """Raise AmbiguousLineage naming the first output whose chain is broken."""
+    broken = next(_broken_chains(graph, outputs), None)
+    if broken is not None:
+        raise AmbiguousLineage(
+            f"dependency chain behind output {broken[0]!r} has unbound ports"
+        )

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+from . import queries
 from .annotations import Annotation, Tag, parse_annotations_lenient
 from .comments import CommentSyntax, detect_language, extract_comments, strip_comments
 from .errors import DuplicateBlockName, DuplicatePort, UnterminatedBlockComment
@@ -47,7 +48,6 @@ from .model import (
     infer_channels,
     iter_blocks,
 )
-from .queries import build_dependency_graph, chain_defects
 
 ERROR = "error"
 WARNING = "warning"
@@ -243,24 +243,25 @@ def check_channel_sanity(tree: Block) -> list[Diagnostic]:
 
 
 def check_dependency_chains(model: WorkflowModel) -> list[Diagnostic]:
-    """Require a complete chain from every output back to inputs or constants."""
-    found: list[Diagnostic] = []
-    graph = build_dependency_graph(model)
-    for port in model.root.ports:
-        if port.direction is not Direction.OUT:
-            continue
-        for ref in chain_defects(model, port.name, graph):
-            found.append(
-                Diagnostic(
-                    ERROR,
-                    "YW020",
-                    f"output {port.name!r} has no complete dependency chain: "
-                    f"port {ref.port.name!r} of block {ref.block!r} is unbound",
-                    ref.port.file,
-                    ref.port.line,
-                )
-            )
-    return found
+    """Require a complete chain from every output back to inputs or constants.
+
+    One dependency graph serves every output, and one scan over all chains
+    at once clears a model whose chains are all complete.
+    """
+    graph = queries.build_dependency_graph(model)
+    outputs = [p.name for p in model.root.ports if p.direction is Direction.OUT]
+    return [
+        Diagnostic(
+            ERROR,
+            "YW020",
+            f"output {output!r} has no complete dependency chain: "
+            f"port {ref.port.name!r} of block {ref.block!r} is unbound",
+            ref.port.file,
+            ref.port.line,
+        )
+        for output, refs in queries._broken_chains(graph, outputs)
+        for ref in refs
+    ]
 
 
 # -- orchestration -------------------------------------------------------------------

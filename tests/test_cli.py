@@ -1,6 +1,7 @@
 """Command line behaviour: exit codes, piping through intermediates, output."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 from ywx.cli import run
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).parent.parent / "src"
 AFFY = str(FIXTURES / "affymetrix.R")
 MSTMIP = str(FIXTURES / "mstmip_nee.m")
 PALEO = str(FIXTURES / "paleoclimate.R")
@@ -27,6 +29,15 @@ def run_err(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.err
+
+
+def run_child(*argv):
+    """Run ``python -m ywx`` in a child process that imports this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "ywx", *argv], capture_output=True, text=True, env=env
+    )
 
 
 class TestExitCodes:
@@ -129,6 +140,27 @@ class TestIntermediateHandling:
     def test_manifest_is_not_a_model(self, capsys):
         code, err = run_err(capsys, "graph", MANIFEST)
         assert code == 2
+
+    @staticmethod
+    def rename_data(channel):
+        channel["data"] = "renamed_data"
+
+    @staticmethod
+    def swap_source_and_sink(channel):
+        channel["source"], channel["sinks"][0] = channel["sinks"][0], channel["source"]
+
+    @pytest.mark.parametrize("view", ["process", "data"])
+    @pytest.mark.parametrize("edit", ["rename_data", "swap_source_and_sink"])
+    def test_channel_endpoint_without_matching_port(self, tmp_path, view, edit):
+        model_file = tmp_path / "model.json"
+        assert run(["model", AFFY, "-o", str(model_file)]) == 0
+        payload = json.loads(model_file.read_text())
+        getattr(self, edit)(payload["channels"][0])
+        model_file.write_text(json.dumps(payload))
+        proc = run_child("graph", str(model_file), "--view", view)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "channel" in proc.stderr
 
 
 class TestStagedPipelines:
@@ -394,11 +426,7 @@ class TestValidateCommand:
 
 class TestInstalledEntryPoint:
     def test_help_via_subprocess(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "ywx", "--help"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_child("--help")
         if proc.returncode != 0:
             proc = subprocess.run(
                 ["ywx", "--help"], capture_output=True, text=True

@@ -1,13 +1,23 @@
 """Structure, provenance, derivation, and lineage queries."""
 
 import json
+import random
 from pathlib import Path
 
 import pytest
 
-from support import model_from_source, oracle_edges
+from support import (
+    model_from_source,
+    oracle_edges,
+    oracle_upstream_inputs,
+    random_tree,
+    script_from_tree,
+)
+from ywx import queries
+from ywx.comments import detect_language
 from ywx.errors import (
     AmbiguousLineage,
+    AmbiguousWriter,
     CyclicDerivation,
     MalformedManifest,
     UnknownName,
@@ -15,6 +25,7 @@ from ywx.errors import (
 from ywx.queries import (
     LineageRecord,
     PortSource,
+    RunManifest,
     build_dependency_graph,
     blocks_affected_by_input,
     chain_defects,
@@ -29,6 +40,8 @@ from ywx.queries import (
     step_input_sources,
     upstream_inputs,
 )
+from ywx.model import Direction
+from ywx.validate import validate_sources
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -486,3 +499,159 @@ class TestLineage:
         model, manifest = self.load()
         with pytest.raises(ValueError):
             infer_file_lineage(model, manifest, "sideways", "NEE_std")
+
+
+def bind_every_root_port(model):
+    """A manifest giving each root port its own file plus one file they share."""
+    return RunManifest(
+        "all-ports",
+        {p.name: (f"run/{p.name}.dat", "run/shared.dat") for p in model.root.ports},
+    )
+
+
+class TestOnePassEquivalence:
+    """Lineage and YW020 over all root outputs at once agree with the
+    per-output definitions: oracle_upstream_inputs for reachability and
+    chain_defects, called once per output, for completeness."""
+
+    def cases(self, count=120, seed=4242):
+        rng = random.Random(seed)
+        found = []
+        while len(found) < count:
+            script = script_from_tree(random_tree(rng, max_blocks=30), rng)
+            try:
+                model = model_from_source(script)
+            except AmbiguousWriter:
+                continue
+            found.append((script, model))
+        return found
+
+    @staticmethod
+    def expected_lineage(model, manifest, direction, name):
+        """Files per the per-output definitions, or the AmbiguousLineage text."""
+        root_ports = {p.name: p for p in model.root.ports}
+        if name in root_ports:
+            names = {name}
+        else:
+            names = {n for n, files in manifest.bindings.items() if name in files}
+        outputs = sorted(
+            p.name for p in model.root.ports if p.direction is Direction.OUT
+        )
+        inputs = {p.name for p in model.root.ports if p.direction is Direction.IN}
+        checked = sorted(names & set(outputs)) if direction == "upstream" else outputs
+        for output in checked:
+            if chain_defects(model, output):
+                return f"dependency chain behind output {output!r} has unbound ports"
+        if direction == "upstream":
+            ports = set()
+            for output in names & set(outputs):
+                ports |= oracle_upstream_inputs(model, output)
+        else:
+            ports = {
+                output
+                for output in outputs
+                if names & inputs & oracle_upstream_inputs(model, output)
+            }
+        return sorted(
+            (path, port, root_ports[port].role.value)
+            for port in ports
+            for path in manifest.bindings[port]
+        )
+
+    def test_lineage_matches_per_output_definition(self):
+        outcomes = {"files": 0, "ambiguous": 0}
+        for _, model in self.cases():
+            manifest = bind_every_root_port(model)
+            for port in model.root.ports:
+                direction = "upstream" if port.direction is Direction.OUT else "downstream"
+                for name in (port.name, f"run/{port.name}.dat", "run/shared.dat"):
+                    expected = self.expected_lineage(model, manifest, direction, name)
+                    try:
+                        got = infer_file_lineage(model, manifest, direction, name)
+                    except AmbiguousLineage as exc:
+                        assert str(exc) == expected, (name, direction)
+                        outcomes["ambiguous"] += 1
+                        continue
+                    assert [(r.file, r.port, r.role) for r in got] == expected
+                    outcomes["files"] += 1
+        # The corpus must exercise both the clean path and the fallback.
+        assert outcomes["files"] > 50 and outcomes["ambiguous"] > 50, outcomes
+
+    def test_yw020_matches_per_output_definition(self):
+        broken = 0
+        for script, model in self.cases():
+            expected = sorted(
+                (
+                    ref.port.line,
+                    f"output {port.name!r} has no complete dependency chain: "
+                    f"port {ref.port.name!r} of block {ref.block!r} is unbound",
+                )
+                for port in model.root.ports
+                if port.direction is Direction.OUT
+                for ref in chain_defects(model, port.name)
+            )
+            diagnostics = validate_sources(
+                [("script.py", script, detect_language("script.py"))]
+            )
+            got = [(d.line, d.message) for d in diagnostics if d.code == "YW020"]
+            assert got == expected
+            broken += bool(expected)
+        assert broken > 10
+
+
+def fan_out_script(outputs):
+    lines = ["# @begin fan @in raw"]
+    lines += [f"# @out out_{i:03d}" for i in range(outputs)]
+    lines += ["# @begin load @in raw @out mid", "mid = load(raw)", "# @end load"]
+    for i in range(outputs):
+        lines += [
+            f"# @begin emit_{i:03d} @in mid @out out_{i:03d}",
+            f"out_{i:03d} = emit(mid)",
+            f"# @end emit_{i:03d}",
+        ]
+    lines.append("# @end fan")
+    return "\n".join(lines) + "\n"
+
+
+class TestOneGraphPerCall:
+    """Work per call must not grow with root outputs times graph size."""
+
+    OUTPUTS = 60
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"builds": 0, "walks": 0}
+        build = queries.build_dependency_graph
+        reachable = queries.DependencyGraph.reachable
+
+        def counting_build(model):
+            counts["builds"] += 1
+            return build(model)
+
+        def counting_reachable(graph, *args, **kwargs):
+            counts["walks"] += 1
+            return reachable(graph, *args, **kwargs)
+
+        monkeypatch.setattr(queries, "build_dependency_graph", counting_build)
+        monkeypatch.setattr(queries.DependencyGraph, "reachable", counting_reachable)
+        return counts
+
+    def test_lineage_upstream(self, counts):
+        model = model_from_source(fan_out_script(self.OUTPUTS))
+        manifest = bind_every_root_port(model)
+        got = infer_file_lineage(model, manifest, "upstream", "run/shared.dat")
+        assert {r.file for r in got} == {"run/raw.dat", "run/shared.dat"}
+        assert counts == {"builds": 1, "walks": 2}
+
+    def test_lineage_downstream(self, counts):
+        model = model_from_source(fan_out_script(self.OUTPUTS))
+        manifest = bind_every_root_port(model)
+        got = infer_file_lineage(model, manifest, "downstream", "raw")
+        assert len({r.port for r in got}) == self.OUTPUTS
+        assert counts == {"builds": 1, "walks": 2}
+
+    def test_validate_sources(self, counts):
+        script = fan_out_script(self.OUTPUTS)
+        diagnostics = validate_sources([("fan.py", script, detect_language("fan.py"))])
+        assert not [d for d in diagnostics if d.code == "YW020"]
+        assert counts == {"builds": 1, "walks": 1}
