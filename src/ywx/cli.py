@@ -140,12 +140,12 @@ def _is_intermediate(path: str) -> bool:
 
 def _read_script(path: str, language: str | None) -> list[Annotation]:
     syntax = detect_language(path, language)
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8")
     return parse_annotations(extract_comments(text, syntax, file=path))
 
 
 def _load_intermediate(path: str) -> AnnotationDocument | WorkflowModel:
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8")
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -219,7 +219,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
             file=args.input,
         )
     syntax = detect_language(args.input, args.language)
-    text = Path(args.input).read_text()
+    text = Path(args.input).read_text(encoding="utf-8")
     annotations = parse_annotations(extract_comments(text, syntax, file=args.input))
     doc = AnnotationDocument(args.input, syntax.language_name, tuple(annotations))
     _write(serialize_annotations(doc), args.output)
@@ -320,7 +320,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
             lines.append(f"{s.port}: {s.kind}{suffix}")
     else:  # lineage
         manifest_path = _require(args.manifest, "--manifest", sub)
-        manifest = parse_manifest(Path(manifest_path).read_text(), model)
+        manifest_text = Path(manifest_path).read_text(encoding="utf-8")
+        manifest = parse_manifest(manifest_text, model)
         records = infer_file_lineage(
             model, manifest, args.direction, _require(args.name, "--name", sub)
         )
@@ -370,7 +371,7 @@ def run(argv: list[str] | None = None) -> int:
     except YwxError as exc:
         print(f"ywx: error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"ywx: error: {exc}", file=sys.stderr)
         return 2
 

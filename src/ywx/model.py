@@ -123,6 +123,51 @@ def parent_map(root: Block) -> dict[str, str | None]:
     return parents
 
 
+class ModelIndex:
+    """Lookup tables over one model, built once per command and shared.
+
+    ``blocks`` and ``parents`` are keyed by qualified name, ``chan`` by
+    ``(scope, data)`` and ``ports`` by ``(block, name, direction)``;
+    ``programs`` holds the qualified names of the blocks without children.
+    """
+
+    def __init__(self, model: WorkflowModel) -> None:
+        self.root_q = model.root.qualified_name
+        self.blocks: dict[str, Block] = {}
+        self.parents: dict[str, str | None] = {self.root_q: None}
+        self.ports: dict[tuple[str, str, Direction], Port] = {}
+        self.programs: set[str] = set()
+        for block in iter_blocks(model.root):
+            q = block.qualified_name
+            self.blocks[q] = block
+            if not block.children:
+                self.programs.add(q)
+            for child in block.children:
+                self.parents[child.qualified_name] = q
+            for port in block.ports:
+                self.ports[(q, port.name, port.direction)] = port
+        self.chan: dict[tuple[str, str], Channel] = {
+            (ch.scope, ch.data): ch for ch in model.channels
+        }
+
+    def across(self, ch: Channel, end: Endpoint) -> Channel | None:
+        """The channel on the far side of ``end``, an endpoint of ``ch``.
+
+        The scope's own port leads out to the parent scope's channel of the
+        same name; a child workflow's port leads into the child's own one.
+        A program, the root, or a port with nothing connected on the far
+        side gives None. Channels are derived from the tree, so a far
+        channel that exists always has the boundary port as its matching
+        endpoint.
+        """
+        if end.block == ch.scope:
+            outer = self.parents[ch.scope]
+            return None if outer is None else self.chan.get((outer, ch.data))
+        if end.block in self.programs:
+            return None
+        return self.chan.get((end.block, ch.data))
+
+
 def sanitize_name(raw: str) -> str:
     """Coerce an arbitrary string (e.g. a file stem) into a block name."""
     cleaned = re.sub(r"[^A-Za-z0-9_]", "_", raw)
@@ -261,29 +306,34 @@ def build_blocks(annotations: Sequence[Annotation], root_name: str | None = None
         root_skeleton = _Closed(name, first_file or "<source>", None, [], top_level,
                                 (0, max_line + 1))
 
-    seen: dict[str, _Closed] = {}
+    return _freeze(root_skeleton, "", set())
 
-    def freeze(skeleton: _Closed, prefix: str) -> Block:
-        qualified = f"{prefix}.{skeleton.name}" if prefix else skeleton.name
-        if qualified in seen:
-            raise DuplicateBlockName(
-                f"block name {skeleton.name!r} is declared twice in the same scope",
-                file=skeleton.file,
-                line=skeleton.span[0],
-            )
-        seen[qualified] = skeleton
-        children = tuple(freeze(child, qualified) for child in skeleton.children)
-        return Block(
-            skeleton.name,
-            qualified,
-            skeleton.description,
-            tuple(skeleton.ports),
-            children,
-            skeleton.span,
-            skeleton.file,
+
+def _freeze(skeleton: _Closed, prefix: str, seen: set[str]) -> Block:
+    """Turn a closed skeleton into a frozen Block, qualifying names on the way.
+
+    A module-level function rather than a closure: a closure that calls
+    itself holds a reference to its own cell, which would leave every
+    skeleton tree behind as cyclic garbage.
+    """
+    qualified = f"{prefix}.{skeleton.name}" if prefix else skeleton.name
+    if qualified in seen:
+        raise DuplicateBlockName(
+            f"block name {skeleton.name!r} is declared twice in the same scope",
+            file=skeleton.file,
+            line=skeleton.span[0],
         )
-
-    return freeze(root_skeleton, "")
+    seen.add(qualified)
+    children = tuple(_freeze(c, qualified, seen) for c in skeleton.children)
+    return Block(
+        skeleton.name,
+        qualified,
+        skeleton.description,
+        tuple(skeleton.ports),
+        children,
+        skeleton.span,
+        skeleton.file,
+    )
 
 
 # -- channel inference ------------------------------------------------------
@@ -418,25 +468,26 @@ def _block_dict(block: Block) -> dict:
     }
 
 
+def _channel_dict(ch: Channel) -> dict:
+    return {
+        "data": ch.data,
+        "scope": ch.scope,
+        "role": ch.role.value,
+        "source": {
+            "block": ch.source.block,
+            "port_direction": ch.source.direction.value,
+        },
+        "sinks": [
+            {"block": sink.block, "port_direction": sink.direction.value}
+            for sink in ch.sinks
+        ],
+    }
+
+
 def serialize_model(model: WorkflowModel) -> str:
     payload = {
         "root": _block_dict(model.root),
-        "channels": [
-            {
-                "data": ch.data,
-                "scope": ch.scope,
-                "role": ch.role.value,
-                "source": {
-                    "block": ch.source.block,
-                    "port_direction": ch.source.direction.value,
-                },
-                "sinks": [
-                    {"block": sink.block, "port_direction": sink.direction.value}
-                    for sink in ch.sinks
-                ],
-            }
-            for ch in model.channels
-        ],
+        "channels": [_channel_dict(ch) for ch in model.channels],
         "source_files": list(model.source_files),
     }
     return json.dumps(payload, indent=2) + "\n"
@@ -524,60 +575,15 @@ def parse_model(text: str) -> WorkflowModel:
     if not (isinstance(raw_files, list) and all(isinstance(f, str) for f in raw_files)):
         raise _fail("'source_files' must be a list of strings")
 
-    blocks = {b.qualified_name: b for b in iter_blocks(root)}
-    parents = parent_map(root)
-    declared = {
-        (q, port.name, port.direction) for q, b in blocks.items() for port in b.ports
-    }
     raw_channels = payload.get("channels")
     if not isinstance(raw_channels, list):
         raise _fail("'channels' must be a list")
-    channels: list[Channel] = []
-    for raw in raw_channels:
-        if not isinstance(raw, dict):
-            raise _fail("channel must be an object")
-        data = raw.get("data")
-        scope = raw.get("scope")
-        if not (isinstance(data, str) and IDENTIFIER_RE.match(data)):
-            raise _fail(f"bad channel data name {data!r}")
-        scope_block = blocks.get(scope) if isinstance(scope, str) else None
-        if scope_block is None or not scope_block.is_workflow:
-            raise _fail(f"channel {data!r} names unknown scope {scope!r}")
-        try:
-            role = Role(raw.get("role"))
-        except ValueError as exc:
-            raise _fail(f"channel {data!r} has a bad role") from exc
-
-        def endpoint(raw_ep: object, writes: bool) -> Endpoint:
-            if not isinstance(raw_ep, dict):
-                raise _fail(f"channel {data!r} has a malformed endpoint")
-            block_q = raw_ep.get("block")
-            try:
-                direction = Direction(raw_ep.get("port_direction"))
-            except ValueError as exc:
-                raise _fail(f"channel {data!r} endpoint has a bad direction") from exc
-            if block_q not in blocks:
-                raise _fail(f"channel {data!r} endpoint names unknown block {block_q!r}")
-            if block_q != scope and parents.get(block_q) != scope:
-                raise _fail(
-                    f"channel {data!r} endpoint {block_q!r} is not in scope {scope!r}"
-                )
-            if (block_q, data, direction) not in declared:
-                raise _fail(
-                    f"channel {data!r} endpoint {block_q!r} has no "
-                    f"{direction.value} port {data!r}"
-                )
-            # A scope's own in port and its children's out ports write to the
-            # scope; the children's in ports and the scope's out port read.
-            if writes != ((block_q == scope) == (direction is Direction.IN)):
-                side = "source" if writes else "sink"
-                raise _fail(f"channel {data!r} endpoint {block_q!r} cannot be a {side}")
-            return Endpoint(block_q, direction)
-
-        source = endpoint(raw.get("source"), writes=True)
-        raw_sinks = raw.get("sinks")
-        if not (isinstance(raw_sinks, list) and raw_sinks):
-            raise _fail(f"channel {data!r} needs a non-empty sink list")
-        sinks = tuple(endpoint(s, writes=False) for s in raw_sinks)
-        channels.append(Channel(data, scope, role, source, sinks))
-    return WorkflowModel(root, tuple(channels), tuple(raw_files))
+    # Channels are a function of the tree: re-derive them rather than trust
+    # the file, so every later walk can rely on them matching the ports.
+    try:
+        channels = infer_channels(root)
+    except AmbiguousWriter as exc:
+        raise _fail(f"block tree is ambiguous: {exc}") from exc
+    if raw_channels != [_channel_dict(ch) for ch in channels]:
+        raise _fail("'channels' differs from the channels inferred from 'root'")
+    return WorkflowModel(root, channels, tuple(raw_files))

@@ -8,12 +8,15 @@ Names in query arguments resolve at the root scope: data names must name a
 root-scope channel or a root port, block names may be qualified or, when
 unambiguous, simple.
 
-Each query call builds one lookup index and one dependency graph, which the
-graph carries, and every step of the call shares them. Questions asked about
-many root outputs at once walk the graph once for all of them: downstream
-lineage is a single forward pass from the resolved inputs, and the
-completeness check behind lineage and YW020 scans the union of all chains,
-walking output by output only to report which chain is broken.
+Each query call builds one lookup index, the shared ``ModelIndex`` plus the
+root-scope names, and one dependency graph, which the graph carries, and
+every step of the call shares them. Every step through a workflow boundary,
+in the graph's pass-through edges and in tracing a step's input sources, is
+one ``ModelIndex.across`` lookup. Questions asked about many root outputs
+at once walk the graph once for all of them: downstream lineage is a single
+forward pass from the resolved inputs, and the completeness check behind
+lineage and YW020 scans the union of all chains, walking output by output
+only to report which chain is broken.
 """
 
 from __future__ import annotations
@@ -32,14 +35,12 @@ from .errors import (
 )
 from .model import (
     Block,
-    Channel,
     Direction,
     Endpoint,
+    ModelIndex,
     Port,
-    Role,
     WorkflowModel,
     iter_blocks,
-    parent_map,
 )
 
 # Node keys: ("block", qualified_name) for programs,
@@ -47,21 +48,16 @@ from .model import (
 NodeKey = tuple
 
 
-class _Index:
-    """Lookup tables shared by the queries; built once per query call.
+class _Index(ModelIndex):
+    """The shared model index plus the root-scope names queries resolve.
 
-    A query that needs the dependency graph takes the index the graph was
-    built with, ``DependencyGraph.index``, instead of building another.
+    Built once per query call. A query that needs the dependency graph takes
+    the index the graph was built with, ``DependencyGraph.index``, instead
+    of building another.
     """
 
     def __init__(self, model: WorkflowModel) -> None:
-        self.model = model
-        self.root_q = model.root.qualified_name
-        self.blocks = {b.qualified_name: b for b in iter_blocks(model.root)}
-        self.parents = parent_map(model.root)
-        self.chan: dict[tuple[str, str], Channel] = {
-            (ch.scope, ch.data): ch for ch in model.channels
-        }
+        super().__init__(model)
         root_ports = model.root.ports
         self.root_port_names = {p.name for p in root_ports}
         self.root_input_names = {
@@ -74,20 +70,18 @@ class _Index:
             ch.data for ch in model.channels if ch.scope == self.root_q
         } | self.root_port_names
 
-    def is_program(self, qualified_name: str) -> bool:
-        return not self.blocks[qualified_name].is_workflow
+    def is_bound(self, block_q: str, port: Port) -> bool:
+        """Whether a channel feeds this In/Param port of the block."""
+        return (self.parents[block_q], port.name) in self.chan
 
     def bound_inputs(self, block: Block) -> list[Port]:
         """The block's In/Param ports that a channel actually feeds."""
-        scope = self.parents[block.qualified_name]
-        bound = []
-        for port in block.ports:
-            if port.direction is not Direction.IN:
-                continue
-            ch = self.chan.get((scope, port.name))
-            if ch is not None and Endpoint(block.qualified_name, Direction.IN) in ch.sinks:
-                bound.append(port)
-        return bound
+        return [
+            port
+            for port in block.ports
+            if port.direction is Direction.IN
+            and self.is_bound(block.qualified_name, port)
+        ]
 
 
 @dataclass(frozen=True)
@@ -112,11 +106,8 @@ class DependencyGraph:
 
 def build_dependency_graph(model: WorkflowModel) -> DependencyGraph:
     index = _Index(model)
-    nodes: set[NodeKey] = set()
+    nodes: set[NodeKey] = {("block", q) for q in index.programs}
     edges: set[tuple[NodeKey, NodeKey]] = set()
-    for block in iter_blocks(model.root):
-        if not block.is_workflow:
-            nodes.add(("block", block.qualified_name))
     for port in model.root.ports:
         nodes.add(("data", index.root_q, port.name))
     for ch in model.channels:
@@ -124,28 +115,15 @@ def build_dependency_graph(model: WorkflowModel) -> DependencyGraph:
 
     for ch in model.channels:
         dnode = ("data", ch.scope, ch.data)
-        src = ch.source
-        if src.block != ch.scope and index.is_program(src.block):
-            edges.add((("block", src.block), dnode))
-        elif src.block == ch.scope and ch.scope != index.root_q:
-            outer = index.chan.get((index.parents[ch.scope], ch.data))
-            if outer is not None and Endpoint(ch.scope, Direction.IN) in outer.sinks:
-                edges.add((("data", outer.scope, ch.data), dnode))
-        elif src.block != ch.scope:  # a child workflow's out port
-            inner = index.chan.get((src.block, ch.data))
-            if inner is not None and Endpoint(src.block, Direction.OUT) in inner.sinks:
-                edges.add((("data", src.block, ch.data), dnode))
-        for sink in ch.sinks:
-            if sink.block != ch.scope and index.is_program(sink.block):
-                edges.add((dnode, ("block", sink.block)))
-            elif sink.block == ch.scope and ch.scope != index.root_q:
-                outer = index.chan.get((index.parents[ch.scope], ch.data))
-                if outer is not None and outer.source == Endpoint(ch.scope, Direction.OUT):
-                    edges.add((dnode, ("data", outer.scope, ch.data)))
-            elif sink.block != ch.scope:  # a child workflow's in port
-                inner = index.chan.get((sink.block, ch.data))
-                if inner is not None and inner.source == Endpoint(sink.block, Direction.IN):
-                    edges.add((dnode, ("data", sink.block, ch.data)))
+        for end in (ch.source, *ch.sinks):
+            if end.block in index.programs:
+                other = ("block", end.block)
+            else:
+                far = index.across(ch, end)
+                if far is None:
+                    continue
+                other = ("data", far.scope, far.data)
+            edges.add((other, dnode) if end is ch.source else (dnode, other))
 
     forward: dict[NodeKey, tuple[NodeKey, ...]] = {}
     reverse: dict[NodeKey, tuple[NodeKey, ...]] = {}
@@ -274,43 +252,28 @@ def step_input_sources(model: WorkflowModel, block_name: str) -> list[PortSource
     """
     index = _Index(model)
     block = _resolve_block(index, block_name)
-    results: list[PortSource] = []
+    return [
+        _port_source(index, block, port)
+        for port in block.ports
+        if port.direction is Direction.IN
+    ]
 
-    def trace(ch: Channel, seen: frozenset) -> PortSource:
+
+def _port_source(index: _Index, block: Block, port: Port) -> PortSource:
+    """Follow the writer of one in port outwards and inwards to its origin."""
+    if block.qualified_name == index.root_q:
+        return PortSource(port.name, "script-input")
+    ch = index.chan.get((index.parents[block.qualified_name], port.name))
+    seen: set[tuple[str, str]] = set()
+    while ch is not None and (ch.scope, ch.data) not in seen:
+        seen.add((ch.scope, ch.data))
         src = ch.source
-        if src.block == ch.scope:  # the scope workflow's own in port
-            if ch.scope == index.root_q:
-                return PortSource(ch.data, "script-input")
-            key = (index.parents[ch.scope], ch.data)
-            outer = index.chan.get(key)
-            if outer is None or key in seen or Endpoint(ch.scope, Direction.IN) not in outer.sinks:
-                return PortSource(ch.data, "unbound")
-            return trace(outer, seen | {key})
-        if index.is_program(src.block):
-            return PortSource(ch.data, "produced-by", src.block)
-        key = (src.block, ch.data)
-        inner = index.chan.get(key)
-        if inner is None or key in seen or Endpoint(src.block, Direction.OUT) not in inner.sinks:
-            return PortSource(ch.data, "unbound")
-        return trace(inner, seen | {key})
-
-    for port in block.ports:
-        if port.direction is not Direction.IN:
-            continue
-        if block is model.root:
-            results.append(PortSource(port.name, "script-input"))
-            continue
-        scope = index.parents[block.qualified_name]
-        key = (scope, port.name)
-        ch = index.chan.get(key)
-        if ch is None or Endpoint(block.qualified_name, Direction.IN) not in ch.sinks:
-            results.append(PortSource(port.name, "unbound"))
-        else:
-            source = trace(ch, frozenset({key}))
-            results.append(
-                PortSource(port.name, source.kind, source.block)
-            )
-    return results
+        if src.block in index.programs:
+            return PortSource(port.name, "produced-by", src.block)
+        if src.block == index.root_q:
+            return PortSource(port.name, "script-input")
+        ch = index.across(ch, src)
+    return PortSource(port.name, "unbound")
 
 
 # -- derivations ----------------------------------------------------------------
@@ -430,45 +393,32 @@ def _defects(graph: DependencyGraph, involved: set[NodeKey]) -> tuple[UnboundRef
     """The unbound ports and one-sided boundaries among the involved nodes."""
     index = graph.index
     defects: list[UnboundRef] = []
-    seen: set[tuple[str, str]] = set()
+    seen: set[tuple[str, str, Direction]] = set()
 
     def blame(owner_q: str, name: str, direction: Direction) -> None:
-        for port in index.blocks[owner_q].ports:
-            if port.name == name and port.direction == direction:
-                key = (owner_q, name + "/" + direction.value)
-                if key not in seen:
-                    seen.add(key)
-                    defects.append(UnboundRef(owner_q, port))
-                return
+        key = (owner_q, name, direction)
+        port = index.ports.get(key)
+        if port is not None and key not in seen:
+            seen.add(key)
+            defects.append(UnboundRef(owner_q, port))
 
     for node in involved:
         if node[0] == "block":
-            block = index.blocks[node[1]]
-            scope = index.parents[block.qualified_name]
-            for port in block.ports:
-                if port.direction is not Direction.IN:
-                    continue
-                ch = index.chan.get((scope, port.name))
-                if ch is None or Endpoint(block.qualified_name, Direction.IN) not in ch.sinks:
-                    blame(block.qualified_name, port.name, Direction.IN)
+            block_q = node[1]
+            for port in index.blocks[block_q].ports:
+                if port.direction is Direction.IN and not index.is_bound(block_q, port):
+                    blame(block_q, port.name, Direction.IN)
             continue
         _, scope, name = node
         if graph.reverse.get(node):
             continue
-        if scope == index.root_q:
-            if name in index.root_input_names:
-                continue  # a script input: the chain legitimately starts here
-            ch = index.chan.get((scope, name))
-            if ch is None:
-                blame(scope, name, Direction.OUT)
-                continue
-        else:
-            ch = index.chan.get((scope, name))
-        src = ch.source
-        if src.block == ch.scope:
-            blame(ch.scope, name, Direction.IN)
-        elif not index.is_program(src.block):
-            blame(src.block, name, Direction.OUT)
+        if scope == index.root_q and name in index.root_input_names:
+            continue  # a script input: the chain legitimately starts here
+        ch = index.chan.get((scope, name))
+        if ch is None:  # a root output that nothing writes
+            blame(scope, name, Direction.OUT)
+        else:  # a program would be an edge: a boundary with nothing beyond
+            blame(ch.source.block, name, ch.source.direction)
     ordered = sorted(
         defects,
         key=lambda ref: (ref.port.file, ref.port.line, ref.block, ref.port.name),

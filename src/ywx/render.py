@@ -12,6 +12,10 @@ subgraph. Channels whose endpoint is a sub-workflow boundary port are then
 flattened through that boundary to the producing and consuming blocks on
 either side; a boundary port with nothing on the far side renders as a
 stub terminal inside its cluster.
+
+Every view reads the model through one shared ``ModelIndex``, and every
+step through a workflow boundary, in the process view's flattening and in
+the data views' merging of names, is one ``ModelIndex.across`` lookup.
 """
 
 from __future__ import annotations
@@ -25,12 +29,11 @@ from .model import (
     Channel,
     Direction,
     Endpoint,
+    ModelIndex,
     Port,
     Role,
     WorkflowModel,
-    find_block,
     iter_blocks,
-    parent_map,
 )
 
 DEFAULT_STYLE: dict[str, str] = {
@@ -51,7 +54,8 @@ RANKDIRS = ("LR", "TB")
 def load_style_file(path: str | Path) -> dict[str, str]:
     """Read a key=value style file; unknown keys are rejected."""
     style = dict(DEFAULT_STYLE)
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    text = Path(path).read_text(encoding="utf-8")
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -118,7 +122,7 @@ class _Sheet:
         for wf in iter_blocks(ctx.focus):
             if not wf.is_workflow or wf is ctx.focus:
                 continue
-            parent = ctx.parents[wf.qualified_name]
+            parent = ctx.index.parents[wf.qualified_name]
             self.clusters[wf.qualified_name] = _ClusterDef(
                 wf.qualified_name,
                 wf.name,
@@ -172,33 +176,16 @@ class _Ctx:
         self.style = style
         self.nested = options.nested
         self.de_emphasize_params = options.de_emphasize_params
+        self.index = ModelIndex(model)
         focus_q = options.focus or model.root.qualified_name
-        focus = find_block(model.root, focus_q)
+        focus = self.index.blocks.get(focus_q)
         if focus is None or not focus.is_workflow:
             raise UnknownFocus(f"{focus_q!r} does not name a workflow")
         self.focus = focus
-        self.blocks = {b.qualified_name: b for b in iter_blocks(model.root)}
-        self.parents = parent_map(model.root)
-        self.depth = {
-            q: (0 if p is None else -1) for q, p in self.parents.items()
-        }
-        for q in sorted(self.parents, key=lambda q: q.count(".")):
-            parent = self.parents[q]
-            if parent is not None:
-                self.depth[q] = self.depth[parent] + 1
         self.file_idx = {path: i for i, path in enumerate(model.source_files)}
-        self.chan: dict[tuple[str, str], Channel] = {
-            (ch.scope, ch.data): ch for ch in model.channels
-        }
 
     def anchor(self, file: str, line: int, node_id: str) -> tuple:
         return (self.file_idx.get(file, len(self.file_idx)), line, node_id)
-
-    def port_of(self, block_q: str, name: str, direction: Direction) -> Port | None:
-        for port in self.blocks[block_q].ports:
-            if port.name == name and port.direction == direction:
-                return port
-        return None
 
     def in_subtree(self, scope_q: str) -> bool:
         focus_q = self.focus.qualified_name
@@ -219,7 +206,7 @@ class _Ctx:
     def cluster_of(self, block_q: str) -> str | None:
         if not self.nested:
             return None
-        parent = self.parents[block_q]
+        parent = self.index.parents[block_q]
         return None if parent == self.focus.qualified_name or parent is None else parent
 
 
@@ -258,64 +245,39 @@ def _terminal_node(ctx: _Ctx, sheet: _Sheet, owner_q: str, port: Port) -> str:
 
 # -- process view -----------------------------------------------------------
 
-def _resolve_producers(ctx: _Ctx, sheet: _Sheet, ch: Channel, seen: frozenset) -> set[str]:
-    src = ch.source
-    data = ch.data
-    if src.block == ch.scope:  # fed by the scope workflow's own in port
-        if ch.scope == ctx.focus.qualified_name:
-            port = ctx.port_of(ch.scope, data, Direction.IN)
-            return {_terminal_node(ctx, sheet, ch.scope, port)}
-        outer_key = (ctx.parents[ch.scope], data)
-        outer = ctx.chan.get(outer_key)
-        if outer is None or outer_key in seen:
-            port = ctx.port_of(ch.scope, data, Direction.IN)
-            return {_terminal_node(ctx, sheet, ch.scope, port)}
-        return _resolve_producers(ctx, sheet, outer, seen | {outer_key})
-    block = ctx.blocks[src.block]
-    if not block.is_workflow:
-        return {_block_node(ctx, sheet, block)}
-    inner_key = (src.block, data)
-    inner = ctx.chan.get(inner_key)
-    if inner is None or inner_key in seen:
-        port = ctx.port_of(src.block, data, Direction.OUT)
-        return {_terminal_node(ctx, sheet, src.block, port)}
-    return _resolve_producers(ctx, sheet, inner, seen | {inner_key})
+def _resolve(ctx: _Ctx, sheet: _Sheet, ch: Channel, writers: bool) -> set[str]:
+    """Nodes for the blocks that write (or read) ``ch``, through boundaries.
 
-
-def _resolve_consumers(ctx: _Ctx, sheet: _Sheet, ch: Channel, seen: frozenset) -> set[str]:
+    Each boundary endpoint leads to the channel on its far side; a boundary
+    of the focus itself, or one with nothing beyond it, is a terminal node.
+    """
+    index = ctx.index
     found: set[str] = set()
-    data = ch.data
-    for sink in ch.sinks:
-        if sink.block == ch.scope:  # drains into the scope workflow's own out port
-            if ch.scope == ctx.focus.qualified_name:
-                port = ctx.port_of(ch.scope, data, Direction.OUT)
-                found.add(_terminal_node(ctx, sheet, ch.scope, port))
+    focus_q = ctx.focus.qualified_name
+    seen = {(ch.scope, ch.data)}
+    todo = [ch]
+    while todo:
+        ch = todo.pop()
+        for end in (ch.source,) if writers else ch.sinks:
+            if end.block in index.programs:
+                found.add(_block_node(ctx, sheet, index.blocks[end.block]))
                 continue
-            outer_key = (ctx.parents[ch.scope], data)
-            outer = ctx.chan.get(outer_key)
-            if (
-                outer is None
-                or outer_key in seen
-                or outer.source.block != ch.scope
-                or outer.source.direction is not Direction.OUT
-            ):
-                port = ctx.port_of(ch.scope, data, Direction.OUT)
-                found.add(_terminal_node(ctx, sheet, ch.scope, port))
-                continue
-            found |= _resolve_consumers(ctx, sheet, outer, seen | {outer_key})
-            continue
-        block = ctx.blocks[sink.block]
-        if not block.is_workflow:
-            found.add(_block_node(ctx, sheet, block))
-            continue
-        inner_key = (sink.block, data)
-        inner = ctx.chan.get(inner_key)
-        if inner is None or inner_key in seen or inner.source.block != sink.block:
-            port = ctx.port_of(sink.block, data, Direction.IN)
-            found.add(_terminal_node(ctx, sheet, sink.block, port))
-            continue
-        found |= _resolve_consumers(ctx, sheet, inner, seen | {inner_key})
+            far = None if end.block == focus_q else index.across(ch, end)
+            if far is None or (far.scope, far.data) in seen:
+                port = index.ports[(end.block, ch.data, end.direction)]
+                found.add(_terminal_node(ctx, sheet, end.block, port))
+            else:
+                seen.add((far.scope, far.data))
+                todo.append(far)
     return found
+
+
+def _flat_end(ctx: _Ctx, sheet: _Sheet, ch: Channel, end: Endpoint) -> str:
+    """A focus-scope channel end: the child block, or the focus's own port."""
+    if end.block != ctx.focus.qualified_name:
+        return end.block
+    port = ctx.index.ports[(end.block, ch.data, end.direction)]
+    return _terminal_node(ctx, sheet, end.block, port)
 
 
 def render_process_view(
@@ -332,25 +294,13 @@ def render_process_view(
         _block_node(ctx, sheet, block)
     for port in ctx.focus.ports:
         _terminal_node(ctx, sheet, ctx.focus.qualified_name, port)
-    focus_q = ctx.focus.qualified_name
     for ch in ctx.scoped_channels():
         if not ctx.nested:
-            if ch.source.block == focus_q:
-                port = ctx.port_of(focus_q, ch.data, Direction.IN)
-                sources = {_terminal_node(ctx, sheet, focus_q, port)}
-            else:
-                sources = {ch.source.block}
-            sinks = set()
-            for sink in ch.sinks:
-                if sink.block == focus_q:
-                    port = ctx.port_of(focus_q, ch.data, Direction.OUT)
-                    sinks.add(_terminal_node(ctx, sheet, focus_q, port))
-                else:
-                    sinks.add(sink.block)
+            sources = {_flat_end(ctx, sheet, ch, ch.source)}
+            sinks = {_flat_end(ctx, sheet, ch, sink) for sink in ch.sinks}
         else:
-            start = frozenset({(ch.scope, ch.data)})
-            sources = _resolve_producers(ctx, sheet, ch, start)
-            sinks = _resolve_consumers(ctx, sheet, ch, start)
+            sources = _resolve(ctx, sheet, ch, writers=True)
+            sinks = _resolve(ctx, sheet, ch, writers=False)
         param = ch.role is Role.PARAMETER
         for src in sources:
             for dst in sinks:
@@ -398,25 +348,16 @@ def _data_groups(ctx: _Ctx) -> dict[tuple[str, str], _DataGroup]:
             parent_of[ra] = rb
 
     if ctx.nested:
+        # Merge only where a channel crosses a boundary port of its own
+        # scope; a same-named channel one scope up is not enough.
         for ch in ctx.scoped_channels():
-            scope = ch.scope
-            if scope == focus_q:
+            if ch.scope == focus_q:
                 continue
-            key = (scope, ch.data)
-            outer_key = (ctx.parents[scope], ch.data)
-            outer = ctx.chan.get(outer_key)
-            if outer is None or outer_key not in keys:
-                continue
-            feeds_in = (
-                ch.source == Endpoint(scope, Direction.IN)
-                and Endpoint(scope, Direction.IN) in outer.sinks
-            )
-            drains_out = (
-                Endpoint(scope, Direction.OUT) in ch.sinks
-                and outer.source == Endpoint(scope, Direction.OUT)
-            )
-            if feeds_in or drains_out:
-                union(key, outer_key)
+            for end in (ch.source, *ch.sinks):
+                if end.block == ch.scope:
+                    far = ctx.index.across(ch, end)
+                    if far is not None:
+                        union((ch.scope, ch.data), (far.scope, far.data))
 
     groups: dict[tuple[str, str], _DataGroup] = {}
     for key in keys:
@@ -429,10 +370,10 @@ def _data_groups(ctx: _Ctx) -> dict[tuple[str, str], _DataGroup]:
     for group in groups.values():
         group.rep_scope = min(
             (scope for scope, _ in group.keys),
-            key=lambda s: (ctx.depth[s], s),
+            key=lambda s: (s.count("."), s),
         )
         for key in group.keys:
-            ch = ctx.chan.get(key)
+            ch = ctx.index.chan.get(key)
             if ch is not None and ch.role is Role.PARAMETER:
                 group.param = True
         if not group.param:
@@ -453,12 +394,11 @@ def _data_node(ctx: _Ctx, sheet: _Sheet, group: _DataGroup) -> str:
         attrs.append(("fontcolor", ctx.style["param.node.fontcolor"]))
     anchors = []
     for scope, name in group.keys:
-        ch = ctx.chan.get((scope, name))
+        ch = ctx.index.chan.get((scope, name))
         if ch is not None:
             for endpoint in [ch.source, *ch.sinks]:
-                port = ctx.port_of(endpoint.block, name, endpoint.direction)
-                if port is not None:
-                    anchors.append(ctx.anchor(port.file, port.line, node_id))
+                port = ctx.index.ports[(endpoint.block, name, endpoint.direction)]
+                anchors.append(ctx.anchor(port.file, port.line, node_id))
         if scope == ctx.focus.qualified_name:
             for port in ctx.focus.ports:
                 if port.name == name:
@@ -474,23 +414,21 @@ def _block_flows(
     ctx: _Ctx, groups: dict[tuple[str, str], _DataGroup], block: Block
 ) -> tuple[list[_DataGroup], list[_DataGroup]]:
     """The data groups a drawn block reads and writes, per its scope channels."""
-    scope = ctx.parents[block.qualified_name]
+    scope = ctx.index.parents[block.qualified_name]
     reads: list[_DataGroup] = []
     writes: list[_DataGroup] = []
     seen_read: set[int] = set()
     seen_write: set[int] = set()
     for port in block.ports:
         key = (scope, port.name)
-        ch = ctx.chan.get(key)
-        if ch is None or key not in groups:
+        if key not in ctx.index.chan:
             continue
         group = groups[key]
-        endpoint = Endpoint(block.qualified_name, port.direction)
         if port.direction is Direction.IN:
-            if endpoint in ch.sinks and id(group) not in seen_read:
+            if id(group) not in seen_read:
                 seen_read.add(id(group))
                 reads.append(group)
-        elif ch.source == endpoint and id(group) not in seen_write:
+        elif id(group) not in seen_write:
             seen_write.add(id(group))
             writes.append(group)
     return reads, writes

@@ -344,5 +344,5 @@ def validate_scripts(
     sources = []
     for path in paths:
         syntax = detect_language(path, language)
-        sources.append((str(path), Path(path).read_text(), syntax))
+        sources.append((str(path), Path(path).read_text(encoding="utf-8"), syntax))
     return validate_sources(sources)

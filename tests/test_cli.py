@@ -94,6 +94,18 @@ class TestExitCodes:
         assert code == 1
         assert "YW020" in out
 
+    @pytest.mark.parametrize("command", ["extract", "model", "validate"])
+    def test_non_utf8_script_is_input_error(self, tmp_path, command):
+        script = tmp_path / "latin1.py"
+        script.write_bytes(
+            b"# caf\xe9\n# @begin W @in x @out y\n# @begin P @in x @out y\n"
+            b"y = x\n# @end P\n# @end W\n"
+        )
+        proc = run_child(command, str(script))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("ywx: error:")
+
 
 class TestIntermediateHandling:
     def test_extract_rejects_json(self, capsys):

@@ -1,0 +1,91 @@
+"""The public contract: the package's exported names and the query names.
+
+Everything behind these names may move between modules; the names
+themselves, and what ``from ywx import *`` yields, must not change silently.
+"""
+
+import ywx
+from ywx import cli
+
+PUBLIC_NAMES = (
+    "Annotation",
+    "AnnotationDocument",
+    "Block",
+    "Channel",
+    "CommentSyntax",
+    "DEFAULT_STYLE",
+    "Derivation",
+    "Diagnostic",
+    "Direction",
+    "Endpoint",
+    "LANGUAGES",
+    "Port",
+    "RenderOptions",
+    "Role",
+    "RunManifest",
+    "SourceComment",
+    "Tag",
+    "WorkflowModel",
+    "YwxError",
+    "__version__",
+    "blocks_affected_by_input",
+    "build_blocks",
+    "build_dependency_graph",
+    "build_model",
+    "containing_blocks",
+    "derivation",
+    "deriving_blocks",
+    "detect_language",
+    "downstream_blocks",
+    "extract_comments",
+    "infer_channels",
+    "infer_file_lineage",
+    "list_blocks",
+    "load_style_file",
+    "nested_blocks",
+    "parse_annotation_file",
+    "parse_annotations",
+    "parse_manifest",
+    "parse_model",
+    "render",
+    "render_combined_view",
+    "render_data_view",
+    "render_process_view",
+    "serialize_annotations",
+    "serialize_model",
+    "step_input_sources",
+    "strip_comments",
+    "upstream_inputs",
+    "validate_scripts",
+    "validate_sources",
+)
+
+
+def test_all_is_pinned():
+    assert len(PUBLIC_NAMES) == 50
+    assert len(set(ywx.__all__)) == len(ywx.__all__)
+    assert sorted(ywx.__all__) == sorted(PUBLIC_NAMES)
+
+
+def test_every_public_name_resolves():
+    namespace: dict = {}
+    exec("from ywx import *", namespace)
+    for name in PUBLIC_NAMES:
+        assert getattr(ywx, name, None) is not None, name
+        assert namespace[name] is getattr(ywx, name), name
+
+
+def test_query_names_are_pinned():
+    assert cli.QUERY_NAMES == (
+        "blocks",
+        "nested",
+        "containers",
+        "downstream",
+        "affected-by",
+        "upstream-inputs",
+        "deriving-blocks",
+        "derivation",
+        "sources",
+        "lineage",
+        "invoking-blocks",
+    )

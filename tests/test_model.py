@@ -143,6 +143,23 @@ class TestTreeBuilding:
         names = [b.qualified_name for b in iter_blocks(model.root)]
         assert "W.A.Fit" in names and "W.B.Fit" in names
 
+    def test_build_leaves_no_cyclic_garbage(self):
+        import gc
+
+        anns = annotations_from_source(
+            "# @begin W @in x @out y\n"
+            "# @begin A @in x @out m\n# @end A\n"
+            "# @begin B @in m @out y\n# @end B\n"
+            "# @end W\n"
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            build_blocks(anns)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 class TestStructureErrors:
     def check(self, source, error, file="s.py"):
@@ -493,13 +510,18 @@ class TestInterchange:
             lambda d: d["channels"][0].__setitem__("scope", "W.P"),
             lambda d: d["channels"][0].__setitem__("sinks", []),
             lambda d: d["channels"][0]["source"].__setitem__("block", "Other"),
+            lambda d: d["channels"].pop(),
+            lambda d: d["channels"][0].__setitem__("role", "parameter"),
+            lambda d: d["channels"][0]["sinks"].pop(),
         ],
     )
     def test_malformed_models_rejected(self, mutate):
         import json
 
+        # Channel x has two sinks, W.P and W.Q.
         model = model_from_source(
-            "# @begin W @in x @out y\n# @begin P @in x @out y\n# @end P\n# @end W\n"
+            "# @begin W @in x @out y\n# @begin P @in x @out y\n# @end P\n"
+            "# @begin Q @in x\n# @end Q\n# @end W\n"
         )
         payload = json.loads(serialize_model(model))
         mutate(payload)

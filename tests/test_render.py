@@ -7,6 +7,7 @@ from support import (
     expected_data_nodes,
     expected_process_edges,
     model_from_source,
+    oracle_edges,
     parse_dot,
 )
 from ywx.errors import StyleError, UnknownFocus
@@ -36,6 +37,27 @@ PARAM_SRC = """\
 # @begin P @in x @param cutoff @out y
 y = f(x, cutoff)
 # @end P
+# @end W
+"""
+
+
+# d lives in both scopes, and no boundary port of Sub carries it.
+SHADOWED_SRC = """\
+# @begin W @in x @out y
+# @begin Sub @in x @out z
+# @begin A @in x @out d
+d = a(x)
+# @end A
+# @begin B @in d @out z
+z = b(d)
+# @end B
+# @end Sub
+# @begin C @in z @out d
+d = c(z)
+# @end C
+# @begin E @in d @out y
+y = e(d)
+# @end E
 # @end W
 """
 
@@ -228,6 +250,34 @@ class TestNested:
         assert graph.membership["data:outer.QC:kept"] == "cluster_outer.QC"
         edge_set = {(s, d, a.get("label")) for s, d, a in graph.edges}
         assert ("data:outer:mid", "data:outer.QC:kept", "Filter") in edge_set
+
+    @pytest.mark.parametrize("view", ["data", "combined"])
+    def test_same_name_in_two_scopes_stays_two_nodes(self, view):
+        graph = dot(model_from_source(SHADOWED_SRC), view=view, nested=True)
+        assert graph.membership["data:W:d"] is None
+        assert graph.membership["data:W.Sub:d"] == "cluster_W.Sub"
+        assert "data:W.Sub:x" not in graph.nodes
+        assert "data:W.Sub:z" not in graph.nodes
+
+    def test_data_nodes_are_boundary_components(self, corpus_models):
+        """One data node per connected component of the data-to-data edges."""
+        for model in corpus_models[:150]:
+            root_q = model.root.qualified_name
+            parent = {("data", ch.scope, ch.data): None for ch in model.channels}
+            for port in model.root.ports:
+                parent[("data", root_q, port.name)] = None
+
+            def find(node):
+                while parent[node] is not None:
+                    node = parent[node]
+                return node
+
+            for a, b in oracle_edges(model):
+                if a[0] == b[0] == "data" and find(a) != find(b):
+                    parent[find(a)] = find(b)
+            components = sum(1 for node in parent if parent[node] is None)
+            graph = dot(model, view="data", nested=True)
+            assert len(graph.shaped("oval")) == components
 
     def test_focus_on_subworkflow(self):
         graph = dot(nested_model(), view="process", focus="outer.QC")
