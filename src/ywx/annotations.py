@@ -17,7 +17,13 @@ from enum import Enum
 from typing import Iterable
 
 from .comments import SourceComment
-from .errors import AnnotationError, InvalidValue, MalformedRecord, MissingValue
+from .errors import (
+    AnnotationError,
+    InvalidValue,
+    MalformedRecord,
+    MissingValue,
+    YwxError,
+)
 
 
 class Tag(Enum):
@@ -165,6 +171,46 @@ def serialize_annotations(doc: AnnotationDocument) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+# A JSON escape that decodes to a UTF-16 surrogate code point.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def _load_json(text: str, error: type[YwxError]) -> object:
+    """Load a JSON intermediate, raising ``error`` for any input fault.
+
+    A decode error carries its line. A loaded string UTF-8 cannot encode
+    holds a lone surrogate, as a JSON escape like ``\\ud800`` can write; it
+    would pass every other check on an input file and make writing the
+    output fail. Such a string needs a surrogate escape or a surrogate in
+    ``text``, so only a text holding one has its strings walked.
+    """
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"not valid JSON: {exc.msg}", line=exc.lineno) from exc
+    if _SURROGATE_ESCAPE.search(text) is None and _encodes(text):
+        return payload
+    todo = [payload]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            if not _encodes(item):
+                raise error(f"string {item!r} is not valid Unicode text (lone surrogate)")
+        elif isinstance(item, dict):
+            todo.extend(item.items())
+        elif isinstance(item, (list, tuple)):
+            todo.extend(item)
+    return payload
+
+
+def _encodes(text: str) -> bool:
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _require(condition: bool, message: str, line: int | None = None) -> None:
     if not condition:
         raise MalformedRecord(message, line=line)
@@ -172,10 +218,7 @@ def _require(condition: bool, message: str, line: int | None = None) -> None:
 
 def parse_annotation_file(text: str) -> AnnotationDocument:
     """Parse the JSON interchange form back into an annotation document."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedRecord(f"not valid JSON: {exc.msg}", line=exc.lineno) from exc
+    payload = _load_json(text, MalformedRecord)
     _require(isinstance(payload, dict), "top level must be an object")
     source = payload.get("source")
     _require(isinstance(source, dict), "missing 'source' object")

@@ -197,7 +197,7 @@ def _model_from_inputs(
 
 def _write(text: str, output: str | None) -> None:
     if output:
-        Path(output).write_text(text)
+        Path(output).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 

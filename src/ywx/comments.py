@@ -6,11 +6,20 @@ quotes inside comments are ignored. The scanner never parses the host
 language, so a handful of constructs (apostrophes in code, raw strings with
 escaped quotes) can misclassify part of a line. Strings are assumed not to
 span lines, which bounds any such misclassification to a single line.
+
+The scan does not step through characters one by one. In code, one compiled
+alternation jumps to the next block opener, line marker or quote; a line
+comment then runs to the end of its line, a block comment to its closer,
+and a string to its closing quote or the end of its line, each found by one
+search. Line numbers are counted between jumps. The patterns are compiled
+once per CommentSyntax, on first use.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
@@ -33,6 +42,10 @@ class CommentSyntax:
             raise ValueError("line markers must be non-empty")
         if any(not o or not c for o, c in self.block_delimiters):
             raise ValueError("block delimiters must be non-empty")
+
+    @cached_property
+    def _scanner(self) -> _Scanner:
+        return _Scanner(self)
 
 
 LANGUAGES: dict[str, CommentSyntax] = {
@@ -97,85 +110,96 @@ class CommentSpan:
     end_line: int
 
 
+class _Scanner:
+    """The compiled patterns of one CommentSyntax, built on first use.
+
+    ``code`` finds the next token that leaves plain code: block openers
+    longest first, then line markers longest first, then quotes, so that
+    leftmost-first matching picks the same token the rules name. ``kinds``
+    maps a token's text to what it opens. ``string_body[q]`` matches the
+    inside of a string opened by ``q`` up to, not including, the character
+    that ends it: the closing quote, a newline, or a backslash that escapes
+    nothing.
+    """
+
+    def __init__(self, syntax: CommentSyntax) -> None:
+        opens = sorted(syntax.block_delimiters, key=lambda pair: -len(pair[0]))
+        markers = sorted(syntax.line_markers, key=len, reverse=True)
+        quotes = [q for q in syntax.string_quotes if len(q) == 1]
+        self.kinds: dict[str, tuple[str, str]] = {}
+        for opener, closer in opens:
+            self.kinds.setdefault(opener, ("block", closer))
+        for marker in markers:
+            self.kinds.setdefault(marker, ("line", ""))
+        for quote in quotes:
+            self.kinds.setdefault(quote, ("string", quote))
+        tokens = [o for o, _ in opens] + markers + quotes
+        self.code = re.compile("|".join(re.escape(t) for t in tokens))
+        self.string_body: dict[str, re.Pattern[str]] = {}
+        for quote in quotes:
+            plain = "[^" + re.escape("\\" + quote) + r"\n]*"
+            self.string_body[quote] = re.compile(rf"{plain}(?:\\[^\n]{plain})*")
+
+
 def scan_comment_spans(
     source: str, syntax: CommentSyntax, file: str = "<source>"
 ) -> list[CommentSpan]:
     """Locate every comment span in ``source``, in document order.
 
-    The scan tracks one piece of state at a time: inside a string, inside a
-    comment, or in plain code. Block delimiters are matched before line
-    markers so that a block opener sharing a prefix with a line marker
-    (e.g. ``%{`` vs ``%``) wins.
+    The scan is in one of three states: plain code, inside a string, or
+    inside a comment. Block delimiters are matched before line markers so
+    that a block opener sharing a prefix with a line marker (e.g. ``%{`` vs
+    ``%``) wins. Each step jumps to the next token with a compiled pattern,
+    and line numbers are counted between jumps.
     """
+    scanner = syntax._scanner
     spans: list[CommentSpan] = []
-    opens = sorted(syntax.block_delimiters, key=lambda pair: -len(pair[0]))
-    markers = sorted(syntax.line_markers, key=len, reverse=True)
     n = len(source)
+    line = 1  # the line number at ``counted``
+    counted = 0
     i = 0
-    line = 1
-    in_string: str | None = None
-    while i < n:
-        ch = source[i]
-        if in_string is not None:
-            if ch == "\\" and i + 1 < n and source[i + 1] != "\n":
-                i += 2
-                continue
-            if ch == in_string:
-                in_string = None
-            elif ch == "\n":
-                # Strings are assumed single-line; give up at end of line so a
-                # stray quote cannot swallow the rest of the file.
-                in_string = None
-                line += 1
-            i += 1
+    while True:
+        token = scanner.code.search(source, i)
+        if token is None:
+            return spans
+        kind, arg = scanner.kinds[token.group()]
+        if kind == "string":
+            # Strings are assumed single-line: one ends at its closing quote
+            # or at the end of its line, so a stray quote cannot swallow the
+            # rest of the file.
+            i = scanner.string_body[arg].match(source, token.end()).end() + 1
             continue
-        hit_block = next((pair for pair in opens if source.startswith(pair[0], i)), None)
-        if hit_block is not None:
-            opener, closer = hit_block
-            open_line = line
-            close_at = source.find(closer, i + len(opener))
-            if close_at < 0:
-                raise UnterminatedBlockComment(
-                    f"block comment opened with {opener!r} is never closed",
-                    file=file,
-                    line=open_line,
-                )
-            inner = source[i + len(opener) : close_at]
-            line += inner.count("\n")
-            end = close_at + len(closer)
-            spans.append(
-                CommentSpan("block", i, end, i + len(opener), close_at, open_line, line)
-            )
-            line += source[close_at:end].count("\n")
-            i = end
-            continue
-        hit_marker = next((m for m in markers if source.startswith(m, i)), None)
-        if hit_marker is not None:
-            eol = source.find("\n", i)
+        start = token.start()
+        line += source.count("\n", counted, start)
+        counted = start
+        if kind == "line":
+            eol = source.find("\n", start)
             if eol < 0:
                 eol = n
-            spans.append(CommentSpan("line", i, eol, i + len(hit_marker), eol, line, line))
+            spans.append(CommentSpan("line", start, eol, token.end(), eol, line, line))
             i = eol
             continue
-        if ch in syntax.string_quotes:
-            in_string = ch
-        elif ch == "\n":
-            line += 1
-        i += 1
-    return spans
+        close_at = source.find(arg, token.end())
+        if close_at < 0:
+            raise UnterminatedBlockComment(
+                f"block comment opened with {token.group()!r} is never closed",
+                file=file,
+                line=line,
+            )
+        end = close_at + len(arg)
+        end_line = line + source.count("\n", token.end(), close_at)
+        spans.append(
+            CommentSpan("block", start, end, token.end(), close_at, line, end_line)
+        )
+        line = end_line + source.count("\n", close_at, end)
+        counted = i = end
 
 
-def extract_comments(
-    source: str, syntax: CommentSyntax, file: str = "<source>"
+def _comments_in(
+    source: str, spans: list[CommentSpan], file: str
 ) -> list[SourceComment]:
-    """Return every comment in ``source`` in document order.
-
-    A block comment yields one SourceComment per non-blank enclosed line, so
-    annotations written inside block comments keep distinct line numbers.
-    Blank comments are dropped.
-    """
     comments: list[SourceComment] = []
-    for span in scan_comment_spans(source, syntax, file=file):
+    for span in spans:
         inner = source[span.inner_start : span.inner_end]
         if span.kind == "line":
             text = inner.strip()
@@ -190,14 +214,33 @@ def extract_comments(
     return comments
 
 
+def _blanked(source: str, spans: list[CommentSpan]) -> str:
+    pieces: list[str] = []
+    done = 0
+    for span in spans:
+        pieces.append(source[done : span.start])
+        body = source[span.start : span.end]
+        pieces.append("\n".join(" " * len(part) for part in body.split("\n")))
+        done = span.end
+    pieces.append(source[done:])
+    return "".join(pieces)
+
+
+def extract_comments(
+    source: str, syntax: CommentSyntax, file: str = "<source>"
+) -> list[SourceComment]:
+    """Return every comment in ``source`` in document order.
+
+    A block comment yields one SourceComment per non-blank enclosed line, so
+    annotations written inside block comments keep distinct line numbers.
+    Blank comments are dropped.
+    """
+    return _comments_in(source, scan_comment_spans(source, syntax, file=file), file)
+
+
 def strip_comments(source: str, syntax: CommentSyntax, file: str = "<source>") -> str:
     """Blank out every comment, preserving line structure exactly."""
-    chars = list(source)
-    for span in scan_comment_spans(source, syntax, file=file):
-        for idx in range(span.start, span.end):
-            if chars[idx] != "\n":
-                chars[idx] = " "
-    return "".join(chars)
+    return _blanked(source, scan_comment_spans(source, syntax, file=file))
 
 
 def dump_comments(comments: Iterable[SourceComment]) -> str:

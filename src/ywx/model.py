@@ -17,7 +17,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .annotations import IDENTIFIER_RE, Annotation, Tag
+from .annotations import IDENTIFIER_RE, Annotation, Tag, _load_json
 from .errors import (
     AmbiguousWriter,
     DuplicateBlockName,
@@ -562,10 +562,7 @@ def _parse_block(raw: object, expected_prefix: str) -> Block:
 
 
 def parse_model(text: str) -> WorkflowModel:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedModel(f"not valid JSON: {exc.msg}", line=exc.lineno) from exc
+    payload = _load_json(text, MalformedModel)
     if not isinstance(payload, dict):
         raise _fail("top level must be an object")
     root = _parse_block(payload.get("root"), "")

@@ -21,12 +21,12 @@ only to report which chain is broken.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Iterator, Sequence
 
+from .annotations import _load_json
 from .errors import (
     AmbiguousLineage,
     CyclicDerivation,
@@ -435,10 +435,7 @@ class RunManifest:
 
 
 def parse_manifest(text: str, model: WorkflowModel) -> RunManifest:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedManifest(f"not valid JSON: {exc.msg}", line=exc.lineno) from exc
+    payload = _load_json(text, MalformedManifest)
     if not isinstance(payload, dict):
         raise MalformedManifest("manifest must be a JSON object")
     run_id = payload.get("run_id", "")

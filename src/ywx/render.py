@@ -212,6 +212,8 @@ class _Ctx:
 
 def _block_node(ctx: _Ctx, sheet: _Sheet, block: Block) -> str:
     node_id = block.qualified_name
+    if node_id in sheet.nodes:
+        return node_id
     sheet.add_node(
         _Node(
             node_id,

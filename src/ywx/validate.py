@@ -31,13 +31,20 @@ does not model.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from . import queries
 from .annotations import Annotation, Tag, parse_annotations_lenient
-from .comments import CommentSyntax, detect_language, extract_comments, strip_comments
+from .comments import (
+    CommentSyntax,
+    _blanked,
+    _comments_in,
+    detect_language,
+    scan_comment_spans,
+)
 from .errors import DuplicateBlockName, DuplicatePort, UnterminatedBlockComment
 from .model import (
     Block,
@@ -170,6 +177,18 @@ def check_structure(annotations: Sequence[Annotation]) -> list[Diagnostic]:
 
 # -- code cross-check ------------------------------------------------------------
 
+_WORD = re.compile(r"[A-Za-z0-9_]+")
+
+
+def _word_lines(lines: list[str]) -> dict[str, list[int]]:
+    """Map each maximal ``[A-Za-z0-9_]+`` run to the sorted lines it is on."""
+    index: dict[str, list[int]] = {}
+    for lineno, line in enumerate(lines, start=1):
+        for word in set(_WORD.findall(line)):
+            index.setdefault(word, []).append(lineno)
+    return index
+
+
 def check_port_names_in_code(
     tree: Block, stripped_sources: dict[str, str]
 ) -> list[Diagnostic]:
@@ -177,22 +196,40 @@ def check_port_names_in_code(
 
     Matching is lexical: the name must occur as a whole word in the block's
     span with all comments blanked out, so a name mentioned only in other
-    annotations does not count. This stays language-independent; names that
-    are file names rather than identifiers simply earn a warning.
+    annotations does not count. The span's lines are split at newline
+    characters only, the lines that annotation line numbers count. This
+    stays language-independent; names that are file names rather than
+    identifiers simply earn a warning.
+
+    Each file is tokenised once into an index from every word to the lines
+    it occurs on, so an identifier-shaped name is looked up by bisection; a
+    word cannot cross a newline, so this equals a whole-word search of the
+    span. Other names (``results.csv``) are searched for in the span text.
     """
     found: list[Diagnostic] = []
-    line_cache = {path: text.splitlines() for path, text in stripped_sources.items()}
+    files: dict[str, tuple[list[str], dict[str, list[int]]]] = {}
     for block in iter_blocks(tree):
-        lines = line_cache.get(block.file)
-        if lines is None:
-            continue
-        start = max(block.span[0], 1)
-        segment = "\n".join(lines[start - 1 : block.span[1]])
+        if block.file not in files:
+            if block.file not in stripped_sources:
+                continue
+            lines = stripped_sources[block.file].split("\n")
+            files[block.file] = (lines, _word_lines(lines))
+        lines, index = files[block.file]
+        first, last = max(block.span[0], 1), block.span[1]
+        segment = None
         for port in block.ports:
-            pattern = re.compile(
-                r"(?<![A-Za-z0-9_])" + re.escape(port.name) + r"(?![A-Za-z0-9_])"
-            )
-            if not pattern.search(segment):
+            if _WORD.fullmatch(port.name):
+                occurs = index.get(port.name, ())
+                k = bisect_left(occurs, first)
+                present = k < len(occurs) and occurs[k] <= last
+            else:
+                if segment is None:
+                    segment = "\n".join(lines[first - 1 : last])
+                present = re.search(
+                    r"(?<![A-Za-z0-9_])" + re.escape(port.name) + r"(?![A-Za-z0-9_])",
+                    segment,
+                ) is not None
+            if not present:
                 found.append(
                     Diagnostic(
                         WARNING,
@@ -279,12 +316,14 @@ def validate_sources(
     stripped: dict[str, str] = {}
     for path, text, syntax in sources:
         try:
-            comments = extract_comments(text, syntax, file=path)
+            spans = scan_comment_spans(text, syntax, file=path)
         except UnterminatedBlockComment as exc:
             diagnostics.append(
                 Diagnostic(ERROR, "YW005", exc.message, path, exc.line or 1)
             )
-            comments = []
+            comments, stripped[path] = [], text
+        else:
+            comments, stripped[path] = _comments_in(text, spans, path), _blanked(text, spans)
         annotations, problems = parse_annotations_lenient(comments)
         for problem in problems:
             diagnostics.append(
@@ -298,10 +337,6 @@ def validate_sources(
             )
         diagnostics.extend(check_structure(annotations))
         streams.append(annotations)
-        try:
-            stripped[path] = strip_comments(text, syntax, file=path)
-        except UnterminatedBlockComment:
-            stripped[path] = text
 
     merged = [ann for stream in streams for ann in stream]
     structure_broken = any(d.code in STRUCTURE_CODES for d in diagnostics)

@@ -172,6 +172,27 @@ class TestInterchange:
         with pytest.raises(MalformedRecord):
             parse_annotation_file(text)
 
+    @staticmethod
+    def with_description(raw):
+        return (
+            '{"source": {"file": "x.py", "language": "python"},'
+            ' "annotations": [{"tag": "begin", "value": "a", "line": 1,'
+            f' "description": "{raw}"}}]}}'
+        )
+
+    @pytest.mark.parametrize("raw", ["\\ud800", "\\uDFFF", "x\\uDbFf", "\\udc00\\ud800", "\ud800"])
+    def test_lone_surrogate_rejected(self, raw):
+        with pytest.raises(MalformedRecord, match="lone surrogate"):
+            parse_annotation_file(self.with_description(raw))
+
+    @pytest.mark.parametrize(
+        "raw, description",
+        [("\\uD83D\\uDE00", "\U0001F600"), ("\\\\ud800", "\\ud800"), ("\\u00e9", "é")],
+    )
+    def test_encodable_escapes_accepted(self, raw, description):
+        doc = parse_annotation_file(self.with_description(raw))
+        assert doc.annotations[0].description == description
+
 
 _NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_.]{0,8}", fullmatch=True)
 _DESCRIPTIONS = st.one_of(

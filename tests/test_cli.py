@@ -175,6 +175,52 @@ class TestIntermediateHandling:
         assert "channel" in proc.stderr
 
 
+    @staticmethod
+    def surrogate_in_listing(tmp_path):
+        doc = tmp_path / "annotations.json"
+        assert run(["extract", AFFY, "-o", str(doc)]) == 0
+        payload = json.loads(doc.read_text())
+        begins = [a for a in payload["annotations"] if a["tag"] == "begin"]
+        begins[1]["description"] = "\ud800"
+        doc.write_text(json.dumps(payload))
+        return ["query", "blocks", str(doc)]
+
+    @staticmethod
+    def surrogate_in_model(tmp_path):
+        model_file = tmp_path / "model.json"
+        assert run(["model", AFFY, "-o", str(model_file)]) == 0
+        payload = json.loads(model_file.read_text())
+        payload["root"]["children"][0]["description"] = "\udfff"
+        model_file.write_text(json.dumps(payload))
+        return ["query", "blocks", str(model_file)]
+
+    @staticmethod
+    def surrogate_in_manifest(tmp_path):
+        manifest = json.loads(Path(MANIFEST).read_text())
+        manifest["bindings"]["NEE_std"].append("\udc80.nc")
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        return [
+            "query", "lineage", MSTMIP, "--manifest", str(path), "--name", "NEE_data",
+            "--direction", "downstream",
+        ]
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    @pytest.mark.parametrize(
+        "edit", ["surrogate_in_listing", "surrogate_in_model", "surrogate_in_manifest"]
+    )
+    def test_lone_surrogate_is_input_error(self, tmp_path, capsys, edit, to_file):
+        argv = getattr(self, edit)(tmp_path)
+        capsys.readouterr()
+        if to_file:
+            argv += ["-o", str(tmp_path / "out.txt")]
+        proc = run_child(*argv)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("ywx: error: ")
+        assert "surrogate" in proc.stderr
+
+
 class TestStagedPipelines:
     def test_extract_output_shape(self, capsys):
         payload = json.loads(run_ok(capsys, "extract", AFFY))

@@ -1,5 +1,8 @@
 """Comment scanning: string awareness, block comments, line numbering."""
 
+import io
+import tokenize
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -172,3 +175,69 @@ def test_span_scan_is_a_partition(pieces):
         stripped = strip_comments(source, syntax)
         assert len(stripped) == len(source)
         assert stripped.count("\n") == source.count("\n")
+
+
+# -- independent oracle: the stdlib tokenizer ---------------------------------
+
+def _py_string(quote):
+    plain = st.sampled_from(list("ab #%@é{}") + ['"' if quote == "'" else "'"])
+    escape = st.sampled_from(["\\\\", "\\" + quote, "\\'", '\\"', "\\n", "\\t"])
+    body = st.lists(st.one_of(plain, escape), max_size=8).map("".join)
+    return body.map(lambda text: quote + text + quote)
+
+
+_PY_ATOM = st.one_of(
+    st.sampled_from(["x", "y1", "_z", "42", "f(x)"]),
+    _py_string("'"),
+    _py_string('"'),
+)
+_PY_COMMENT = st.lists(
+    st.sampled_from(list("ab #'\"\\@é%{}\t") + ["@begin P", "@in x"]), max_size=10
+).map(lambda text: "#" + "".join(text))
+_PY_LINE = st.one_of(
+    st.just(""),
+    _PY_COMMENT,
+    st.tuples(
+        st.lists(_PY_ATOM, min_size=1, max_size=4),
+        st.one_of(st.just(""), _PY_COMMENT),
+    ).map(lambda parts: "v = " + " + ".join(parts[0]) + ("  " + parts[1] if parts[1] else "")),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_PY_LINE, max_size=12), st.booleans())
+def test_python_comments_match_tokenize(lines, final_newline):
+    """Single-line strings with escapes and ``#``: same comments as tokenize."""
+    source = "\n".join(lines) + ("\n" if final_newline else "")
+    expected = []
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.COMMENT and tok.string[1:].strip():
+            expected.append((tok.string[1:].strip(), tok.start[0]))
+    got = extract_comments(source, PY)
+    assert [(c.text, c.start_line) for c in got] == expected
+    assert all(c.start_line == c.end_line for c in got)
+
+
+_ANY_TEXT = st.lists(
+    st.sampled_from(list("#%{}'\"\\\n\r\t\f a") + ["%{", "%}", "\\'"]), max_size=60
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ANY_TEXT)
+def test_strip_keeps_layout_and_leaves_no_comment(source):
+    """For every language: same length, same newlines, nothing left to find."""
+    for syntax in LANGUAGES.values():
+        try:
+            stripped = strip_comments(source, syntax)
+        except UnterminatedBlockComment:
+            continue
+        assert len(stripped) == len(source)
+        assert [i for i, c in enumerate(stripped) if c == "\n"] == [
+            i for i, c in enumerate(source) if c == "\n"
+        ]
+        assert all(a == b or a == " " for a, b in zip(stripped, source))
+        assert scan_comment_spans(stripped, syntax) == []
+        for span in scan_comment_spans(source, syntax):
+            assert span.start_line == source.count("\n", 0, span.start) + 1
+            assert span.end_line == source.count("\n", 0, span.inner_end) + 1

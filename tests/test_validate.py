@@ -1,17 +1,25 @@
 """Diagnostics: codes, positions, recovery, ordering, and the build guarantee."""
 
+import random
+import re
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from support import model_from_source
-from ywx.comments import detect_language
-from ywx.model import build_model
+import ywx.comments
+from support import model_from_source, random_tree, script_from_tree
+from ywx.annotations import Tag, parse_annotations
+from ywx.comments import LANGUAGES, detect_language, extract_comments, strip_comments
+from ywx.errors import YwxError
+from ywx.model import build_blocks, build_model, iter_blocks
 from ywx.queries import list_blocks
 from ywx.render import RenderOptions, render
 from ywx.validate import (
     STRUCTURE_CODES,
     Diagnostic,
+    check_port_names_in_code,
     diagnostics_as_dicts,
     format_diagnostics,
     has_errors,
@@ -263,3 +271,123 @@ class TestBuildGuarantee:
             diags = validate_text(script)
             assert any(d.code == "YW030" for d in diags)
             assert has_errors(diags)
+
+
+class TestPortNamesInCode:
+    """YW010 against its specification: a whole-word search of the span."""
+
+    @staticmethod
+    def spec(tree, stripped):
+        """One regex per port over the block's newline-separated lines."""
+        found = []
+        for block in iter_blocks(tree):
+            if block.file not in stripped:
+                continue
+            lines = stripped[block.file].split("\n")
+            segment = "\n".join(lines[max(block.span[0], 1) - 1 : block.span[1]])
+            for port in block.ports:
+                word = r"(?<![A-Za-z0-9_])" + re.escape(port.name) + r"(?![A-Za-z0-9_])"
+                if not re.search(word, segment):
+                    found.append((port.file, port.line, port.name, block.qualified_name))
+        return found
+
+    # Port renames: names with dots, non-ASCII names, and names that are a
+    # prefix or a suffix of other words written in the code.
+    RENAMES = {
+        "alpha": "alpha.csv",
+        "beta": "bêta",
+        "gamma": "gam",
+        "delta": "δ",
+        "eta": "eta.",
+        "kappa": "k.a_p",
+        "mu": "m",
+    }
+    DECOYS = (
+        "gamma", "gam_x", "xgam", "alpha", "alpha.csvx", "alpha.csv.gz", "alpha_csv",
+        "bêtas", "bêta2", "δδ", "eta.x", "zeta", "theta", "m2", "_m", "mu", "k.a_px",
+        "sigma.csv", "iota.", "Alpha", "@in", "'sigma'", "#theta", "\f", "\r", "\u2028",
+    )
+
+    def case(self, rng):
+        tree = random_tree(rng, max_blocks=30)
+        lines = script_from_tree(tree, rng).split("\n")
+        for i in [i for i, line in enumerate(lines) if line.startswith("work(")]:
+            words = re.findall(r"[a-z]+", lines[i][len("work(") :])
+            words = [w for w in words if rng.random() < 0.7]
+            words += rng.sample(self.DECOYS, rng.randint(0, 4))
+            code = "work(" + ", ".join(words) + ")"
+            # Sometimes the code shares the block's first or last line.
+            lines[i], at = "", i + rng.choice([-1, 0, 0, 1])
+            lines[at] = code + ("  " + lines[at] if lines[at] else "")
+        text = "\n".join(lines)
+        anns = parse_annotations(extract_comments(text, LANGUAGES["python"], "gen.py"))
+        anns = [
+            replace(a, value=self.RENAMES.get(a.value, a.value))
+            if a.tag not in (Tag.BEGIN, Tag.END)
+            else a
+            for a in anns
+        ]
+        code = re.sub(
+            r"[A-Za-z]+", lambda m: self.RENAMES.get(m.group(), m.group()), text
+        ) if rng.random() < 0.5 else text
+        try:
+            tree = build_blocks(anns, root_name="gen")
+        except YwxError:
+            return None
+        return tree, {"gen.py": strip_comments(code, LANGUAGES["python"])}
+
+    def test_matches_spec_on_random_trees(self):
+        rng = random.Random(4101)
+        checked = warned = 0
+        while checked < 250:
+            built = self.case(rng)
+            if built is None:
+                continue
+            tree, stripped = built
+            got = [
+                (d.file, d.line, d.message)
+                for d in check_port_names_in_code(tree, stripped)
+            ]
+            expected = [
+                (f, line, f"port name {name!r} does not appear in the code of block {q!r}")
+                for f, line, name, q in self.spec(tree, stripped)
+            ]
+            assert got == expected
+            checked += 1
+            warned += bool(expected)
+        assert 50 < warned < 250
+
+    @pytest.mark.parametrize("sep", ["\f", "\r", "\v", "\x1c", "\x85", "\u2028"])
+    def test_lines_are_newline_separated(self, sep):
+        """Only ``\\n`` ends a line, as in every annotation's line number."""
+        text = (
+            "# @begin W @in a @out b\n"
+            f"y = 0{sep}z = 1\n"
+            "x = a\n"
+            "# @begin P\n"
+            "# @in a\n"
+            "# @out b\n"
+            "b = g()\n"
+            "# @end P\n"
+            "# @end W\n"
+        )
+        assert [d.render() for d in validate_text(text, "w.py")] == [
+            "w.py:5: warning YW010 port name 'a' does not appear in the code of block 'W.P'"
+        ]
+
+    def test_one_scan_per_file(self, monkeypatch):
+        original = ywx.comments.scan_comment_spans
+        scanned = []
+
+        def counting(source, syntax, file="<source>"):
+            scanned.append(file)
+            return original(source, syntax, file=file)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("ywx") and getattr(module, "scan_comment_spans", None) is original:
+                monkeypatch.setattr(module, "scan_comment_spans", counting)
+        a = "# @begin A @in x @out y\ny = f(x)  # first\n# @end A\n"
+        b = "# @begin B @in y @out z\nz = g(y)\n# @end B\n"
+        syntax = detect_language("any.py")
+        validate_sources([("a.py", a, syntax), ("b.py", b, syntax)])
+        assert scanned == ["a.py", "b.py"]
