@@ -50,63 +50,57 @@ class Annotation:
     line: int
 
 
-def _tag_for(token: str) -> Tag | None:
-    return _TAG_WORDS.get(token.lower())
-
-
 def _scan_tokens(
     comment: SourceComment, problems: list[AnnotationError] | None
 ) -> list[Annotation]:
+    text = comment.text
+    if "@" not in text:
+        return []
     found: list[Annotation] = []
-    tokens = comment.text.split()
+    tokens = text.split()
+    n = len(tokens)
     i = 0
-    while i < len(tokens):
-        tag = _tag_for(tokens[i])
+    while i < n:
+        # Only a token that starts with "@" is looked up as a tag.
+        token = tokens[i]
+        tag = _TAG_WORDS.get(token.lower()) if token[0] == "@" else None
+        i += 1
         if tag is None:
-            i += 1
             continue
-        j = i + 1
+        # The tag's value and description are the tokens up to the next tag.
+        stop = i
+        while stop < n and not (
+            tokens[stop][0] == "@" and tokens[stop].lower() in _TAG_WORDS
+        ):
+            stop += 1
+        j, i = i, stop
         if tag is Tag.END:
             value = ""
-            if (
-                j < len(tokens)
-                and _tag_for(tokens[j]) is None
-                and IDENTIFIER_RE.match(tokens[j])
-            ):
+            if j < stop and IDENTIFIER_RE.match(tokens[j]):
                 value = tokens[j]
                 j += 1
+        elif j < stop and IDENTIFIER_RE.match(tokens[j]):
+            value = tokens[j]
+            j += 1
         else:
-            if j >= len(tokens) or _tag_for(tokens[j]) is not None:
-                error: AnnotationError = MissingValue(
+            if j < stop:
+                error: AnnotationError = InvalidValue(
+                    f"@{tag.value} value {tokens[j]!r} is not a valid name",
+                    file=comment.file,
+                    line=comment.start_line,
+                )
+            else:
+                error = MissingValue(
                     f"@{tag.value} requires a value",
                     file=comment.file,
                     line=comment.start_line,
                 )
-                if problems is None:
-                    raise error
-                problems.append(error)
-                i = j
-                continue
-            value = tokens[j]
-            if not IDENTIFIER_RE.match(value):
-                error = InvalidValue(
-                    f"@{tag.value} value {value!r} is not a valid name",
-                    file=comment.file,
-                    line=comment.start_line,
-                )
-                if problems is None:
-                    raise error
-                problems.append(error)
-                i = j + 1
-                continue
-            j += 1
-        desc_tokens = []
-        while j < len(tokens) and _tag_for(tokens[j]) is None:
-            desc_tokens.append(tokens[j])
-            j += 1
-        description = " ".join(desc_tokens) or None
+            if problems is None:
+                raise error
+            problems.append(error)
+            continue
+        description = " ".join(tokens[j:stop]) or None
         found.append(Annotation(tag, value, description, comment.file, comment.start_line))
-        i = j
     return found
 
 
@@ -175,21 +169,25 @@ def serialize_annotations(doc: AnnotationDocument) -> str:
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
-def _load_json(text: str, error: type[YwxError]) -> object:
-    """Load a JSON intermediate, raising ``error`` for any input fault.
-
-    A decode error carries its line. A loaded string UTF-8 cannot encode
-    holds a lone surrogate, as a JSON escape like ``\\ud800`` can write; it
-    would pass every other check on an input file and make writing the
-    output fail. Such a string needs a surrogate escape or a surrogate in
-    ``text``, so only a text holding one has its strings walked.
-    """
+def _decode_json(text: str, error: type[YwxError]) -> object:
+    """Decode a JSON intermediate, raising ``error`` with the line on failure."""
     try:
-        payload = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise error(f"not valid JSON: {exc.msg}", line=exc.lineno) from exc
+
+
+def _check_unicode(text: str, payload: object, error: type[YwxError]) -> None:
+    """Reject a payload decoded from ``text`` that holds a lone surrogate.
+
+    A loaded string UTF-8 cannot encode holds a lone surrogate, as a JSON
+    escape like ``\\ud800`` can write; it would pass every other check on
+    an input file and make writing the output fail. Such a string needs a
+    surrogate escape or a surrogate in ``text``, so only a text holding one
+    has its strings walked.
+    """
     if _SURROGATE_ESCAPE.search(text) is None and _encodes(text):
-        return payload
+        return
     todo = [payload]
     while todo:
         item = todo.pop()
@@ -200,7 +198,6 @@ def _load_json(text: str, error: type[YwxError]) -> object:
             todo.extend(item.items())
         elif isinstance(item, (list, tuple)):
             todo.extend(item)
-    return payload
 
 
 def _encodes(text: str) -> bool:
@@ -218,7 +215,12 @@ def _require(condition: bool, message: str, line: int | None = None) -> None:
 
 def parse_annotation_file(text: str) -> AnnotationDocument:
     """Parse the JSON interchange form back into an annotation document."""
-    payload = _load_json(text, MalformedRecord)
+    return _document_from_json(text, _decode_json(text, MalformedRecord))
+
+
+def _document_from_json(text: str, payload: object) -> AnnotationDocument:
+    """Check and convert an annotation listing already decoded from ``text``."""
+    _check_unicode(text, payload, MalformedRecord)
     _require(isinstance(payload, dict), "top level must be an object")
     source = payload.get("source")
     _require(isinstance(source, dict), "missing 'source' object")

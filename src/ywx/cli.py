@@ -21,7 +21,7 @@ from pathlib import Path
 from .annotations import (
     Annotation,
     AnnotationDocument,
-    parse_annotation_file,
+    _document_from_json,
     parse_annotations,
     serialize_annotations,
 )
@@ -29,9 +29,9 @@ from .comments import detect_language, extract_comments
 from .errors import FormatMismatch, UsageError, YwxError
 from .model import (
     WorkflowModel,
+    _model_from_json,
     build_model,
     ensure_balanced,
-    parse_model,
     serialize_model,
 )
 from .queries import (
@@ -145,6 +145,12 @@ def _read_script(path: str, language: str | None) -> list[Annotation]:
 
 
 def _load_intermediate(path: str) -> AnnotationDocument | WorkflowModel:
+    """Read an annotation listing or a model file, decoding its JSON once.
+
+    The decoded payload's keys tell the two kinds apart, and the same
+    payload is then checked and converted as ``parse_annotation_file`` or
+    ``parse_model`` would do from the text.
+    """
     text = Path(path).read_text(encoding="utf-8")
     try:
         payload = json.loads(text)
@@ -153,9 +159,9 @@ def _load_intermediate(path: str) -> AnnotationDocument | WorkflowModel:
             f"{path} is not valid JSON: {exc.msg}", file=path, line=exc.lineno
         ) from exc
     if isinstance(payload, dict) and "annotations" in payload:
-        return parse_annotation_file(text)
+        return _document_from_json(text, payload)
     if isinstance(payload, dict) and "root" in payload and "channels" in payload:
-        return parse_model(text)
+        return _model_from_json(text, payload)
     raise FormatMismatch(
         f"{path} is neither an annotation listing nor a model file", file=path
     )
@@ -373,6 +379,12 @@ def run(argv: list[str] | None = None) -> int:
         return 2
     except (OSError, UnicodeDecodeError) as exc:
         print(f"ywx: error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # JSON decoding and encoding, model serialization and nested views
+        # recurse once per nesting level, so past the interpreter's limit
+        # an input is one they cannot process: an input problem, not a crash.
+        print("ywx: error: the input nests too deeply to process", file=sys.stderr)
         return 2
 
 

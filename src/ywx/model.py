@@ -14,10 +14,11 @@ import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
 
-from .annotations import IDENTIFIER_RE, Annotation, Tag, _load_json
+from .annotations import IDENTIFIER_RE, Annotation, Tag, _check_unicode, _decode_json
 from .errors import (
     AmbiguousWriter,
     DuplicateBlockName,
@@ -187,6 +188,7 @@ class _OpenBlock:
     line: int
     description: str | None
     ports: list[Port] = field(default_factory=list)
+    port_keys: set[tuple[str, Direction]] = field(default_factory=set)
     children: list["_Closed"] = field(default_factory=list)
 
 
@@ -279,13 +281,15 @@ def build_blocks(annotations: Sequence[Annotation], root_name: str | None = None
                 )
             direction, role = _PORT_TAGS[ann.tag]
             owner = stack[-1]
-            if any(p.name == ann.value and p.direction == direction for p in owner.ports):
+            key = (ann.value, direction)
+            if key in owner.port_keys:
                 raise DuplicatePort(
                     f"block {owner.name!r} already declares {direction.value} "
                     f"port {ann.value!r}",
                     file=ann.file,
                     line=ann.line,
                 )
+            owner.port_keys.add(key)
             owner.ports.append(
                 Port(ann.value, direction, role, ann.file, ann.line, ann.description)
             )
@@ -306,46 +310,85 @@ def build_blocks(annotations: Sequence[Annotation], root_name: str | None = None
         root_skeleton = _Closed(name, first_file or "<source>", None, [], top_level,
                                 (0, max_line + 1))
 
-    return _freeze(root_skeleton, "", set())
+    return _freeze(root_skeleton)
 
 
-def _freeze(skeleton: _Closed, prefix: str, seen: set[str]) -> Block:
-    """Turn a closed skeleton into a frozen Block, qualifying names on the way.
+_Node = TypeVar("_Node")
+_Head = TypeVar("_Head")
+_DONE = object()
 
-    A module-level function rather than a closure: a closure that calls
-    itself holds a reference to its own cell, which would leave every
-    skeleton tree behind as cyclic garbage.
+
+def _fold_tree(
+    top: _Node,
+    enter: Callable[[_Node, str], tuple[str, _Head, Sequence[_Node]]],
+    leave: Callable[[str, _Head, list[Block]], Block],
+) -> Block:
+    """Build a Block tree depth first with an explicit stack, not recursion.
+
+    ``enter(node, prefix)`` checks a node in pre-order, before any of its
+    children, and returns its qualified name, what ``leave`` needs of it and
+    its children. ``leave(qualified, head, children)`` makes the node's
+    Block once all its children are built, so checks run in the order a
+    recursive walk would run them, and no nesting depth is too deep.
     """
-    qualified = f"{prefix}.{skeleton.name}" if prefix else skeleton.name
-    if qualified in seen:
-        raise DuplicateBlockName(
-            f"block name {skeleton.name!r} is declared twice in the same scope",
-            file=skeleton.file,
-            line=skeleton.span[0],
+    qualified, head, children = enter(top, "")
+    stack = [(qualified, head, iter(children), [])]
+    while True:
+        qualified, head, pending, built = stack[-1]
+        child = next(pending, _DONE)
+        if child is not _DONE:
+            child_q, child_head, grandchildren = enter(child, qualified)
+            stack.append((child_q, child_head, iter(grandchildren), []))
+            continue
+        stack.pop()
+        block = leave(qualified, head, built)
+        if not stack:
+            return block
+        stack[-1][3].append(block)
+
+
+def _freeze(top: _Closed) -> Block:
+    """Turn a closed skeleton into a frozen Block, qualifying names on the way."""
+    seen: set[str] = set()
+
+    def enter(skeleton: _Closed, prefix: str) -> tuple[str, _Closed, list[_Closed]]:
+        qualified = f"{prefix}.{skeleton.name}" if prefix else skeleton.name
+        if qualified in seen:
+            raise DuplicateBlockName(
+                f"block name {skeleton.name!r} is declared twice in the same scope",
+                file=skeleton.file,
+                line=skeleton.span[0],
+            )
+        seen.add(qualified)
+        return qualified, skeleton, skeleton.children
+
+    def leave(qualified: str, skeleton: _Closed, children: list[Block]) -> Block:
+        return Block(
+            skeleton.name,
+            qualified,
+            skeleton.description,
+            tuple(skeleton.ports),
+            tuple(children),
+            skeleton.span,
+            skeleton.file,
         )
-    seen.add(qualified)
-    children = tuple(_freeze(c, qualified, seen) for c in skeleton.children)
-    return Block(
-        skeleton.name,
-        qualified,
-        skeleton.description,
-        tuple(skeleton.ports),
-        children,
-        skeleton.span,
-        skeleton.file,
-    )
+
+    return _fold_tree(top, enter, leave)
 
 
 # -- channel inference ------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChannelGroup:
-    """All candidate writers and readers for one data name in one scope."""
+class ChannelGroup(NamedTuple):
+    """All candidate writers and readers for one data name in one scope.
+
+    Each writer and reader is a ``(block qualified name, port)`` pair; the
+    port's direction is the endpoint's.
+    """
 
     scope: str
     data: str
-    sources: tuple[tuple[Endpoint, Port], ...]
-    sinks: tuple[tuple[Endpoint, Port], ...]
+    sources: list[tuple[str, Port]]
+    sinks: list[tuple[str, Port]]
 
 
 def channel_groups(root: Block) -> list[ChannelGroup]:
@@ -354,49 +397,49 @@ def channel_groups(root: Block) -> list[ChannelGroup]:
     Within a workflow W and data name d: candidate writers are W's own
     in/param ports named d plus each child's out ports named d; candidate
     readers are the children's in/param ports named d plus W's own out
-    ports named d.
+    ports named d. A name nothing writes forms no group, since it is
+    neither a channel nor the subject of a check. Groups come per workflow
+    in pre-order, and by name within one.
     """
     groups: list[ChannelGroup] = []
     for workflow in iter_blocks(root):
         if not workflow.is_workflow:
             continue
-        sources: dict[str, list[tuple[Endpoint, Port]]] = {}
-        sinks: dict[str, list[tuple[Endpoint, Port]]] = {}
+        scope = workflow.qualified_name
+        sources: dict[str, list[tuple[str, Port]]] = {}
+        sinks: dict[str, list[tuple[str, Port]]] = {}
         for port in workflow.ports:
-            entry = (Endpoint(workflow.qualified_name, port.direction), port)
-            if port.direction is Direction.IN:
-                sources.setdefault(port.name, []).append(entry)
-            else:
-                sinks.setdefault(port.name, []).append(entry)
+            side = sources if port.direction is Direction.IN else sinks
+            side.setdefault(port.name, []).append((scope, port))
         for child in workflow.children:
+            block = child.qualified_name
             for port in child.ports:
-                entry = (Endpoint(child.qualified_name, port.direction), port)
-                if port.direction is Direction.OUT:
-                    sources.setdefault(port.name, []).append(entry)
-                else:
-                    sinks.setdefault(port.name, []).append(entry)
-        for name in sorted(set(sources) | set(sinks)):
-            groups.append(
-                ChannelGroup(
-                    workflow.qualified_name,
-                    name,
-                    tuple(sources.get(name, ())),
-                    tuple(sinks.get(name, ())),
-                )
-            )
+                side = sources if port.direction is Direction.OUT else sinks
+                side.setdefault(port.name, []).append((block, port))
+        for name in sorted(sources):
+            groups.append(ChannelGroup(scope, name, sources[name], sinks.get(name, [])))
     return groups
 
 
 def infer_channels(root: Block) -> tuple[Channel, ...]:
     """Derive every channel in every scope; single writer per name and scope."""
+    return _channels(channel_groups(root))
+
+
+def _channels(groups: Sequence[ChannelGroup]) -> tuple[Channel, ...]:
+    """The channels of the groups that have readers, or AmbiguousWriter.
+
+    A block has at most one port per name and direction, so no block is
+    two readers of one group, and sorting the readers by block name is
+    sorting them by endpoint.
+    """
     channels: list[Channel] = []
-    for group in channel_groups(root):
-        if not group.sources or not group.sinks:
+    for group in groups:
+        if not group.sinks:
             continue
         if len(group.sources) > 1:
             writers = ", ".join(
-                f"{endpoint.block} ({port.file}:{port.line})"
-                for endpoint, port in group.sources
+                f"{block} ({port.file}:{port.line})" for block, port in group.sources
             )
             second = group.sources[1][1]
             raise AmbiguousWriter(
@@ -405,21 +448,18 @@ def infer_channels(root: Block) -> tuple[Channel, ...]:
                 file=second.file,
                 line=second.line,
             )
-        source_endpoint, source_port = group.sources[0]
-        ports = [source_port] + [port for _, port in group.sinks]
+        block, port = group.sources[0]
         role = (
             Role.PARAMETER
-            if any(port.role is Role.PARAMETER for port in ports)
+            if port.role is Role.PARAMETER
+            or any(p.role is Role.PARAMETER for _, p in group.sinks)
             else Role.DATA
         )
-        sink_endpoints = tuple(
-            endpoint
-            for endpoint, _ in sorted(
-                group.sinks, key=lambda pair: (pair[0].block, pair[0].direction.value)
-            )
+        sinks = tuple(
+            Endpoint(b, p.direction) for b, p in sorted(group.sinks, key=itemgetter(0))
         )
         channels.append(
-            Channel(group.data, group.scope, role, source_endpoint, sink_endpoints)
+            Channel(group.data, group.scope, role, Endpoint(block, port.direction), sinks)
         )
     return tuple(channels)
 
@@ -497,17 +537,23 @@ def _fail(message: str) -> MalformedModel:
     return MalformedModel(message)
 
 
+_DIRECTIONS = {d.value: d for d in Direction}
+_ROLES = {r.value: r for r in Role}
+
+
 def _parse_port(raw: object, owner: str) -> Port:
     if not isinstance(raw, dict):
         raise _fail(f"port of {owner!r} must be an object")
     name = raw.get("name")
     if not (isinstance(name, str) and IDENTIFIER_RE.match(name)):
         raise _fail(f"bad port name {name!r} on {owner!r}")
-    try:
-        direction = Direction(raw.get("direction"))
-        role = Role(raw.get("role"))
-    except ValueError as exc:
-        raise _fail(f"bad port direction/role on {owner!r}") from exc
+    direction = raw.get("direction")
+    role = raw.get("role")
+    # Only strings are looked up: a list or dict value is unhashable.
+    direction = _DIRECTIONS.get(direction) if isinstance(direction, str) else None
+    role = _ROLES.get(role) if isinstance(role, str) else None
+    if direction is None or role is None:
+        raise _fail(f"bad port direction/role on {owner!r}")
     line = raw.get("line")
     if not isinstance(line, int):
         raise _fail(f"port {name!r} on {owner!r} needs an integer line")
@@ -522,14 +568,18 @@ def _parse_port(raw: object, owner: str) -> Port:
     return Port(name, direction, role, file, line, description)
 
 
-def _parse_block(raw: object, expected_prefix: str) -> Block:
+_BlockHead = tuple[str, "str | None", tuple[Port, ...], tuple[int, int], str]
+
+
+def _enter_block(raw: object, prefix: str) -> tuple[str, _BlockHead, list]:
+    """Check one serialized block, all but its children; see ``_fold_tree``."""
     if not isinstance(raw, dict):
         raise _fail("block must be an object")
     name = raw.get("name")
     if not (isinstance(name, str) and IDENTIFIER_RE.match(name)):
         raise _fail(f"bad block name {name!r}")
     qualified = raw.get("qualified_name")
-    expected = f"{expected_prefix}.{name}" if expected_prefix else name
+    expected = f"{prefix}.{name}" if prefix else name
     if qualified != expected:
         raise _fail(f"qualified name {qualified!r} should be {expected!r}")
     description = raw.get("description")
@@ -549,23 +599,42 @@ def _parse_block(raw: object, expected_prefix: str) -> Block:
     if not isinstance(raw_ports, list):
         raise _fail(f"block {name!r} needs a port list")
     ports = tuple(_parse_port(p, expected) for p in raw_ports)
-    keys = [(p.name, p.direction) for p in ports]
-    if len(set(keys)) != len(keys):
+    if len({(p.name, p.direction) for p in ports}) != len(ports):
         raise _fail(f"block {expected!r} declares a duplicate port")
     raw_children = raw.get("children")
     if not isinstance(raw_children, list):
         raise _fail(f"block {name!r} needs a child list")
-    children = tuple(_parse_block(c, expected) for c in raw_children)
+    return expected, (name, description, ports, (span[0], span[1]), file), raw_children
+
+
+def _leave_block(qualified: str, head: _BlockHead, children: list[Block]) -> Block:
     if len({c.name for c in children}) != len(children):
-        raise _fail(f"block {expected!r} has children with duplicate names")
-    return Block(name, expected, description, ports, children, (span[0], span[1]), file)
+        raise _fail(f"block {qualified!r} has children with duplicate names")
+    name, description, ports, span, file = head
+    return Block(name, qualified, description, ports, tuple(children), span, file)
 
 
 def parse_model(text: str) -> WorkflowModel:
-    payload = _load_json(text, MalformedModel)
+    """Parse a model file's JSON text back into a model.
+
+    The text is decoded once, and ``_model_from_json`` makes every check on
+    the payload. The CLI calls that with the payload it decoded to tell the
+    two intermediate kinds apart, so a file is never decoded twice.
+    """
+    return _model_from_json(text, _decode_json(text, MalformedModel))
+
+
+def _model_from_json(text: str, payload: object) -> WorkflowModel:
+    """Check and convert a model file's payload, already decoded from ``text``.
+
+    Channels are a function of the tree: they are re-derived rather than
+    trusted, and the file's list must equal them, so every later walk can
+    rely on them matching the ports.
+    """
+    _check_unicode(text, payload, MalformedModel)
     if not isinstance(payload, dict):
         raise _fail("top level must be an object")
-    root = _parse_block(payload.get("root"), "")
+    root = _fold_tree(payload.get("root"), _enter_block, _leave_block)
     if not root.children:
         raise _fail("root block must be a workflow (have children)")
     raw_files = payload.get("source_files", [])
@@ -575,8 +644,6 @@ def parse_model(text: str) -> WorkflowModel:
     raw_channels = payload.get("channels")
     if not isinstance(raw_channels, list):
         raise _fail("'channels' must be a list")
-    # Channels are a function of the tree: re-derive them rather than trust
-    # the file, so every later walk can rely on them matching the ports.
     try:
         channels = infer_channels(root)
     except AmbiguousWriter as exc:

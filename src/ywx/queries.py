@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Iterator, Sequence
 
-from .annotations import _load_json
+from .annotations import _check_unicode, _decode_json
 from .errors import (
     AmbiguousLineage,
     CyclicDerivation,
@@ -435,7 +435,8 @@ class RunManifest:
 
 
 def parse_manifest(text: str, model: WorkflowModel) -> RunManifest:
-    payload = _load_json(text, MalformedManifest)
+    payload = _decode_json(text, MalformedManifest)
+    _check_unicode(text, payload, MalformedManifest)
     if not isinstance(payload, dict):
         raise MalformedManifest("manifest must be a JSON object")
     run_id = payload.get("run_id", "")

@@ -48,11 +48,12 @@ from .comments import (
 from .errors import DuplicateBlockName, DuplicatePort, UnterminatedBlockComment
 from .model import (
     Block,
+    ChannelGroup,
     Direction,
     WorkflowModel,
+    _channels,
     build_blocks,
     channel_groups,
-    infer_channels,
     iter_blocks,
 )
 
@@ -245,10 +246,13 @@ def check_port_names_in_code(
 
 # -- channel-level checks ----------------------------------------------------------
 
-def check_channel_sanity(tree: Block) -> list[Diagnostic]:
-    """Flag data names with several writers and ports nothing ever reads."""
+def check_channel_sanity(groups: Sequence[ChannelGroup]) -> list[Diagnostic]:
+    """Flag data names with several writers and ports nothing ever reads.
+
+    Takes a tree's ``channel_groups``, which also give its channels.
+    """
     found: list[Diagnostic] = []
-    for group in channel_groups(tree):
+    for group in groups:
         if len(group.sources) > 1 and group.sinks:
             _, second = group.sources[1]
             found.append(
@@ -261,16 +265,16 @@ def check_channel_sanity(tree: Block) -> list[Diagnostic]:
                     second.line,
                 )
             )
-        if group.sources and not group.sinks:
-            for endpoint, port in group.sources:
-                if endpoint.block == group.scope:
+        if not group.sinks:
+            for block, port in group.sources:
+                if block == group.scope:
                     message = (
                         f"input {group.data!r} of workflow {group.scope!r} "
                         "is never used"
                     )
                 else:
                     message = (
-                        f"output {group.data!r} of block {endpoint.block!r} "
+                        f"output {group.data!r} of block {block!r} "
                         "is never consumed"
                     )
                 found.append(
@@ -351,12 +355,13 @@ def validate_sources(
             )
             tree = None
         if tree is not None:
-            sanity = check_channel_sanity(tree)
+            groups = channel_groups(tree)
+            sanity = check_channel_sanity(groups)
             diagnostics.extend(sanity)
             diagnostics.extend(check_port_names_in_code(tree, stripped))
             if not any(d.code == "YW030" for d in sanity):
                 model = WorkflowModel(
-                    tree, infer_channels(tree), tuple(path for path, _, _ in sources)
+                    tree, _channels(groups), tuple(path for path, _, _ in sources)
                 )
                 diagnostics.extend(check_dependency_chains(model))
 

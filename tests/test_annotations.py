@@ -1,6 +1,7 @@
 """Annotation recognition and the JSON interchange round-trip."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -85,6 +86,33 @@ class TestRecognition:
     def test_location_comes_from_comment(self):
         got = parse_annotations([comment("@begin X", line=12, file="w.R")])
         assert (got[0].file, got[0].line) == ("w.R", 12)
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("x@in a", []),
+            ("@IN a", [(Tag.IN, "a", None)]),
+            ("@In a", [(Tag.IN, "a", None)]),
+            ("@@in a", []),
+            ("@in, a", []),
+            ("@out a then @in, b", [(Tag.OUT, "a", "then @in, b")]),
+            ("@begin Load @end", [(Tag.BEGIN, "Load", None), (Tag.END, "", None)]),
+            (
+                "@begin Load ask user@begin.org first @in raw",
+                [(Tag.BEGIN, "Load", "ask user@begin.org first"), (Tag.IN, "raw", None)],
+            ),
+        ],
+    )
+    def test_only_whole_tag_tokens_are_tags(self, text, expected):
+        got = parse_annotations([comment(text)])
+        assert [(a.tag, a.value, a.description) for a in got] == expected
+
+    def test_tag_as_last_token_lacks_its_value(self):
+        with pytest.raises(MissingValue):
+            parse_annotations([comment("@begin Load @in")])
+        got, problems = parse_annotations_lenient([comment("@begin Load @in", line=7)])
+        assert [(a.tag, a.value) for a in got] == [(Tag.BEGIN, "Load")]
+        assert [(type(p), p.line) for p in problems] == [(MissingValue, 7)]
 
 
 class TestLenient:
@@ -226,3 +254,47 @@ def _documents(draw):
 @given(_documents())
 def test_interchange_round_trip_property(doc):
     assert parse_annotation_file(serialize_annotations(doc)) == doc
+
+
+# An independent recognizer: split the text at whole-token tags with one
+# regular expression. Only ASCII letters lowercase to a tag word's letters,
+# and ``\s`` is the whitespace ``str.split`` splits at.
+_TAG_SPLIT = re.compile(
+    r"(?<!\S)(@(?:[bB][eE][gG][iI][nN]|[eE][nN][dD]|[iI][nN]|[oO][uU][tT]"
+    r"|[pP][aA][rR][aA][mM]))(?!\S)"
+)
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
+
+
+def _oracle(text):
+    found, problems = [], []
+    parts = _TAG_SPLIT.split(text)
+    for k in range(1, len(parts), 2):
+        tag = Tag(parts[k][1:].lower())
+        words = parts[k + 1].split()
+        named = bool(words) and _NAME.fullmatch(words[0]) is not None
+        if tag is not Tag.END and not named:
+            problems.append(InvalidValue if words else MissingValue)
+            continue
+        value = words[0] if named else ""
+        rest = words[1:] if named else words
+        found.append((tag, value, " ".join(rest) or None))
+    return found, problems
+
+
+_WORDS = st.sampled_from(
+    ["@in", "@IN", "@In", "@@in", "x@in", "@in,", "@begin", "@BEGIN", "@end",
+     "@End", "@out", "@param", "@desc", "@", "user@begin.org", "@\u0131n", "@\u0130n",
+     "name", "a.b", "_x1", "9bad", "bad-name", "\u00fcn\u00ef", "#", "%"]
+)
+_SPACES = st.sampled_from([" ", "  ", "\t", "\x0b", "\x1c", "\u00a0", "\u2003", "\u3000"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_SPACES, _WORDS), max_size=12), _SPACES)
+def test_recognition_matches_regex_oracle(pieces, tail):
+    text = "".join(space + word for space, word in pieces) + tail
+    found, problems = parse_annotations_lenient([comment(text)])
+    assert ([(a.tag, a.value, a.description) for a in found], [type(p) for p in problems]) == (
+        _oracle(text)
+    )

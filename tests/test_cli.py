@@ -221,6 +221,137 @@ class TestIntermediateHandling:
         assert "surrogate" in proc.stderr
 
 
+class TestIntermediateLoad:
+    """Each intermediate file is decoded once, then checked as its kind."""
+
+    @staticmethod
+    def intermediates(tmp_path):
+        doc = tmp_path / "annotations.json"
+        model_file = tmp_path / "model.json"
+        assert run(["extract", AFFY, "-o", str(doc)]) == 0
+        assert run(["model", AFFY, "-o", str(model_file)]) == 0
+        return doc, model_file
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["model", "{doc}"],
+            ["graph", "{doc}", "--view", "data"],
+            ["graph", "{model}", "--nested"],
+            ["query", "blocks", "{model}"],
+            ["query", "downstream", "{model}", "--block", "affy_analysis.Normalize"],
+        ],
+    )
+    def test_json_decoded_once_per_intermediate(self, tmp_path, capsys, monkeypatch, argv):
+        doc, model_file = self.intermediates(tmp_path)
+        calls = []
+        real_loads = json.loads
+
+        def counting_loads(*args, **kwargs):
+            calls.append(args)
+            return real_loads(*args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting_loads)
+        argv = [a.format(doc=doc, model=model_file) for a in argv]
+        run_ok(capsys, *argv, "-o", str(tmp_path / "out.txt"))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("field", ["direction", "role"])
+    @pytest.mark.parametrize("value", [["in"], {"in": 1}, 1, "IN"])
+    def test_bad_port_direction_or_role(self, tmp_path, capsys, field, value):
+        _, model_file = self.intermediates(tmp_path)
+        payload = json.loads(model_file.read_text())
+        payload["root"]["ports"][0][field] = value
+        model_file.write_text(json.dumps(payload))
+        code, err = run_err(capsys, "query", "blocks", str(model_file))
+        assert code == 2
+        root = payload["root"]["qualified_name"]
+        assert err == f"ywx: error: bad port direction/role on {root!r}\n"
+
+    def test_lone_surrogate_in_model_is_malformed_model(self, tmp_path):
+        from ywx.cli import _load_intermediate
+        from ywx.errors import MalformedModel
+
+        _, model_file = self.intermediates(tmp_path)
+        payload = json.loads(model_file.read_text())
+        payload["root"]["ports"][0]["description"] = "\ud800"
+        model_file.write_text(json.dumps(payload))
+        with pytest.raises(MalformedModel, match="lone surrogate"):
+            _load_intermediate(str(model_file))
+
+    def test_lone_surrogate_in_listing_is_malformed_record(self, tmp_path):
+        from ywx.cli import _load_intermediate
+        from ywx.errors import MalformedRecord
+
+        doc, _ = self.intermediates(tmp_path)
+        payload = json.loads(doc.read_text())
+        payload["annotations"][0]["description"] = "x\udfff"
+        doc.write_text(json.dumps(payload))
+        with pytest.raises(MalformedRecord, match="lone surrogate"):
+            _load_intermediate(str(doc))
+
+    def test_invalid_json_message(self, tmp_path, capsys):
+        broken = tmp_path / "broken.json"
+        broken.write_text("{not json")
+        code, err = run_err(capsys, "graph", str(broken))
+        assert code == 2
+        assert err == (
+            f"ywx: error: {broken}:1: {broken} is not valid JSON: "
+            "Expecting property name enclosed in double quotes\n"
+        )
+
+    @pytest.mark.parametrize("text", ['{"neither": true}', "[1, 2]", '{"root": {}}'])
+    def test_neither_kind_message(self, tmp_path, capsys, text):
+        stray = tmp_path / "stray.json"
+        stray.write_text(text)
+        code, err = run_err(capsys, "query", "blocks", str(stray))
+        assert code == 2
+        assert err == (
+            f"ywx: error: {stray}: {stray} is neither an annotation listing "
+            "nor a model file\n"
+        )
+
+
+class TestDeepNesting:
+    """Nesting deeper than Python's recursion limit never ends in a traceback."""
+
+    DEPTH = 3000
+
+    @pytest.fixture(scope="class")
+    def deep_inputs(self, tmp_path_factory):
+        where = tmp_path_factory.mktemp("deep")
+        lines = [f"# @begin b{i} @in x @out y" for i in range(self.DEPTH)]
+        lines.append("y = x")
+        lines += [f"# @end b{i}" for i in reversed(range(self.DEPTH))]
+        script = where / "deep.py"
+        script.write_text("\n".join(lines) + "\n")
+        nested_json = where / "deep.json"
+        nested_json.write_text(
+            '{"root": ' + "[" * self.DEPTH + "]" * self.DEPTH + ', "channels": []}'
+        )
+        return {"script": str(script), "json": str(nested_json)}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["extract", "{script}"],
+            ["model", "{script}"],
+            ["graph", "{script}"],
+            ["graph", "{script}", "--view", "combined"],
+            ["query", "blocks", "{script}"],
+            ["query", "containers", "{script}", "--block", "b0.b1.b2"],
+            ["validate", "{script}"],
+            ["graph", "{json}"],
+        ],
+    )
+    def test_exit_code_without_traceback(self, deep_inputs, argv):
+        proc = run_child(*(a.format(**deep_inputs) for a in argv))
+        assert proc.returncode in (0, 2)
+        assert "Traceback" not in proc.stderr
+        if proc.returncode == 2:
+            assert proc.stderr.startswith("ywx: error:")
+
+
 class TestStagedPipelines:
     def test_extract_output_shape(self, capsys):
         payload = json.loads(run_ok(capsys, "extract", AFFY))

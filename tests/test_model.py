@@ -194,6 +194,27 @@ class TestStructureErrors:
     def test_param_conflicts_with_in(self):
         self.check("# @begin W @in a @param a\n# @end W\n", DuplicatePort)
 
+    @staticmethod
+    def many_ports_source(count, repeat=None):
+        lines = ["# @begin W", "# @begin P"]
+        lines += [f"# @in d{i}" for i in range(count)]
+        if repeat is not None:
+            lines.append(f"# @out d{repeat}")
+            lines.append(f"# @in d{repeat}")
+        lines += ["# @end P", "# @end W"]
+        return "\n".join(lines) + "\n"
+
+    def test_five_thousand_ports_build(self):
+        model = model_from_source(self.many_ports_source(5000))
+        assert len(model.root.children[0].ports) == 5000
+
+    def test_duplicate_after_five_thousand_ports_is_at_its_line(self):
+        with pytest.raises(DuplicatePort) as err:
+            model_from_source(self.many_ports_source(5000, repeat=4321), file="s.py")
+        # Two begins, 5,000 ins and the @out come before the repeated @in.
+        assert (err.value.file, err.value.line) == ("s.py", 5004)
+        assert "'d4321'" in err.value.message
+
     def test_in_and_out_may_share_a_name(self):
         model = model_from_source(
             """\
@@ -526,6 +547,26 @@ class TestInterchange:
         payload = json.loads(serialize_model(model))
         mutate(payload)
         with pytest.raises(MalformedModel):
+            parse_model(json.dumps(payload))
+
+    def test_first_error_in_depth_first_order(self):
+        import json
+
+        model = model_from_source(
+            "# @begin W @in x @out y\n# @begin P @in x @out m\n"
+            "# @begin A\n# @end A\n# @begin B\n# @end B\n# @end P\n"
+            "# @begin Q @in m @out y\n# @end Q\n# @end W\n"
+        )
+        payload = json.loads(serialize_model(model))
+        p, q = payload["root"]["children"]
+        p["children"][1].update(name="A", qualified_name="W.P.A")
+        q["ports"][0]["direction"] = "sideways"
+        # P's children are all read before P's names are compared, and that
+        # happens before the walk reaches Q.
+        with pytest.raises(MalformedModel, match="'W.P' has children with duplicate"):
+            parse_model(json.dumps(payload))
+        p["children"][1]["ports"] = None
+        with pytest.raises(MalformedModel, match="block 'A' needs a port list"):
             parse_model(json.dumps(payload))
 
     def test_not_json_rejected(self):
