@@ -31,7 +31,6 @@ from .model import (
     WorkflowModel,
     _model_from_json,
     build_model,
-    ensure_balanced,
     serialize_model,
 )
 from .queries import (
@@ -191,11 +190,7 @@ def _model_from_inputs(
             root_name=Path(loaded.source_file).stem,
             source_files=[loaded.source_file],
         )
-    merged: list[Annotation] = []
-    for path in paths:
-        annotations = _read_script(path, language)
-        ensure_balanced(annotations)
-        merged.extend(annotations)
+    merged = [ann for path in paths for ann in _read_script(path, language)]
     return build_model(
         merged, root_name=Path(paths[0]).stem, source_files=list(paths)
     )

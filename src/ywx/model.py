@@ -25,6 +25,7 @@ from .errors import (
     DuplicatePort,
     MalformedModel,
     MismatchedEndName,
+    ModelError,
     NoBlocks,
     PortOutsideBlock,
     UnbalancedEnd,
@@ -108,22 +109,6 @@ def iter_blocks(root: Block) -> Iterator[Block]:
         stack.extend(reversed(block.children))
 
 
-def find_block(root: Block, qualified_name: str) -> Block | None:
-    for block in iter_blocks(root):
-        if block.qualified_name == qualified_name:
-            return block
-    return None
-
-
-def parent_map(root: Block) -> dict[str, str | None]:
-    """Map each block's qualified name to its parent workflow's, root to None."""
-    parents: dict[str, str | None] = {root.qualified_name: None}
-    for block in iter_blocks(root):
-        for child in block.children:
-            parents[child.qualified_name] = block.qualified_name
-    return parents
-
-
 class ModelIndex:
     """Lookup tables over one model, built once per command and shared.
 
@@ -184,6 +169,7 @@ def sanitize_name(raw: str) -> str:
 @dataclass
 class _OpenBlock:
     name: str
+    path: str  # dotted names from the top level down
     file: str
     line: int
     description: str | None
@@ -209,59 +195,62 @@ _PORT_TAGS = {
 }
 
 
-def ensure_balanced(annotations: Sequence[Annotation]) -> None:
-    """Check that every ``@begin`` in the stream has a matching ``@end``.
+def _bracket(
+    annotations: Sequence[Annotation], root_name: str | None = None
+) -> tuple[list[ModelError], Block | None]:
+    """Match a document-ordered stream's ``@begin``/``@end`` pairs into blocks.
 
-    Used per file before streams from several files are concatenated,
-    because a block may not start in one file and end in another.
+    The one begin/end stack of the toolchain. It returns every structural
+    problem, in document order, and the block tree, which is None when there
+    is a problem or no block at all. Each problem is recovered from: an
+    unmatched ``@end`` or a port outside any block is skipped, a wrongly
+    named ``@end`` still closes the open block, and a duplicate port or
+    block name is passed over. Blocks never span files: those still open
+    when the file changes or the stream ends are reported innermost first,
+    and closed. Two blocks may not share a dotted path from the top level,
+    which is their qualified name below the root.
     """
-    stack: list[Annotation] = []
-    for ann in annotations:
-        if ann.tag is Tag.BEGIN:
-            stack.append(ann)
-        elif ann.tag is Tag.END:
-            if not stack:
-                raise UnbalancedEnd(
-                    "@end without a matching @begin", file=ann.file, line=ann.line
-                )
-            stack.pop()
-    if stack:
-        open_ann = stack[-1]
-        raise UnclosedBlock(
-            f"block {open_ann.value!r} is never closed",
-            file=open_ann.file,
-            line=open_ann.line,
-        )
-
-
-def build_blocks(annotations: Sequence[Annotation], root_name: str | None = None) -> Block:
-    """Assemble the nested block tree from a document-ordered stream.
-
-    If the stream yields a single top-level block that has children, that
-    block is the root. Otherwise an implicit root workflow wraps the
-    top-level blocks; its name is ``root_name`` or the first file's stem.
-    """
+    problems: list[ModelError] = []
     stack: list[_OpenBlock] = []
     top_level: list[_Closed] = []
+    paths: set[str] = set()
     max_line = 0
-    first_file: str | None = None
+
+    def close_open_blocks() -> None:
+        while stack:
+            open_block = stack.pop()
+            problems.append(UnclosedBlock(
+                f"block {open_block.name!r} is never closed",
+                file=open_block.file,
+                line=open_block.line,
+            ))
+
     for ann in annotations:
-        if first_file is None:
-            first_file = ann.file
+        if stack and ann.file != stack[-1].file:
+            close_open_blocks()
         max_line = max(max_line, ann.line)
         if ann.tag is Tag.BEGIN:
-            stack.append(_OpenBlock(ann.value, ann.file, ann.line, ann.description))
+            path = f"{stack[-1].path}.{ann.value}" if stack else ann.value
+            if path in paths:
+                problems.append(DuplicateBlockName(
+                    f"block name {ann.value!r} is declared twice in the same scope",
+                    file=ann.file,
+                    line=ann.line,
+                ))
+            paths.add(path)
+            stack.append(_OpenBlock(ann.value, path, ann.file, ann.line, ann.description))
         elif ann.tag is Tag.END:
             if not stack:
-                raise UnbalancedEnd(
+                problems.append(UnbalancedEnd(
                     "@end without a matching @begin", file=ann.file, line=ann.line
-                )
+                ))
+                continue
             if ann.value and ann.value != stack[-1].name:
-                raise MismatchedEndName(
+                problems.append(MismatchedEndName(
                     f"@end {ann.value!r} does not close block {stack[-1].name!r}",
                     file=ann.file,
                     line=ann.line,
-                )
+                ))
             open_block = stack.pop()
             closed = _Closed(
                 open_block.name,
@@ -274,43 +263,55 @@ def build_blocks(annotations: Sequence[Annotation], root_name: str | None = None
             (stack[-1].children if stack else top_level).append(closed)
         else:
             if not stack:
-                raise PortOutsideBlock(
+                problems.append(PortOutsideBlock(
                     f"@{ann.tag.value} {ann.value!r} appears outside any block",
                     file=ann.file,
                     line=ann.line,
-                )
+                ))
+                continue
             direction, role = _PORT_TAGS[ann.tag]
             owner = stack[-1]
             key = (ann.value, direction)
             if key in owner.port_keys:
-                raise DuplicatePort(
+                problems.append(DuplicatePort(
                     f"block {owner.name!r} already declares {direction.value} "
                     f"port {ann.value!r}",
                     file=ann.file,
                     line=ann.line,
-                )
+                ))
+                continue
             owner.port_keys.add(key)
             owner.ports.append(
                 Port(ann.value, direction, role, ann.file, ann.line, ann.description)
             )
-    if stack:
-        open_block = stack[-1]
-        raise UnclosedBlock(
-            f"block {open_block.name!r} is never closed",
-            file=open_block.file,
-            line=open_block.line,
-        )
-    if not top_level:
-        raise NoBlocks("the annotation stream defines no blocks", file=first_file)
+    close_open_blocks()
+    if problems or not top_level:
+        return problems, None
 
     if len(top_level) == 1 and top_level[0].children:
         root_skeleton = top_level[0]
     else:
-        name = sanitize_name(root_name or Path(first_file or "script").stem)
-        root_skeleton = _Closed(name, first_file or "<source>", None, [], top_level,
-                                (0, max_line + 1))
+        first_file = annotations[0].file
+        name = sanitize_name(root_name or Path(first_file).stem)
+        root_skeleton = _Closed(name, first_file, None, [], top_level, (0, max_line + 1))
+    return problems, _freeze(root_skeleton)
 
-    return _freeze(root_skeleton)
+
+def build_blocks(annotations: Sequence[Annotation], root_name: str | None = None) -> Block:
+    """Assemble the nested block tree from a document-ordered stream.
+
+    If the stream yields a single top-level block that has children, that
+    block is the root. Otherwise an implicit root workflow wraps the
+    top-level blocks; its name is ``root_name`` or the first file's stem.
+    A stream with structural problems raises the first in document order;
+    a block that opens in one file and ends in another is one of them.
+    """
+    problems, root = _bracket(annotations, root_name)
+    if problems:
+        raise problems[0]
+    if root is None:
+        raise NoBlocks("the annotation stream defines no blocks")
+    return root
 
 
 _Node = TypeVar("_Node")
@@ -349,17 +350,9 @@ def _fold_tree(
 
 def _freeze(top: _Closed) -> Block:
     """Turn a closed skeleton into a frozen Block, qualifying names on the way."""
-    seen: set[str] = set()
 
     def enter(skeleton: _Closed, prefix: str) -> tuple[str, _Closed, list[_Closed]]:
         qualified = f"{prefix}.{skeleton.name}" if prefix else skeleton.name
-        if qualified in seen:
-            raise DuplicateBlockName(
-                f"block name {skeleton.name!r} is declared twice in the same scope",
-                file=skeleton.file,
-                line=skeleton.span[0],
-            )
-        seen.add(qualified)
         return qualified, skeleton, skeleton.children
 
     def leave(qualified: str, skeleton: _Closed, children: list[Block]) -> Block:
@@ -607,13 +600,6 @@ def _enter_block(raw: object, prefix: str) -> tuple[str, _BlockHead, list]:
     return expected, (name, description, ports, (span[0], span[1]), file), raw_children
 
 
-def _leave_block(qualified: str, head: _BlockHead, children: list[Block]) -> Block:
-    if len({c.name for c in children}) != len(children):
-        raise _fail(f"block {qualified!r} has children with duplicate names")
-    name, description, ports, span, file = head
-    return Block(name, qualified, description, ports, tuple(children), span, file)
-
-
 def parse_model(text: str) -> WorkflowModel:
     """Parse a model file's JSON text back into a model.
 
@@ -634,7 +620,21 @@ def _model_from_json(text: str, payload: object) -> WorkflowModel:
     _check_unicode(text, payload, MalformedModel)
     if not isinstance(payload, dict):
         raise _fail("top level must be an object")
-    root = _fold_tree(payload.get("root"), _enter_block, _leave_block)
+    seen: set[str] = set()
+
+    def leave(qualified: str, head: _BlockHead, children: list[Block]) -> Block:
+        # A name may hold dots, so a child B of A and a sibling A.B collide.
+        for child in children:
+            if child.qualified_name in seen:
+                raise _fail(
+                    f"block {qualified!r} has children with duplicate "
+                    f"qualified name {child.qualified_name!r}"
+                )
+            seen.add(child.qualified_name)
+        name, description, ports, span, file = head
+        return Block(name, qualified, description, ports, tuple(children), span, file)
+
+    root = _fold_tree(payload.get("root"), _enter_block, leave)
     if not root.children:
         raise _fail("root block must be a workflow (have children)")
     raw_files = payload.get("source_files", [])

@@ -1,28 +1,28 @@
 """Consistency checks over annotated scripts, with stable diagnostic codes.
 
-Structural problems in the annotation stream (the YW001 family) are found by
-simulating the same begin/end stack the model builder uses, so a script with
+Structural problems in the annotation stream (the YW001 family) are the
+problems the model builder's own begin/end walk reports, so a script with
 no error-severity diagnostics is guaranteed to build, render, and answer
 queries without raising. Cross-checks against the host code (YW010) and the
 channel-level checks (YW020/YW030/YW031) run only once the structure holds.
 
 Codes form a documented closed set:
 
-=====  ========  ==================================================
+=====  ========  ===================================================
 code   severity  meaning
-=====  ========  ==================================================
+=====  ========  ===================================================
 YW001  error     @end without a matching @begin
 YW002  error     @end names a block other than the open one
 YW003  error     block never closed
 YW004  error     port annotation outside any block
-YW005  error     unreadable annotation or comment
+YW005  error     unreadable annotation or unterminated block comment
 YW006  error     duplicate port name/direction on one block
-YW007  error     duplicate block name among siblings
+YW007  error     duplicate qualified block name
 YW010  warning   port name absent from the block's code
-YW020  error     no dependency chain from output back to inputs
-YW030  error     one data name written by several ports in a scope
+YW020  error     no dependency chain from an output back to inputs
+YW030  error     one data name written by several blocks in a scope
 YW031  warning   output never consumed / workflow input never used
-=====  ========  ==================================================
+=====  ========  ===================================================
 
 YW04x is reserved for checks on function declarations, which this toolchain
 does not model.
@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import queries
-from .annotations import Annotation, Tag, parse_annotations_lenient
+from .annotations import Annotation, parse_annotations_lenient
 from .comments import (
     CommentSyntax,
     _blanked,
@@ -45,14 +45,23 @@ from .comments import (
     detect_language,
     scan_comment_spans,
 )
-from .errors import DuplicateBlockName, DuplicatePort, UnterminatedBlockComment
+from .errors import (
+    DuplicateBlockName,
+    DuplicatePort,
+    MismatchedEndName,
+    ModelError,
+    PortOutsideBlock,
+    UnbalancedEnd,
+    UnclosedBlock,
+    UnterminatedBlockComment,
+)
 from .model import (
     Block,
     ChannelGroup,
     Direction,
     WorkflowModel,
+    _bracket,
     _channels,
-    build_blocks,
     channel_groups,
     iter_blocks,
 )
@@ -60,7 +69,15 @@ from .model import (
 ERROR = "error"
 WARNING = "warning"
 
-STRUCTURE_CODES = ("YW001", "YW002", "YW003", "YW004", "YW006", "YW007")
+_STRUCTURE = {
+    UnbalancedEnd: "YW001",
+    MismatchedEndName: "YW002",
+    UnclosedBlock: "YW003",
+    PortOutsideBlock: "YW004",
+    DuplicatePort: "YW006",
+    DuplicateBlockName: "YW007",
+}
+STRUCTURE_CODES = tuple(_STRUCTURE.values())
 
 
 @dataclass(frozen=True)
@@ -98,82 +115,23 @@ def diagnostics_as_dicts(diagnostics: Sequence[Diagnostic]) -> list[dict]:
 
 # -- structural checks ---------------------------------------------------------
 
-@dataclass
-class _Frame:
-    name: str
-    file: str
-    line: int
-    ports: set
-    child_names: set
+def _structure_diagnostic(problem: ModelError) -> Diagnostic:
+    return Diagnostic(
+        ERROR, _STRUCTURE[type(problem)], problem.message, problem.file, problem.line
+    )
 
 
 def check_structure(annotations: Sequence[Annotation]) -> list[Diagnostic]:
-    """Simulate block bracketing over one file's annotation stream.
+    """Report every bracketing problem of an annotation stream, in document order.
 
-    Reports every problem it can recover from: an unmatched @end is skipped,
-    a wrongly named @end still closes the open block, and so on. When this
+    The problems are those of the model builder's own walk, which recovers
+    from each one: an unmatched @end is skipped, a wrongly named @end still
+    closes the open block, and so on. Blocks never span files. When this
     returns no diagnostics, building the block tree from the same stream
-    cannot fail.
+    cannot fail, and otherwise the build raises the first of them.
     """
-    found: list[Diagnostic] = []
-    stack: list[_Frame] = []
-    top_names: set[str] = set()
-
-    def report(code: str, message: str, ann: Annotation) -> None:
-        found.append(Diagnostic(ERROR, code, message, ann.file, ann.line))
-
-    for ann in annotations:
-        if ann.tag is Tag.BEGIN:
-            sibling_names = stack[-1].child_names if stack else top_names
-            if ann.value in sibling_names:
-                report(
-                    "YW007",
-                    f"block name {ann.value!r} is declared twice in the same scope",
-                    ann,
-                )
-            sibling_names.add(ann.value)
-            stack.append(_Frame(ann.value, ann.file, ann.line, set(), set()))
-        elif ann.tag is Tag.END:
-            if not stack:
-                report("YW001", "@end without a matching @begin", ann)
-                continue
-            if ann.value and ann.value != stack[-1].name:
-                report(
-                    "YW002",
-                    f"@end {ann.value!r} does not close block {stack[-1].name!r}",
-                    ann,
-                )
-            stack.pop()
-        else:
-            if not stack:
-                report(
-                    "YW004",
-                    f"@{ann.tag.value} {ann.value!r} appears outside any block",
-                    ann,
-                )
-                continue
-            direction = Direction.OUT if ann.tag is Tag.OUT else Direction.IN
-            key = (ann.value, direction)
-            if key in stack[-1].ports:
-                report(
-                    "YW006",
-                    f"block {stack[-1].name!r} already declares "
-                    f"{direction.value} port {ann.value!r}",
-                    ann,
-                )
-            stack[-1].ports.add(key)
-    while stack:
-        frame = stack.pop()
-        found.append(
-            Diagnostic(
-                ERROR,
-                "YW003",
-                f"block {frame.name!r} is never closed",
-                frame.file,
-                frame.line,
-            )
-        )
-    return found
+    problems, _ = _bracket(annotations)
+    return [_structure_diagnostic(p) for p in problems]
 
 
 # -- code cross-check ------------------------------------------------------------
@@ -313,10 +271,12 @@ def validate_sources(
     """Run every check over (path, text, syntax) triples, in document order.
 
     Several files are read as one workflow, but each file must bracket its
-    blocks completely: block stacks do not span files.
+    blocks completely: block stacks do not span files. The files' merged
+    annotation stream is bracketed once, which gives both the structural
+    diagnostics and the block tree the other checks run on.
     """
     diagnostics: list[Diagnostic] = []
-    streams: list[list[Annotation]] = []
+    merged: list[Annotation] = []
     stripped: dict[str, str] = {}
     for path, text, syntax in sources:
         try:
@@ -339,31 +299,21 @@ def validate_sources(
                     problem.line or 1,
                 )
             )
-        diagnostics.extend(check_structure(annotations))
-        streams.append(annotations)
+        merged.extend(annotations)
 
-    merged = [ann for stream in streams for ann in stream]
-    structure_broken = any(d.code in STRUCTURE_CODES for d in diagnostics)
-    if not structure_broken and any(a.tag is Tag.BEGIN for a in merged):
-        first = sources[0][0]
-        try:
-            tree = build_blocks(merged, root_name=Path(first).stem)
-        except (DuplicatePort, DuplicateBlockName) as exc:
-            code = "YW006" if isinstance(exc, DuplicatePort) else "YW007"
-            diagnostics.append(
-                Diagnostic(ERROR, code, exc.message, exc.file or first, exc.line or 1)
+    root_name = Path(sources[0][0]).stem if sources else None
+    structure, tree = _bracket(merged, root_name)
+    diagnostics.extend(_structure_diagnostic(p) for p in structure)
+    if tree is not None:
+        groups = channel_groups(tree)
+        sanity = check_channel_sanity(groups)
+        diagnostics.extend(sanity)
+        diagnostics.extend(check_port_names_in_code(tree, stripped))
+        if not any(d.code == "YW030" for d in sanity):
+            model = WorkflowModel(
+                tree, _channels(groups), tuple(path for path, _, _ in sources)
             )
-            tree = None
-        if tree is not None:
-            groups = channel_groups(tree)
-            sanity = check_channel_sanity(groups)
-            diagnostics.extend(sanity)
-            diagnostics.extend(check_port_names_in_code(tree, stripped))
-            if not any(d.code == "YW030" for d in sanity):
-                model = WorkflowModel(
-                    tree, _channels(groups), tuple(path for path, _, _ in sources)
-                )
-                diagnostics.extend(check_dependency_chains(model))
+            diagnostics.extend(check_dependency_chains(model))
 
     file_order = {path: i for i, (path, _, _) in enumerate(sources)}
     diagnostics.sort(

@@ -585,6 +585,50 @@ class TestGraphCommand:
         assert "key=value" in err
 
 
+class TestDuplicateQualifiedNames:
+    """A model file in which two blocks share a qualified name is rejected."""
+
+    @pytest.fixture(scope="class")
+    def dotted_model(self, tmp_path_factory):
+        where = tmp_path_factory.mktemp("dotted")
+        script = where / "w.py"
+        script.write_text(
+            "# @begin W @in x @out y\n"
+            "# @begin A @in x @out m\n"
+            "# @begin B @in x @out m\n"
+            "m = b(x)\n"
+            "# @end B\n"
+            "# @end A\n"
+            "# @begin C @in m @out y\n"
+            "y = c(m)\n"
+            "# @end C\n"
+            "# @end W\n"
+        )
+        proc = run_child("model", str(script))
+        assert proc.returncode == 0, proc.stderr
+        # Renaming C to A.B makes it collide with A's child B as W.A.B.
+        text = proc.stdout.replace('"W.C"', '"W.A.B"').replace('"name": "C"', '"name": "A.B"')
+        model = where / "model.json"
+        model.write_text(text)
+        return str(model)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["graph", "{model}", "--nested"],
+            ["graph", "{model}", "--view", "data", "--nested"],
+            ["query", "blocks", "{model}"],
+            ["query", "derivation", "{model}", "--name", "y"],
+        ],
+    )
+    def test_rejected_without_traceback(self, dotted_model, argv):
+        proc = run_child(*(a.format(model=dotted_model) for a in argv))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("ywx: error:")
+        assert "'W.A.B'" in proc.stderr
+
+
 class TestValidateCommand:
     def test_line_format(self, capsys):
         path = str(FIXTURES / "defects" / "d11_multiple_writers.py")

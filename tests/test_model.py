@@ -26,14 +26,12 @@ from ywx.errors import (
 from ywx.model import (
     Direction,
     Endpoint,
+    ModelIndex,
     Role,
     build_blocks,
     build_model,
-    ensure_balanced,
-    find_block,
     infer_channels,
     iter_blocks,
-    parent_map,
     parse_model,
     sanitize_name,
     serialize_model,
@@ -237,13 +235,20 @@ class TestStructureErrors:
         self.check("x = 1\n", NoBlocks)
         self.check("# @in floating\n", PortOutsideBlock)
 
+    def test_block_may_not_span_files(self):
+        anns = annotations_from_source("# @begin W @in x\n", file="a.py")
+        anns += annotations_from_source("# @end W\n", file="b.py")
+        with pytest.raises(UnclosedBlock) as err:
+            build_blocks(anns)
+        assert (err.value.file, err.value.line) == ("a.py", 1)
+
     def test_ensure_balanced(self):
         anns = annotations_from_source("# @begin W\n# @end W\n")
-        ensure_balanced(anns)
+        build_blocks(anns)
         with pytest.raises(UnclosedBlock):
-            ensure_balanced(annotations_from_source("# @begin W\n"))
+            build_blocks(annotations_from_source("# @begin W\n"))
         with pytest.raises(UnbalancedEnd):
-            ensure_balanced(annotations_from_source("# @end W\n"))
+            build_blocks(annotations_from_source("# @end W\n"))
 
 
 class TestChannels:
@@ -436,12 +441,12 @@ class TestHelpers:
         assert names == ["W", "W.A", "W.A.Inner", "W.B"]
 
     def test_find_block(self):
-        root = self.model().root
-        assert find_block(root, "W.A.Inner").name == "Inner"
-        assert find_block(root, "nope") is None
+        blocks = ModelIndex(self.model()).blocks
+        assert blocks["W.A.Inner"].name == "Inner"
+        assert "nope" not in blocks
 
     def test_parent_map(self):
-        parents = parent_map(self.model().root)
+        parents = ModelIndex(self.model()).parents
         assert parents == {
             "W": None,
             "W.A": "W",
@@ -450,10 +455,10 @@ class TestHelpers:
         }
 
     def test_is_workflow(self):
-        root = self.model().root
-        assert root.is_workflow
-        assert find_block(root, "W.A").is_workflow
-        assert not find_block(root, "W.B").is_workflow
+        blocks = ModelIndex(self.model()).blocks
+        assert blocks["W"].is_workflow
+        assert blocks["W.A"].is_workflow
+        assert not blocks["W.B"].is_workflow
 
     @pytest.mark.parametrize(
         "raw,expected",
@@ -467,6 +472,18 @@ class TestHelpers:
     )
     def test_sanitize_name(self, raw, expected):
         assert sanitize_name(raw) == expected
+
+
+def _dotted_name_collision(payload):
+    """P gains a child R and its sibling Q is renamed P.R: both are W.P.R."""
+    p, q = payload["root"]["children"]
+    p["children"].append(
+        {**q, "name": "R", "qualified_name": "W.P.R", "ports": [], "children": []}
+    )
+    q.update(name="P.R", qualified_name="W.P.R")
+    sinks = payload["channels"][0]["sinks"]
+    assert sinks[1]["block"] == "W.Q"
+    sinks[1]["block"] = "W.P.R"
 
 
 class TestInterchange:
@@ -534,6 +551,7 @@ class TestInterchange:
             lambda d: d["channels"].pop(),
             lambda d: d["channels"][0].__setitem__("role", "parameter"),
             lambda d: d["channels"][0]["sinks"].pop(),
+            _dotted_name_collision,
         ],
     )
     def test_malformed_models_rejected(self, mutate):

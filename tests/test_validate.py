@@ -7,12 +7,24 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ywx.comments
 from support import model_from_source, random_tree, script_from_tree
 from ywx.annotations import Tag, parse_annotations
 from ywx.comments import LANGUAGES, detect_language, extract_comments, strip_comments
-from ywx.errors import YwxError
+from ywx.errors import (
+    AmbiguousWriter,
+    DuplicateBlockName,
+    DuplicatePort,
+    MismatchedEndName,
+    NoBlocks,
+    PortOutsideBlock,
+    UnbalancedEnd,
+    UnclosedBlock,
+    YwxError,
+)
 from ywx.model import build_blocks, build_model, iter_blocks
 from ywx.queries import list_blocks
 from ywx.render import RenderOptions, render
@@ -20,6 +32,7 @@ from ywx.validate import (
     STRUCTURE_CODES,
     Diagnostic,
     check_port_names_in_code,
+    check_structure,
     diagnostics_as_dicts,
     format_diagnostics,
     has_errors,
@@ -169,6 +182,23 @@ class TestRecovery:
         )
         assert [(d.code, d.line) for d in diags] == [("YW006", 1)]
 
+    def test_dotted_name_collision_with_a_stray_end(self):
+        # A's child B and the sibling A.B both qualify as W.A.B.
+        diags = validate_text(
+            "# @begin W @in x @out y\n"
+            "# @begin A @in x @out m\n"
+            "# @begin B @in x @out m\n"
+            "m = b(x)\n"
+            "# @end B\n"
+            "# @end A\n"
+            "# @begin A.B @in m @out y\n"
+            "y = c(m)\n"
+            "# @end A.B\n"
+            "# @end W\n"
+            "# @end Stray\n"
+        )
+        assert [(d.code, d.line) for d in diags] == [("YW007", 7), ("YW001", 11)]
+
     def test_in_and_out_with_one_name_is_fine(self):
         diags = validate_text(
             "# @begin W @in state @out state\nstate = step(state)\n# @end W\n"
@@ -247,6 +277,16 @@ class TestCrossFile:
         diags = validate_sources([("a.py", a, syntax), ("b.py", b, syntax)])
         assert [(d.code, d.file, d.line) for d in diags] == [
             ("YW007", "b.py", 1)
+        ]
+
+    def test_every_duplicate_across_files_reported(self):
+        a = "# @begin Load @in x @out y\ny = f(x)\n# @end Load\n"
+        a += "# @begin Save @in y\nsave(y)\n# @end Save\n"
+        syntax = detect_language("any.py")
+        diags = validate_sources([("a.py", a, syntax), ("b.py", a, syntax)])
+        assert [(d.code, d.file, d.line) for d in diags] == [
+            ("YW007", "b.py", 1),
+            ("YW007", "b.py", 4),
         ]
 
 
@@ -391,3 +431,69 @@ class TestPortNamesInCode:
         syntax = detect_language("any.py")
         validate_sources([("a.py", a, syntax), ("b.py", b, syntax)])
         assert scanned == ["a.py", "b.py"]
+
+
+# -- one bracket walker: validate and the model builder agree ------------------
+
+_CODES = {
+    UnbalancedEnd: "YW001",
+    MismatchedEndName: "YW002",
+    UnclosedBlock: "YW003",
+    PortOutsideBlock: "YW004",
+    DuplicatePort: "YW006",
+    DuplicateBlockName: "YW007",
+}
+_BLOCK_NAMES = st.sampled_from(["A", "B", "A.B", "W"])
+_ANNOTATION = st.one_of(
+    _BLOCK_NAMES.map(lambda name: f"@begin {name}"),
+    st.just("@end"),
+    _BLOCK_NAMES.map(lambda name: f"@end {name}"),
+    st.tuples(st.sampled_from(["@in", "@out", "@param"]), st.sampled_from(["x", "y"]))
+    .map(" ".join),
+)
+_FILES = st.lists(st.lists(_ANNOTATION, max_size=10), min_size=1, max_size=3)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_FILES)
+def test_structure_diagnostics_match_the_build(files):
+    syntax = detect_language("any.py")
+    sources = [
+        (f"f{i}.py", "".join(f"# {line}\nx = y\n" for line in lines), syntax)
+        for i, lines in enumerate(files)
+    ]
+    merged = [
+        ann
+        for path, text, _ in sources
+        for ann in parse_annotations(extract_comments(text, syntax, file=path))
+    ]
+    structure = check_structure(merged)
+    try:
+        build_blocks(merged)
+    except NoBlocks:
+        assert structure == []
+    except YwxError as exc:
+        # The build raises the problem behind the first structural diagnostic.
+        first = structure[0]
+        assert (_CODES[type(exc)], exc.message, exc.file, exc.line) == (
+            first.code,
+            first.message,
+            first.file,
+            first.line,
+        )
+    else:
+        assert structure == []
+
+    diags = validate_sources(sources)
+    structural = [d for d in diags if d.code in STRUCTURE_CODES]
+    assert sorted(structural, key=lambda d: (d.file, d.line, d.code, d.message)) == (
+        sorted(structure, key=lambda d: (d.file, d.line, d.code, d.message))
+    )
+    if structural or not any(a.tag is Tag.BEGIN for a in merged):
+        return
+    try:
+        build_model(merged, root_name="f0")
+    except AmbiguousWriter:
+        assert any(d.code == "YW030" for d in diags)
+    else:
+        assert not any(d.code == "YW030" for d in diags)
