@@ -376,9 +376,9 @@ def run(argv: list[str] | None = None) -> int:
         print(f"ywx: error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # JSON decoding and encoding, model serialization and nested views
-        # recurse once per nesting level, so past the interpreter's limit
-        # an input is one they cannot process: an input problem, not a crash.
+        # JSON decoding and encoding, model serialization included, recurse
+        # once per nesting level, so past the interpreter's limit an input is
+        # one they cannot process: an input problem, not a crash.
         print("ywx: error: the input nests too deeply to process", file=sys.stderr)
         return 2
 

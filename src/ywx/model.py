@@ -115,6 +115,12 @@ class ModelIndex:
     ``blocks`` and ``parents`` are keyed by qualified name, ``chan`` by
     ``(scope, data)`` and ``ports`` by ``(block, name, direction)``;
     ``programs`` holds the qualified names of the blocks without children.
+
+    It is also the one boundary resolver. ``writer`` and ``readers`` follow
+    a channel through workflow boundaries, up to a stopping scope, to the
+    ends that really write and read its data, and ``outer`` gives the
+    same-named channel one scope out. Resolved ends are memoised per index,
+    and ``across`` steps over each channel end at most once.
     """
 
     def __init__(self, model: WorkflowModel) -> None:
@@ -135,6 +141,8 @@ class ModelIndex:
         self.chan: dict[tuple[str, str], Channel] = {
             (ch.scope, ch.data): ch for ch in model.channels
         }
+        self._links: dict[tuple[str, str, bool], list] = {}
+        self._ends: dict[tuple, tuple[Endpoint, ...]] = {}
 
     def across(self, ch: Channel, end: Endpoint) -> Channel | None:
         """The channel on the far side of ``end``, an endpoint of ``ch``.
@@ -152,6 +160,66 @@ class ModelIndex:
         if end.block in self.programs:
             return None
         return self.chan.get((end.block, ch.data))
+
+    def outer(self, ch: Channel) -> Channel | None:
+        """The same-named channel one scope out that ``ch`` passes data to or
+        from: None unless the scope's own port is one of ``ch``'s ends."""
+        for end in (ch.source, *ch.sinks):
+            if end.block == ch.scope:
+                return self.across(ch, end)
+        return None
+
+    def writer(self, ch: Channel, stop: str) -> Endpoint:
+        """The end that really writes ``ch``'s data; see ``readers``."""
+        return self._resolve(ch, stop, True)[0]
+
+    def readers(self, ch: Channel, stop: str) -> tuple[Endpoint, ...]:
+        """The ends that really read ``ch``'s data, through workflow boundaries.
+
+        Each sink is followed through the boundaries it crosses to a
+        program's port, or to a boundary port the walk does not pass: a port
+        of ``stop``, one with nothing connected beyond it, or one leading
+        straight back to the channel the walk came from.
+        """
+        return self._resolve(ch, stop, False)
+
+    def _resolve(self, ch: Channel, stop: str, writers: bool) -> tuple[Endpoint, ...]:
+        """Resolve the source (or the sinks) of ``ch``, memoised, without recursion.
+
+        For one data name a boundary joins a scope only to its parent, so a
+        walk that never turns straight back meets no channel twice. What a
+        channel resolves to depends on the walk only through the scope it
+        came from, and the memo is keyed by that.
+        """
+
+        def frame(channel: Channel, came: str | None) -> list:
+            link_key = (channel.scope, data, writers)
+            links = self._links.get(link_key)
+            if links is None:
+                ends = (channel.source,) if writers else channel.sinks
+                links = self._links[link_key] = [(e, self.across(channel, e)) for e in ends]
+            return [(channel.scope, came, data, stop, writers), iter(links), []]
+
+        data, memo = ch.data, self._ends
+        top = (ch.scope, None, data, stop, writers)
+        stack = [] if top in memo else [frame(ch, None)]
+        while stack:
+            key, pending, found = stack[-1]
+            scope, came = key[:2]
+            for end, far in pending:
+                if far is None or far.scope == came or end.block == stop:
+                    found.append(end)
+                elif (step := (far.scope, scope, data, stop, writers)) in memo:
+                    found.extend(memo[step])
+                else:
+                    stack.append(frame(far, scope))
+                    break
+            else:
+                stack.pop()
+                memo[key] = tuple(found)
+                if stack:
+                    stack[-1][2].extend(memo[key])
+        return memo[top]
 
 
 def sanitize_name(raw: str) -> str:
@@ -213,7 +281,7 @@ def _bracket(
     problems: list[ModelError] = []
     stack: list[_OpenBlock] = []
     top_level: list[_Closed] = []
-    paths: set[str] = set()
+    paths: dict[str, tuple[_OpenBlock | None, Annotation]] = {}  # first declarations
     max_line = 0
 
     def close_open_blocks() -> None:
@@ -230,14 +298,21 @@ def _bracket(
             close_open_blocks()
         max_line = max(max_line, ann.line)
         if ann.tag is Tag.BEGIN:
-            path = f"{stack[-1].path}.{ann.value}" if stack else ann.value
-            if path in paths:
+            owner = stack[-1] if stack else None
+            path = f"{owner.path}.{ann.value}" if owner else ann.value
+            first = paths.get(path)
+            if first is None:
+                paths[path] = (owner, ann)
+            else:
+                # A name may hold dots: A's child B and a sibling A.B collide.
                 problems.append(DuplicateBlockName(
-                    f"block name {ann.value!r} is declared twice in the same scope",
+                    f"block name {ann.value!r} is declared twice in the same scope"
+                    if first[0] is owner
+                    else f"block {ann.value!r} and the block declared at "
+                    f"{first[1].file}:{first[1].line} share the qualified name {path!r}",
                     file=ann.file,
                     line=ann.line,
                 ))
-            paths.add(path)
             stack.append(_OpenBlock(ann.value, path, ann.file, ann.line, ann.description))
         elif ann.tag is Tag.END:
             if not stack:

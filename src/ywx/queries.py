@@ -10,13 +10,14 @@ unambiguous, simple.
 
 Each query call builds one lookup index, the shared ``ModelIndex`` plus the
 root-scope names, and one dependency graph, which the graph carries, and
-every step of the call shares them. Every step through a workflow boundary,
-in the graph's pass-through edges and in tracing a step's input sources, is
-one ``ModelIndex.across`` lookup. Questions asked about many root outputs
-at once walk the graph once for all of them: downstream lineage is a single
-forward pass from the resolved inputs, and the completeness check behind
-lineage and YW020 scans the union of all chains, walking output by output
-only to report which chain is broken.
+every step of the call shares them. The graph's pass-through edges take one
+``ModelIndex.across`` lookup per channel end, and a step's input sources
+read the writer ``ModelIndex.writer`` resolves through the boundaries.
+Questions asked about many root outputs at once walk the graph once for all
+of them: downstream lineage is a single forward pass from the resolved
+inputs, and the completeness check behind lineage and YW020 scans the union
+of all chains, walking output by output only to report which chain is
+broken.
 """
 
 from __future__ import annotations
@@ -260,19 +261,15 @@ def step_input_sources(model: WorkflowModel, block_name: str) -> list[PortSource
 
 
 def _port_source(index: _Index, block: Block, port: Port) -> PortSource:
-    """Follow the writer of one in port outwards and inwards to its origin."""
+    """Classify one in port by the end that really writes its channel."""
     if block.qualified_name == index.root_q:
         return PortSource(port.name, "script-input")
     ch = index.chan.get((index.parents[block.qualified_name], port.name))
-    seen: set[tuple[str, str]] = set()
-    while ch is not None and (ch.scope, ch.data) not in seen:
-        seen.add((ch.scope, ch.data))
-        src = ch.source
-        if src.block in index.programs:
-            return PortSource(port.name, "produced-by", src.block)
-        if src.block == index.root_q:
-            return PortSource(port.name, "script-input")
-        ch = index.across(ch, src)
+    writer = None if ch is None else index.writer(ch, index.root_q).block
+    if writer in index.programs:
+        return PortSource(port.name, "produced-by", writer)
+    if writer == index.root_q:
+        return PortSource(port.name, "script-input")
     return PortSource(port.name, "unbound")
 
 

@@ -13,9 +13,12 @@ flattened through that boundary to the producing and consuming blocks on
 either side; a boundary port with nothing on the far side renders as a
 stub terminal inside its cluster.
 
-Every view reads the model through one shared ``ModelIndex``, and every
-step through a workflow boundary, in the process view's flattening and in
-the data views' merging of names, is one ``ModelIndex.across`` lookup.
+Every view reads the model through one shared ``ModelIndex``, which is the
+one boundary resolver: the process view draws each channel from the writer
+and reader ends ``ModelIndex.writer`` and ``ModelIndex.readers`` resolve up
+to the focus, and the data views put a channel in the data node of the
+channel ``ModelIndex.outer`` names one scope out. Nothing here walks a
+boundary itself or recurses, so a nest of any depth renders.
 """
 
 from __future__ import annotations
@@ -109,6 +112,16 @@ class _Sheet:
         self.nodes: dict[str, _Node] = {}
         self.clusters: dict[str, _ClusterDef] = {}
         self.edges: dict[tuple[str, str, str], bool] = {}
+        # In a nested view each sub-workflow of the focus is a cluster.
+        for wf in iter_blocks(ctx.focus) if ctx.nested else ():
+            if wf.is_workflow and wf is not ctx.focus:
+                parent = ctx.index.parents[wf.qualified_name]
+                self.clusters[wf.qualified_name] = _ClusterDef(
+                    wf.qualified_name,
+                    wf.name,
+                    None if parent == ctx.focus.qualified_name else parent,
+                    ctx.anchor(wf.file, wf.span[0], "cluster_" + wf.qualified_name),
+                )
 
     def add_node(self, node: _Node) -> None:
         self.nodes.setdefault(node.id, node)
@@ -116,19 +129,6 @@ class _Sheet:
     def add_edge(self, src: str, dst: str, label: str, param: bool) -> None:
         key = (src, dst, label)
         self.edges[key] = self.edges.get(key, False) or param
-
-    def add_clusters_for_subworkflows(self) -> None:
-        ctx = self.ctx
-        for wf in iter_blocks(ctx.focus):
-            if not wf.is_workflow or wf is ctx.focus:
-                continue
-            parent = ctx.index.parents[wf.qualified_name]
-            self.clusters[wf.qualified_name] = _ClusterDef(
-                wf.qualified_name,
-                wf.name,
-                None if parent == ctx.focus.qualified_name else parent,
-                ctx.anchor(wf.file, wf.span[0], "cluster_" + wf.qualified_name),
-            )
 
     def emit(self, rankdir: str) -> str:
         lines = [
@@ -141,18 +141,25 @@ class _Sheet:
         for cluster in self.clusters.values():
             by_cluster.setdefault(cluster.parent, []).append(cluster)
 
-        def emit_level(owner: str | None, indent: str) -> None:
-            for item in sorted(by_cluster.get(owner, []), key=lambda x: x.anchor):
-                if isinstance(item, _ClusterDef):
-                    lines.append(f"{indent}subgraph {_q('cluster_' + item.qname)} {{")
-                    lines.append(f"{indent}  label={_q(item.label)}")
-                    emit_level(item.qname, indent + "  ")
-                    lines.append(f"{indent}}}")
-                else:
-                    rendered = ", ".join(f"{k}={_q(v)}" for k, v in item.attrs)
-                    lines.append(f"{indent}{_q(item.id)} [{rendered}]")
+        def level(owner: str | None, indent: str) -> tuple:
+            return iter(sorted(by_cluster.get(owner, []), key=lambda x: x.anchor)), indent
 
-        emit_level(None, "  ")
+        # Each cluster's members in anchor order, nested with an explicit stack.
+        stack = [level(None, "  ")]
+        while stack:
+            items, indent = stack[-1]
+            item = next(items, None)
+            if item is None:
+                stack.pop()
+                if stack:
+                    lines.append(f"{stack[-1][1]}}}")
+            elif isinstance(item, _ClusterDef):
+                lines.append(f"{indent}subgraph {_q('cluster_' + item.qname)} {{")
+                lines.append(f"{indent}  label={_q(item.label)}")
+                stack.append(level(item.qname, indent + "  "))
+            else:
+                rendered = ", ".join(f"{k}={_q(v)}" for k, v in item.attrs)
+                lines.append(f"{indent}{_q(item.id)} [{rendered}]")
         style = self.ctx.style
         for (src, dst, label), param in sorted(self.edges.items()):
             attrs: list[tuple[str, str]] = []
@@ -187,15 +194,12 @@ class _Ctx:
     def anchor(self, file: str, line: int, node_id: str) -> tuple:
         return (self.file_idx.get(file, len(self.file_idx)), line, node_id)
 
-    def in_subtree(self, scope_q: str) -> bool:
-        focus_q = self.focus.qualified_name
-        return scope_q == focus_q or scope_q.startswith(focus_q + ".")
-
     def scoped_channels(self) -> list[Channel]:
         """Channels drawn by the current options: focus scope, or its subtree."""
+        scopes = {self.focus.qualified_name}
         if self.nested:
-            return [ch for ch in self.model.channels if self.in_subtree(ch.scope)]
-        return [ch for ch in self.model.channels if ch.scope == self.focus.qualified_name]
+            scopes = {b.qualified_name for b in iter_blocks(self.focus)}
+        return [ch for ch in self.model.channels if ch.scope in scopes]
 
     def drawn_blocks(self) -> list[Block]:
         """Blocks that appear as boxes: children of focus, or subtree programs."""
@@ -212,8 +216,6 @@ class _Ctx:
 
 def _block_node(ctx: _Ctx, sheet: _Sheet, block: Block) -> str:
     node_id = block.qualified_name
-    if node_id in sheet.nodes:
-        return node_id
     sheet.add_node(
         _Node(
             node_id,
@@ -247,39 +249,18 @@ def _terminal_node(ctx: _Ctx, sheet: _Sheet, owner_q: str, port: Port) -> str:
 
 # -- process view -----------------------------------------------------------
 
-def _resolve(ctx: _Ctx, sheet: _Sheet, ch: Channel, writers: bool) -> set[str]:
-    """Nodes for the blocks that write (or read) ``ch``, through boundaries.
+def _end_node(ctx: _Ctx, sheet: _Sheet, ch: Channel, end: Endpoint) -> str:
+    """The node of a drawn channel end: its block's box, or a port terminal.
 
-    Each boundary endpoint leads to the channel on its far side; a boundary
-    of the focus itself, or one with nothing beyond it, is a terminal node.
+    A port of the focus is a terminal; so, in a nested view, is a resolved
+    end on a sub-workflow, which is a boundary port with nothing beyond it.
     """
-    index = ctx.index
-    found: set[str] = set()
-    focus_q = ctx.focus.qualified_name
-    seen = {(ch.scope, ch.data)}
-    todo = [ch]
-    while todo:
-        ch = todo.pop()
-        for end in (ch.source,) if writers else ch.sinks:
-            if end.block in index.programs:
-                found.add(_block_node(ctx, sheet, index.blocks[end.block]))
-                continue
-            far = None if end.block == focus_q else index.across(ch, end)
-            if far is None or (far.scope, far.data) in seen:
-                port = index.ports[(end.block, ch.data, end.direction)]
-                found.add(_terminal_node(ctx, sheet, end.block, port))
-            else:
-                seen.add((far.scope, far.data))
-                todo.append(far)
-    return found
-
-
-def _flat_end(ctx: _Ctx, sheet: _Sheet, ch: Channel, end: Endpoint) -> str:
-    """A focus-scope channel end: the child block, or the focus's own port."""
-    if end.block != ctx.focus.qualified_name:
-        return end.block
-    port = ctx.index.ports[(end.block, ch.data, end.direction)]
-    return _terminal_node(ctx, sheet, end.block, port)
+    if end.block == ctx.focus.qualified_name or (
+        ctx.nested and end.block not in ctx.index.programs
+    ):
+        port = ctx.index.ports[(end.block, ch.data, end.direction)]
+        return _terminal_node(ctx, sheet, end.block, port)
+    return end.block
 
 
 def render_process_view(
@@ -290,126 +271,92 @@ def render_process_view(
     options = _with_view(options, "process")
     ctx = _Ctx(model, options, style or DEFAULT_STYLE)
     sheet = _Sheet(ctx)
-    if ctx.nested:
-        sheet.add_clusters_for_subworkflows()
     for block in ctx.drawn_blocks():
         _block_node(ctx, sheet, block)
     for port in ctx.focus.ports:
         _terminal_node(ctx, sheet, ctx.focus.qualified_name, port)
+    index, focus_q = ctx.index, ctx.focus.qualified_name
     for ch in ctx.scoped_channels():
-        if not ctx.nested:
-            sources = {_flat_end(ctx, sheet, ch, ch.source)}
-            sinks = {_flat_end(ctx, sheet, ch, sink) for sink in ch.sinks}
+        if ctx.nested:
+            writer, readers = index.writer(ch, focus_q), index.readers(ch, focus_q)
         else:
-            sources = _resolve(ctx, sheet, ch, writers=True)
-            sinks = _resolve(ctx, sheet, ch, writers=False)
+            writer, readers = ch.source, ch.sinks
+        src = _end_node(ctx, sheet, ch, writer)
         param = ch.role is Role.PARAMETER
-        for src in sources:
-            for dst in sinks:
-                sheet.add_edge(src, dst, ch.data, param)
+        for end in readers:
+            sheet.add_edge(src, _end_node(ctx, sheet, ch, end), ch.data, param)
     return sheet.emit(options.rankdir)
 
 
 # -- data grouping (shared by data and combined views) ------------------------
 
-@dataclass
+@dataclass(eq=False)
 class _DataGroup:
+    """One data node: the (scope, name) keys it stands for, outermost first."""
+
+    scope: str
     name: str
-    keys: set = field(default_factory=set)
+    keys: list[tuple[str, str]] = field(default_factory=list)
     param: bool = False
 
-    rep_scope: str = ""
+    @property
+    def node_id(self) -> str:
+        return f"data:{self.scope}:{self.name}"
 
 
 def _data_groups(ctx: _Ctx) -> dict[tuple[str, str], _DataGroup]:
     """Map every in-scope (scope, data-name) key to its display group.
 
-    Non-nested: one group per focus-scope name. Nested: groups across the
-    focus subtree, with keys on either side of a workflow boundary merged
-    when a channel actually crosses it; the display scope is the outermost
-    member.
+    Non-nested: one group per focus-scope name. Nested: a channel that
+    passes its data through a boundary port of its own scope joins the
+    group of the same-named channel one scope out, unless its scope is the
+    focus. Channels come in scope pre-order, so that group is made first,
+    and each group is named after its outermost key.
     """
     focus_q = ctx.focus.qualified_name
-    keys: set[tuple[str, str]] = set()
-    for ch in ctx.scoped_channels():
-        keys.add((ch.scope, ch.data))
-    for port in ctx.focus.ports:
-        keys.add((focus_q, port.name))
-
-    parent_of: dict[tuple[str, str], tuple[str, str]] = {k: k for k in keys}
-
-    def find(k: tuple[str, str]) -> tuple[str, str]:
-        while parent_of[k] != k:
-            parent_of[k] = parent_of[parent_of[k]]
-            k = parent_of[k]
-        return k
-
-    def union(a: tuple[str, str], b: tuple[str, str]) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent_of[ra] = rb
-
-    if ctx.nested:
-        # Merge only where a channel crosses a boundary port of its own
-        # scope; a same-named channel one scope up is not enough.
-        for ch in ctx.scoped_channels():
-            if ch.scope == focus_q:
-                continue
-            for end in (ch.source, *ch.sinks):
-                if end.block == ch.scope:
-                    far = ctx.index.across(ch, end)
-                    if far is not None:
-                        union((ch.scope, ch.data), (far.scope, far.data))
-
     groups: dict[tuple[str, str], _DataGroup] = {}
-    for key in keys:
-        root_key = find(key)
-        group = groups.get(root_key)
+    for ch in ctx.scoped_channels():
+        key = (ch.scope, ch.data)
+        outer = ctx.index.outer(ch) if ctx.nested and ch.scope != focus_q else None
+        group = _DataGroup(*key) if outer is None else groups[(outer.scope, outer.data)]
+        group.keys.append(key)
+        group.param |= ch.role is Role.PARAMETER
+        groups[key] = group
+    for port in ctx.focus.ports:
+        key = (focus_q, port.name)
+        group = groups.get(key)
         if group is None:
-            group = _DataGroup(name=key[1])
-            groups[root_key] = group
-        group.keys.add(key)
-    for group in groups.values():
-        group.rep_scope = min(
-            (scope for scope, _ in group.keys),
-            key=lambda s: (s.count("."), s),
-        )
-        for key in group.keys:
-            ch = ctx.index.chan.get(key)
-            if ch is not None and ch.role is Role.PARAMETER:
-                group.param = True
-        if not group.param:
-            for port in ctx.focus.ports:
-                if (focus_q, port.name) in group.keys and port.role is Role.PARAMETER:
-                    group.param = True
-    return {key: groups[find(key)] for key in keys}
+            group = groups[key] = _DataGroup(*key, [key])
+        group.param |= port.role is Role.PARAMETER
+    return groups
 
 
-def _data_node(ctx: _Ctx, sheet: _Sheet, group: _DataGroup) -> str:
-    node_id = f"data:{group.rep_scope}:{group.name}"
-    attrs: list[tuple[str, str]] = [
-        ("shape", ctx.style["shape.data"]),
-        ("label", group.name),
-    ]
-    if group.param and ctx.de_emphasize_params:
-        attrs.append(("color", ctx.style["param.node.color"]))
-        attrs.append(("fontcolor", ctx.style["param.node.fontcolor"]))
-    anchors = []
-    for scope, name in group.keys:
-        ch = ctx.index.chan.get((scope, name))
-        if ch is not None:
-            for endpoint in [ch.source, *ch.sinks]:
-                port = ctx.index.ports[(endpoint.block, name, endpoint.direction)]
-                anchors.append(ctx.anchor(port.file, port.line, node_id))
-        if scope == ctx.focus.qualified_name:
-            for port in ctx.focus.ports:
-                if port.name == name:
-                    anchors.append(ctx.anchor(port.file, port.line, node_id))
-    cluster = None
-    if ctx.nested and group.rep_scope != ctx.focus.qualified_name:
-        cluster = group.rep_scope
-    sheet.add_node(_Node(node_id, tuple(attrs), min(anchors), cluster))
-    return node_id
+def _data_nodes(ctx: _Ctx, sheet: _Sheet) -> dict[tuple[str, str], _DataGroup]:
+    """Add one node per data group, anchored at its earliest port; return
+    ``_data_groups``."""
+    groups = _data_groups(ctx)
+    for group in dict.fromkeys(groups.values()):
+        attrs: list[tuple[str, str]] = [
+            ("shape", ctx.style["shape.data"]),
+            ("label", group.name),
+        ]
+        if group.param and ctx.de_emphasize_params:
+            attrs.append(("color", ctx.style["param.node.color"]))
+            attrs.append(("fontcolor", ctx.style["param.node.fontcolor"]))
+        ports: list[Port] = []
+        for scope, name in group.keys:
+            ch = ctx.index.chan.get((scope, name))
+            if ch is None:  # a port of the focus that no channel joins
+                ports += [p for p in ctx.focus.ports if p.name == name]
+            else:
+                ends = (ch.source, *ch.sinks)
+                ports += [ctx.index.ports[(e.block, name, e.direction)] for e in ends]
+        anchor = min(ctx.anchor(p.file, p.line, group.node_id) for p in ports)
+        cluster = None
+        if ctx.nested and group.scope != ctx.focus.qualified_name:
+            cluster = group.scope
+        sheet.add_node(_Node(group.node_id, tuple(attrs), anchor, cluster))
+    return groups
 
 
 def _block_flows(
@@ -417,23 +364,14 @@ def _block_flows(
 ) -> tuple[list[_DataGroup], list[_DataGroup]]:
     """The data groups a drawn block reads and writes, per its scope channels."""
     scope = ctx.index.parents[block.qualified_name]
-    reads: list[_DataGroup] = []
-    writes: list[_DataGroup] = []
-    seen_read: set[int] = set()
-    seen_write: set[int] = set()
+    reads: dict[_DataGroup, None] = {}
+    writes: dict[_DataGroup, None] = {}
     for port in block.ports:
         key = (scope, port.name)
-        if key not in ctx.index.chan:
-            continue
-        group = groups[key]
-        if port.direction is Direction.IN:
-            if id(group) not in seen_read:
-                seen_read.add(id(group))
-                reads.append(group)
-        elif id(group) not in seen_write:
-            seen_write.add(id(group))
-            writes.append(group)
-    return reads, writes
+        if key in ctx.index.chan:
+            side = reads if port.direction is Direction.IN else writes
+            side[groups[key]] = None
+    return list(reads), list(writes)
 
 
 def render_data_view(
@@ -444,21 +382,12 @@ def render_data_view(
     options = _with_view(options, "data")
     ctx = _Ctx(model, options, style or DEFAULT_STYLE)
     sheet = _Sheet(ctx)
-    if ctx.nested:
-        sheet.add_clusters_for_subworkflows()
-    groups = _data_groups(ctx)
-    for group in groups.values():
-        _data_node(ctx, sheet, group)
+    groups = _data_nodes(ctx, sheet)
     for block in ctx.drawn_blocks():
         reads, writes = _block_flows(ctx, groups, block)
         for read in reads:
             for write in writes:
-                sheet.add_edge(
-                    f"data:{read.rep_scope}:{read.name}",
-                    f"data:{write.rep_scope}:{write.name}",
-                    block.name,
-                    read.param,
-                )
+                sheet.add_edge(read.node_id, write.node_id, block.name, read.param)
     return sheet.emit(options.rankdir)
 
 
@@ -470,18 +399,14 @@ def render_combined_view(
     options = _with_view(options, "combined")
     ctx = _Ctx(model, options, style or DEFAULT_STYLE)
     sheet = _Sheet(ctx)
-    if ctx.nested:
-        sheet.add_clusters_for_subworkflows()
-    groups = _data_groups(ctx)
-    for group in groups.values():
-        _data_node(ctx, sheet, group)
+    groups = _data_nodes(ctx, sheet)
     for block in ctx.drawn_blocks():
         node_id = _block_node(ctx, sheet, block)
         reads, writes = _block_flows(ctx, groups, block)
         for read in reads:
-            sheet.add_edge(f"data:{read.rep_scope}:{read.name}", node_id, "", read.param)
+            sheet.add_edge(read.node_id, node_id, "", read.param)
         for write in writes:
-            sheet.add_edge(node_id, f"data:{write.rep_scope}:{write.name}", "", write.param)
+            sheet.add_edge(node_id, write.node_id, "", write.param)
     return sheet.emit(options.rankdir)
 
 

@@ -32,6 +32,22 @@ def model_from_source(
     return build_model(annotations_from_source(text, language, file))
 
 
+# C passes d through itself and writes it in W: the one place where a walk
+# through boundaries can meet a channel it came from.
+SELF_FEEDING_SRC = """\
+# @begin W
+# @begin C @in d @out d
+# @begin X @in d @out e
+e = x(d)
+# @end X
+# @end C
+# @begin Y @in d @out f
+f = y(d)
+# @end Y
+# @end W
+"""
+
+
 # -- random workflow generator -------------------------------------------------
 
 DATA_POOL = (

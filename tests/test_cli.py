@@ -351,6 +351,27 @@ class TestDeepNesting:
         if proc.returncode == 2:
             assert proc.stderr.startswith("ywx: error:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["graph", "{script}", "--nested"],
+            ["graph", "{script}", "--nested", "--view", "data"],
+            ["graph", "{script}", "--nested", "--view", "combined"],
+            ["query", "sources", "{script}", "--block", f"b{DEPTH - 1}"],
+        ],
+    )
+    def test_nested_views_and_sources_succeed(self, deep_inputs, tmp_path, argv):
+        out = tmp_path / "out.txt"
+        proc = run_child(*(a.format(**deep_inputs) for a in argv), "-o", str(out))
+        assert proc.returncode == 0, proc.stderr
+        text = out.read_text(encoding="utf-8")
+        if argv[0] == "query":
+            assert text == "x: script-input\n"
+        else:
+            # A cluster for every level but the root and the innermost program.
+            assert text.count("subgraph") == self.DEPTH - 2
+            assert text.endswith("}\n")
+
 
 class TestStagedPipelines:
     def test_extract_output_shape(self, capsys):

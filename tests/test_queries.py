@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from support import (
+    SELF_FEEDING_SRC,
+    _walk_blocks,
     model_from_source,
     oracle_edges,
     oracle_upstream_inputs,
@@ -326,6 +328,49 @@ class TestStepSources:
             """
         )
         assert PortSource("mystery", "unbound") in step_input_sources(model, "P")
+
+    def test_self_feeding_pass_through_is_unbound(self):
+        # C's d comes in from W, where C itself is its only writer.
+        model = model_from_source(SELF_FEEDING_SRC)
+        assert step_input_sources(model, "X") == [PortSource("d", "unbound")]
+        assert step_input_sources(model, "C") == [PortSource("d", "unbound")]
+        assert step_input_sources(model, "Y") == [PortSource("d", "unbound")]
+
+    def test_sources_follow_the_oracle(self, corpus_models):
+        """Each in port's source is where the single reverse edge from its
+        data node leads in ``oracle_edges``."""
+        kinds = set()
+        for model in corpus_models:
+            root_q = model.root.qualified_name
+            reverse = {}
+            for a, b in oracle_edges(model):
+                reverse.setdefault(b, []).append(a)
+            written_by = {("data", ch.scope, ch.data): ch.source.block for ch in model.channels}
+            for block, parent in _walk_blocks(model):
+                expected = []
+                for port in block.ports:
+                    if port.direction is not Direction.IN:
+                        continue
+                    if parent is None:
+                        expected.append(PortSource(port.name, "script-input"))
+                        continue
+                    node = ("data", parent.qualified_name, port.name)
+                    source, seen = PortSource(port.name, "unbound"), set()
+                    while node in written_by and node not in seen:
+                        seen.add(node)
+                        (before,) = reverse.get(node, [None])
+                        if before is None:
+                            if node[1] == written_by[node] == root_q:
+                                source = PortSource(port.name, "script-input")
+                            break
+                        if before[0] == "block":
+                            source = PortSource(port.name, "produced-by", before[1])
+                            break
+                        node = before
+                    expected.append(source)
+                    kinds.add(source.kind)
+                assert step_input_sources(model, block.qualified_name) == expected
+        assert kinds == {"script-input", "produced-by", "unbound"}
 
 
 class TestChainDefects:

@@ -3,6 +3,7 @@
 import pytest
 
 from support import (
+    SELF_FEEDING_SRC,
     descendant_workflows,
     expected_data_nodes,
     expected_process_edges,
@@ -11,6 +12,7 @@ from support import (
     parse_dot,
 )
 from ywx.errors import StyleError, UnknownFocus
+from ywx.model import ModelIndex
 from ywx.render import RenderOptions, load_style_file, render
 
 NESTED_SRC = """\
@@ -60,6 +62,50 @@ y = e(d)
 # @end E
 # @end W
 """
+
+
+SELF_FEEDING_DOT = {
+    "process": """\
+digraph "W" {
+  rankdir="LR"
+  subgraph "cluster_W.C" {
+    label="C"
+    "port:in:W.C:d" [shape="circle", label="d"]
+    "port:out:W.C:d" [shape="circle", label="d"]
+    "W.C.X" [shape="box", label="X"]
+  }
+  "W.Y" [shape="box", label="Y"]
+  "port:in:W.C:d" -> "W.C.X" [label="d"]
+  "port:in:W.C:d" -> "W.Y" [label="d"]
+  "port:in:W.C:d" -> "port:out:W.C:d" [label="d"]
+  "port:out:W.C:d" -> "W.C.X" [label="d"]
+  "port:out:W.C:d" -> "W.Y" [label="d"]
+  "port:out:W.C:d" -> "port:in:W.C:d" [label="d"]
+}
+""",
+    "data": """\
+digraph "W" {
+  rankdir="LR"
+  subgraph "cluster_W.C" {
+    label="C"
+  }
+  "data:W:d" [shape="oval", label="d"]
+}
+""",
+    "combined": """\
+digraph "W" {
+  rankdir="LR"
+  subgraph "cluster_W.C" {
+    label="C"
+    "W.C.X" [shape="box", label="X"]
+  }
+  "data:W:d" [shape="oval", label="d"]
+  "W.Y" [shape="box", label="Y"]
+  "data:W:d" -> "W.C.X"
+  "data:W:d" -> "W.Y"
+}
+""",
+}
 
 
 def nested_model():
@@ -278,6 +324,78 @@ class TestNested:
             components = sum(1 for node in parent if parent[node] is None)
             graph = dot(model, view="data", nested=True)
             assert len(graph.shaped("oval")) == components
+
+    @pytest.mark.parametrize("view", ["process", "data", "combined"])
+    def test_self_feeding_pass_through(self, view):
+        model = model_from_source(SELF_FEEDING_SRC)
+        assert render_text(model, view=view, nested=True) == SELF_FEEDING_DOT[view]
+
+    def test_program_edges_follow_data_paths(self, corpus_models):
+        """Box-to-box edges of the nested process view at the root are the
+        program pairs the oracle joins by a path through data nodes only."""
+        for model in corpus_models:
+            forward = {}
+            for a, b in oracle_edges(model):
+                forward.setdefault(a, set()).add(b)
+            expected = set()
+            for writer in [n for n in forward if n[0] == "block"]:
+                for data in forward[writer]:
+                    seen, todo = {data}, [data]
+                    while todo:
+                        for nxt in forward.get(todo.pop(), ()):
+                            if nxt[0] == "block":
+                                expected.add((writer[1], nxt[1], data[2]))
+                            elif nxt not in seen:
+                                seen.add(nxt)
+                                todo.append(nxt)
+            graph = dot(model, view="process", nested=True)
+            boxes = graph.shaped("box")
+            got = {(s, d, a["label"]) for s, d, a in graph.edges if s in boxes and d in boxes}
+            assert got == expected
+
+    def test_each_boundary_step_taken_once(self, monkeypatch):
+        """A nested view of a deep pass-through nest steps through each
+        channel end at most once, so its cost grows linearly with depth."""
+        depth = 300
+        lines = [f"# @begin b{i} @in x @out y" for i in range(depth)]
+        lines += ["y = x"] + [f"# @end b{i}" for i in reversed(range(depth))]
+        model = model_from_source("\n".join(lines) + "\n")
+        ends = sum(1 + len(ch.sinks) for ch in model.channels)
+        calls = []
+        across = ModelIndex.across
+        monkeypatch.setattr(
+            ModelIndex, "across", lambda *args: calls.append(1) or across(*args)
+        )
+        for view in ("process", "data", "combined"):
+            calls.clear()
+            graph = dot(model, view=view, nested=True)
+            assert len(graph.clusters) == depth - 2
+            assert 0 < len(calls) <= ends
+
+    @pytest.mark.parametrize("view", ["process", "data", "combined"])
+    def test_focus_excludes_a_dotted_sibling(self, view):
+        # W.A.B is W's child A.B, outside the subtree of W.A.
+        model = model_from_source(
+            """\
+            # @begin W @in x @out y
+            # @begin A @in x @out m
+            # @begin P @in x @out m
+            m = p(x)
+            # @end P
+            # @end A
+            # @begin A.B @in m @out y
+            # @begin Q @in m @out y
+            y = q(m)
+            # @end Q
+            # @end A.B
+            # @end W
+            """
+        )
+        graph = dot(model, view=view, focus="W.A", nested=True)
+        assert graph.clusters == {}
+        assert not [n for n in graph.nodes if "W.A.B" in n or n.startswith("port:out:W:")]
+        for src, dst, _ in graph.edges:
+            assert src in graph.nodes and dst in graph.nodes
 
     def test_focus_on_subworkflow(self):
         graph = dot(nested_model(), view="process", focus="outer.QC")

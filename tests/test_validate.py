@@ -199,6 +199,22 @@ class TestRecovery:
         )
         assert [(d.code, d.line) for d in diags] == [("YW007", 7), ("YW001", 11)]
 
+    def test_duplicate_name_messages(self):
+        same_scope = validate_text(
+            "# @begin W\n# @begin P\n# @end P\n# @begin P\n# @end P\n# @end W\n"
+        )
+        assert [d.render() for d in same_scope] == [
+            "script.py:4: error YW007 block name 'P' is declared twice in the same scope"
+        ]
+        dotted = validate_text(
+            "# @begin W\n# @begin A\n# @begin B\n# @end B\n# @end A\n"
+            "# @begin A.B\n# @end A.B\n# @end W\n"
+        )
+        assert [d.render() for d in dotted] == [
+            "script.py:6: error YW007 block 'A.B' and the block declared at "
+            "script.py:3 share the qualified name 'W.A.B'"
+        ]
+
     def test_in_and_out_with_one_name_is_fine(self):
         diags = validate_text(
             "# @begin W @in state @out state\nstate = step(state)\n# @end W\n"
