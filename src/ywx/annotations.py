@@ -14,7 +14,8 @@ import json
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from json.encoder import encode_basestring_ascii as _json_str
+from typing import Iterable, Iterator
 
 from .comments import SourceComment
 from .errors import (
@@ -144,25 +145,71 @@ class AnnotationDocument:
 
 def serialize_annotations(doc: AnnotationDocument) -> str:
     """Render an annotation document as its JSON interchange form."""
+    return "".join(_document_chunks(doc))
+
+
+# -- writing JSON -------------------------------------------------------------
+#
+# An interchange file holds the text the stdlib encoder writes for its
+# payload with ``indent=2``, plus a newline. It is written here straight from
+# the records, one template each, since the stdlib serves ``indent`` only from
+# its pure-Python encoder, which walks a payload built for it and recurses
+# once per nesting level.
+
+
+def _json_opt(text: str | None) -> str:
+    """A JSON string, or null for None."""
+    return "null" if text is None else _json_str(text)
+
+
+def _json_int(number: int) -> str:
+    """A JSON number; a bool, which is an int, is written as the stdlib does."""
+    return int.__repr__(number) if number.__class__ is int else json.dumps(number)
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """A JSON list of items already written; ``indent`` indents its bracket."""
+    if not items:
+        return "[]"
+    inner = f",\n{indent}  "
+    return f"[\n{indent}  {inner.join(items)}\n{indent}]"
+
+
+def _json_items(items: Iterable[str], indent: str) -> Iterator[str]:
+    """``_json_list`` of items written on demand, one chunk per item."""
+    lead = "[\n"
+    for item in items:
+        yield f"{lead}{indent}  {item}"
+        lead = ",\n"
+    yield "[]" if lead == "[\n" else f"\n{indent}]"
+
+
+def _document_chunks(doc: AnnotationDocument) -> Iterator[str]:
+    """The JSON text of ``doc``, one chunk per annotation.
+
+    An annotation from another file raises before the first chunk.
+    """
     for ann in doc.annotations:
         if ann.file != doc.source_file:
             raise MalformedRecord(
                 f"annotation at line {ann.line} names file {ann.file!r}, "
                 f"but the document is for {doc.source_file!r}"
             )
-    payload = {
-        "source": {"file": doc.source_file, "language": doc.language},
-        "annotations": [
-            {
-                "tag": ann.tag.value,
-                "value": ann.value,
-                "description": ann.description,
-                "line": ann.line,
-            }
-            for ann in doc.annotations
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    yield (
+        f'{{\n  "source": {{\n    "file": {_json_str(doc.source_file)},\n'
+        f'    "language": {_json_str(doc.language)}\n  }},\n  "annotations": '
+    )
+    yield from _json_items(map(_annotation_json, doc.annotations), "  ")
+    yield "\n}\n"
+
+
+def _annotation_json(ann: Annotation) -> str:
+    return (
+        f'{{\n      "tag": "{ann.tag._value_}",\n'
+        f'      "value": {_json_str(ann.value)},\n'
+        f'      "description": {_json_opt(ann.description)},\n'
+        f'      "line": {_json_int(ann.line)}\n    }}'
+    )
 
 
 # A JSON escape that decodes to a UTF-16 surrogate code point.

@@ -17,21 +17,22 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from .annotations import (
     Annotation,
     AnnotationDocument,
+    _document_chunks,
     _document_from_json,
     parse_annotations,
-    serialize_annotations,
 )
 from .comments import detect_language, extract_comments
 from .errors import FormatMismatch, UsageError, YwxError
 from .model import (
     WorkflowModel,
+    _model_chunks,
     _model_from_json,
     build_model,
-    serialize_model,
 )
 from .queries import (
     blocks_affected_by_input,
@@ -196,11 +197,13 @@ def _model_from_inputs(
     )
 
 
-def _write(text: str, output: str | None) -> None:
+def _write(chunks: Iterable[str], output: str | None) -> None:
+    """Write the output text, given as a stream of chunks, to ``output`` or stdout."""
     if output:
-        Path(output).write_text(text, encoding="utf-8")
+        with open(output, "w", encoding="utf-8") as out:
+            out.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _as_lines(items: list[str]) -> str:
@@ -223,13 +226,13 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     text = Path(args.input).read_text(encoding="utf-8")
     annotations = parse_annotations(extract_comments(text, syntax, file=args.input))
     doc = AnnotationDocument(args.input, syntax.language_name, tuple(annotations))
-    _write(serialize_annotations(doc), args.output)
+    _write(_document_chunks(doc), args.output)
     return 0
 
 
 def _cmd_model(args: argparse.Namespace) -> int:
     model = _model_from_inputs(args.inputs, args.language, allow_model=False)
-    _write(serialize_model(model), args.output)
+    _write(_model_chunks(model), args.output)
     return 0
 
 
@@ -246,7 +249,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
         nested=args.nested,
         de_emphasize_params=args.de_emphasize_params,
     )
-    _write(render(model, options, style), args.output)
+    _write((render(model, options, style),), args.output)
     return 0
 
 
@@ -330,7 +333,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
             {"file": r.file, "port": r.port, "role": r.role} for r in records
         ]
         lines = [f"{r.file} (via {r.port}, {r.role})" for r in records]
-    _write(_as_json(payload) if args.json else _as_lines(lines), args.output)
+    _write((_as_json(payload) if args.json else _as_lines(lines),), args.output)
     return 0
 
 
@@ -348,7 +351,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         text = format_diagnostics(diagnostics)
         if text:
             text += "\n"
-    _write(text, args.output)
+    _write((text,), args.output)
     return 1 if has_errors(diagnostics) else 0
 
 
@@ -376,9 +379,9 @@ def run(argv: list[str] | None = None) -> int:
         print(f"ywx: error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # JSON decoding and encoding, model serialization included, recurse
-        # once per nesting level, so past the interpreter's limit an input is
-        # one they cannot process: an input problem, not a crash.
+        # JSON decoding recurses once per nesting level, so a model file
+        # nested past the interpreter's limit is one it cannot read: an input
+        # problem, not a crash.
         print("ywx: error: the input nests too deeply to process", file=sys.stderr)
         return 2
 

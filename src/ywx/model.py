@@ -10,7 +10,6 @@ so channel inference never looks across more than one boundary at a time.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -18,7 +17,18 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
 
-from .annotations import IDENTIFIER_RE, Annotation, Tag, _check_unicode, _decode_json
+from .annotations import (
+    IDENTIFIER_RE,
+    Annotation,
+    Tag,
+    _check_unicode,
+    _decode_json,
+    _json_int,
+    _json_items,
+    _json_list,
+    _json_opt,
+    _json_str,
+)
 from .errors import (
     AmbiguousWriter,
     DuplicateBlockName,
@@ -141,7 +151,7 @@ class ModelIndex:
         self.chan: dict[tuple[str, str], Channel] = {
             (ch.scope, ch.data): ch for ch in model.channels
         }
-        self._links: dict[tuple[str, str, bool], list] = {}
+        self._links: dict[tuple[str, str, bool], list | None] = {}
         self._ends: dict[tuple, tuple[Endpoint, ...]] = {}
 
     def across(self, ch: Channel, end: Endpoint) -> Channel | None:
@@ -189,30 +199,28 @@ class ModelIndex:
         For one data name a boundary joins a scope only to its parent, so a
         walk that never turns straight back meets no channel twice. What a
         channel resolves to depends on the walk only through the scope it
-        came from, and the memo is keyed by that.
+        came from, and the memo is keyed by that. A channel none of whose
+        ends crosses a boundary resolves to those ends, whatever the walk,
+        and is neither walked nor memoised.
         """
-
-        def frame(channel: Channel, came: str | None) -> list:
-            link_key = (channel.scope, data, writers)
-            links = self._links.get(link_key)
-            if links is None:
-                ends = (channel.source,) if writers else channel.sinks
-                links = self._links[link_key] = [(e, self.across(channel, e)) for e in ends]
-            return [(channel.scope, came, data, stop, writers), iter(links), []]
-
+        links = self._crossings(ch, writers)
+        if links is None:
+            return (ch.source,) if writers else ch.sinks
         data, memo = ch.data, self._ends
         top = (ch.scope, None, data, stop, writers)
-        stack = [] if top in memo else [frame(ch, None)]
+        stack = [] if top in memo else [[top, iter(links), []]]
         while stack:
             key, pending, found = stack[-1]
             scope, came = key[:2]
             for end, far in pending:
                 if far is None or far.scope == came or end.block == stop:
                     found.append(end)
+                elif (links := self._crossings(far, writers)) is None:
+                    found.extend((far.source,) if writers else far.sinks)
                 elif (step := (far.scope, scope, data, stop, writers)) in memo:
                     found.extend(memo[step])
                 else:
-                    stack.append(frame(far, scope))
+                    stack.append([step, iter(links), []])
                     break
             else:
                 stack.pop()
@@ -220,6 +228,20 @@ class ModelIndex:
                 if stack:
                     stack[-1][2].extend(memo[key])
         return memo[top]
+
+    def _crossings(self, ch: Channel, writers: bool) -> list | None:
+        """The source (or the sinks) of ``ch``, each with the channel across
+        it, or None when no end crosses a boundary; memoised."""
+        key = (ch.scope, ch.data, writers)
+        try:
+            return self._links[key]
+        except KeyError:
+            pass
+        links = [(e, self.across(ch, e)) for e in ((ch.source,) if writers else ch.sinks)]
+        if all(far is None for _, far in links):
+            links = None
+        self._links[key] = links
+        return links
 
 
 def sanitize_name(raw: str) -> str:
@@ -276,12 +298,16 @@ def _bracket(
     block name is passed over. Blocks never span files: those still open
     when the file changes or the stream ends are reported innermost first,
     and closed. Two blocks may not share a dotted path from the top level,
-    which is their qualified name below the root.
+    which is their qualified name below the root; under an implicit root the
+    message names it below a root named after the stream's first file.
     """
     problems: list[ModelError] = []
     stack: list[_OpenBlock] = []
     top_level: list[_Closed] = []
     paths: dict[str, tuple[_OpenBlock | None, Annotation]] = {}  # first declarations
+    # Dotted-name collisions, as (problem index, path, first declaration,
+    # annotation): their qualified name waits for the root.
+    collisions: list[tuple[int, str, Annotation, Annotation]] = []
     max_line = 0
 
     def close_open_blocks() -> None:
@@ -303,16 +329,16 @@ def _bracket(
             first = paths.get(path)
             if first is None:
                 paths[path] = (owner, ann)
-            else:
-                # A name may hold dots: A's child B and a sibling A.B collide.
+            elif first[0] is owner:
                 problems.append(DuplicateBlockName(
-                    f"block name {ann.value!r} is declared twice in the same scope"
-                    if first[0] is owner
-                    else f"block {ann.value!r} and the block declared at "
-                    f"{first[1].file}:{first[1].line} share the qualified name {path!r}",
+                    f"block name {ann.value!r} is declared twice in the same scope",
                     file=ann.file,
                     line=ann.line,
                 ))
+            else:
+                # A name may hold dots: A's child B and a sibling A.B collide.
+                collisions.append((len(problems), path, first[1], ann))
+                problems.append(DuplicateBlockName("", file=ann.file, line=ann.line))
             stack.append(_OpenBlock(ann.value, path, ann.file, ann.line, ann.description))
         elif ann.tag is Tag.END:
             if not stack:
@@ -360,15 +386,24 @@ def _bracket(
                 Port(ann.value, direction, role, ann.file, ann.line, ann.description)
             )
     close_open_blocks()
-    if problems or not top_level:
-        return problems, None
-
+    first_file = annotations[0].file if annotations else ""
     if len(top_level) == 1 and top_level[0].children:
-        root_skeleton = top_level[0]
+        root_skeleton, prefix = top_level[0], ""
     else:
-        first_file = annotations[0].file
         name = sanitize_name(root_name or Path(first_file).stem)
         root_skeleton = _Closed(name, first_file, None, [], top_level, (0, max_line + 1))
+        # Named after the stream's first file whatever ``root_name`` is, so
+        # that the problems of a stream do not depend on who names its root.
+        prefix = f"{sanitize_name(Path(first_file).stem)}."
+    for index, path, first, ann in collisions:
+        problems[index] = DuplicateBlockName(
+            f"block {ann.value!r} and the block declared at {first.file}:"
+            f"{first.line} share the qualified name {prefix + path!r}",
+            file=ann.file,
+            line=ann.line,
+        )
+    if problems or not top_level:
+        return problems, None
     return problems, _freeze(root_skeleton)
 
 
@@ -553,52 +588,92 @@ def build_model(
 
 # -- serialization ----------------------------------------------------------
 
-def _port_dict(port: Port) -> dict:
-    return {
-        "name": port.name,
-        "direction": port.direction.value,
-        "role": port.role.value,
-        "line": port.line,
-        "description": port.description,
-        "file": port.file,
-    }
-
-
-def _block_dict(block: Block) -> dict:
-    return {
-        "name": block.name,
-        "qualified_name": block.qualified_name,
-        "description": block.description,
-        "ports": [_port_dict(p) for p in block.ports],
-        "children": [_block_dict(c) for c in block.children],
-        "span": list(block.span),
-        "file": block.file,
-    }
-
-
-def _channel_dict(ch: Channel) -> dict:
-    return {
-        "data": ch.data,
-        "scope": ch.scope,
-        "role": ch.role.value,
-        "source": {
-            "block": ch.source.block,
-            "port_direction": ch.source.direction.value,
-        },
-        "sinks": [
-            {"block": sink.block, "port_direction": sink.direction.value}
-            for sink in ch.sinks
-        ],
-    }
-
-
 def serialize_model(model: WorkflowModel) -> str:
-    payload = {
-        "root": _block_dict(model.root),
-        "channels": [_channel_dict(ch) for ch in model.channels],
-        "source_files": list(model.source_files),
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """Render a model as its JSON model file."""
+    return "".join(_model_chunks(model))
+
+
+def _model_chunks(model: WorkflowModel) -> Iterator[str]:
+    """The JSON text of a model file, one chunk per record: a block's head
+    and tail (one chunk for a block without children) and a channel. See
+    ``annotations._document_chunks``."""
+    yield '{\n  "root": '
+    yield from _block_chunks(model.root)
+    yield ',\n  "channels": '
+    yield from _json_items(map(_channel_json, model.channels), "  ")
+    files = _json_list([_json_str(f) for f in model.source_files], "  ")
+    yield f',\n  "source_files": {files}\n}}\n'
+
+
+def _block_chunks(root: Block) -> Iterator[str]:
+    """The JSON of a block tree, walked depth first with an explicit stack."""
+    yield _block_head(root, "    ")
+    stack = [(root, "    ", enumerate(root.children))]
+    while stack:
+        block, key, pending = stack[-1]
+        index, child = next(pending, (0, None))
+        if child is None:
+            stack.pop()
+            yield _block_tail(block, key)
+            continue
+        lead = f"{',' if index else ''}\n{key}  "
+        inner = key + "    "
+        if child.children:
+            yield lead + _block_head(child, inner)
+            stack.append((child, inner, enumerate(child.children)))
+        else:
+            yield lead + _block_head(child, inner) + _block_tail(child, inner)
+
+
+def _block_head(block: Block, key: str) -> str:
+    """A block's JSON up to its open child list; ``key`` indents its keys."""
+    ports = _json_list([_port_json(p, key + "  ") for p in block.ports], key)
+    return (
+        f'{{\n{key}"name": {_json_str(block.name)},\n'
+        f'{key}"qualified_name": {_json_str(block.qualified_name)},\n'
+        f'{key}"description": {_json_opt(block.description)},\n'
+        f'{key}"ports": {ports},\n{key}"children": ['
+    )
+
+
+def _block_tail(block: Block, key: str) -> str:
+    """A block's JSON from the close of its child list on."""
+    close = f"\n{key}]" if block.children else "]"
+    span = _json_list([_json_int(v) for v in block.span], key)
+    return (
+        f'{close},\n{key}"span": {span},\n'
+        f'{key}"file": {_json_str(block.file)}\n{key[:-2]}}}'
+    )
+
+
+def _port_json(port: Port, brace: str) -> str:
+    """A port's JSON object; ``brace`` indents its closing brace."""
+    return (
+        f'{{\n{brace}  "name": {_json_str(port.name)},\n'
+        f'{brace}  "direction": "{port.direction._value_}",\n'
+        f'{brace}  "role": "{port.role._value_}",\n'
+        f'{brace}  "line": {_json_int(port.line)},\n'
+        f'{brace}  "description": {_json_opt(port.description)},\n'
+        f'{brace}  "file": {_json_str(port.file)}\n{brace}}}'
+    )
+
+
+def _endpoint_json(end: Endpoint, brace: str) -> str:
+    return (
+        f'{{\n{brace}  "block": {_json_str(end.block)},\n'
+        f'{brace}  "port_direction": "{end.direction._value_}"\n{brace}}}'
+    )
+
+
+def _channel_json(ch: Channel) -> str:
+    sinks = _json_list([_endpoint_json(e, "        ") for e in ch.sinks], "      ")
+    return (
+        f'{{\n      "data": {_json_str(ch.data)},\n'
+        f'      "scope": {_json_str(ch.scope)},\n'
+        f'      "role": "{ch.role._value_}",\n'
+        f'      "source": {_endpoint_json(ch.source, "      ")},\n'
+        f'      "sinks": {sinks}\n    }}'
+    )
 
 
 def _fail(message: str) -> MalformedModel:
@@ -723,6 +798,16 @@ def _model_from_json(text: str, payload: object) -> WorkflowModel:
         channels = infer_channels(root)
     except AmbiguousWriter as exc:
         raise _fail(f"block tree is ambiguous: {exc}") from exc
-    if raw_channels != [_channel_dict(ch) for ch in channels]:
+    # The file's records must be exactly those a model file is written with.
+    if raw_channels != [
+        {
+            "data": ch.data,
+            "scope": ch.scope,
+            "role": ch.role.value,
+            "source": {"block": ch.source.block, "port_direction": ch.source.direction.value},
+            "sinks": [{"block": e.block, "port_direction": e.direction.value} for e in ch.sinks],
+        }
+        for ch in channels
+    ]:
         raise _fail("'channels' differs from the channels inferred from 'root'")
     return WorkflowModel(root, channels, tuple(raw_files))

@@ -8,11 +8,12 @@ given a seeded random.Random instance.
 
 from __future__ import annotations
 
+import json
 import re
 import textwrap
 from dataclasses import dataclass, field
 
-from ywx.annotations import Annotation, parse_annotations
+from ywx.annotations import Annotation, AnnotationDocument, parse_annotations
 from ywx.comments import LANGUAGES, extract_comments
 from ywx.model import Direction, Endpoint, WorkflowModel, build_model
 
@@ -283,6 +284,67 @@ def channels_as_dict(model: WorkflowModel) -> dict:
             ch.role.value,
         )
     return result
+
+
+# -- the stdlib encoder as the interchange files' oracle ---------------------------
+
+def model_payload(model: WorkflowModel) -> dict:
+    """The model as plain JSON values, taken field by field from the dataclasses."""
+
+    def block(b):
+        return {
+            "name": b.name,
+            "qualified_name": b.qualified_name,
+            "description": b.description,
+            "ports": [
+                {
+                    "name": p.name,
+                    "direction": p.direction.value,
+                    "role": p.role.value,
+                    "line": p.line,
+                    "description": p.description,
+                    "file": p.file,
+                }
+                for p in b.ports
+            ],
+            "children": [block(c) for c in b.children],
+            "span": list(b.span),
+            "file": b.file,
+        }
+
+    def end(e):
+        return {"block": e.block, "port_direction": e.direction.value}
+
+    return {
+        "root": block(model.root),
+        "channels": [
+            {
+                "data": ch.data,
+                "scope": ch.scope,
+                "role": ch.role.value,
+                "source": end(ch.source),
+                "sinks": [end(e) for e in ch.sinks],
+            }
+            for ch in model.channels
+        ],
+        "source_files": list(model.source_files),
+    }
+
+
+def document_payload(doc: AnnotationDocument) -> dict:
+    """An annotation document as plain JSON values."""
+    return {
+        "source": {"file": doc.source_file, "language": doc.language},
+        "annotations": [
+            {"tag": a.tag.value, "value": a.value, "description": a.description, "line": a.line}
+            for a in doc.annotations
+        ],
+    }
+
+
+def stdlib_json(payload) -> str:
+    """The text an interchange file must hold for ``payload``."""
+    return json.dumps(payload, indent=2) + "\n"
 
 
 # -- naive dependency oracle -----------------------------------------------------

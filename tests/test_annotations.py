@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import annotations_from_source
+from support import annotations_from_source, document_payload, stdlib_json
 from ywx.annotations import (
     Annotation,
     AnnotationDocument,
@@ -17,8 +17,8 @@ from ywx.annotations import (
     parse_annotations_lenient,
     serialize_annotations,
 )
-from ywx.comments import SourceComment
-from ywx.errors import InvalidValue, MalformedRecord, MissingValue
+from ywx.comments import SourceComment, detect_language, extract_comments
+from ywx.errors import InvalidValue, MalformedRecord, MissingValue, YwxError
 
 
 def comment(text, line=1, file="s.py"):
@@ -254,6 +254,47 @@ def _documents(draw):
 @given(_documents())
 def test_interchange_round_trip_property(doc):
     assert parse_annotation_file(serialize_annotations(doc)) == doc
+
+
+# Any text: non-ASCII, control characters, quotes, backslashes, U+2028.
+_TEXT = st.text(st.characters() | st.sampled_from('"\\\x00\x1f\x7f\u2028\u00e9\U0001F600'), max_size=8)
+
+
+@st.composite
+def _any_documents(draw):
+    """Documents as the dataclasses hold them, checked by no reader: any text,
+    and any int for a line, a bool included (a listing's "line": true loads)."""
+    file = draw(_TEXT)
+    ints = st.integers(-(10**12), 10**12) | st.booleans()
+    annotations = draw(st.lists(
+        st.builds(Annotation, st.sampled_from(Tag), _TEXT, st.none() | _TEXT, st.just(file), ints),
+        max_size=5,
+    ))
+    return AnnotationDocument(file, draw(_TEXT), tuple(annotations))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_any_documents())
+def test_listing_is_the_stdlib_text(doc):
+    assert serialize_annotations(doc) == stdlib_json(document_payload(doc))
+
+
+def test_corpus_and_fixture_listings_are_the_stdlib_text(corpus, fixtures_dir):
+    docs = [
+        AnnotationDocument("script.py", "python", tuple(annotations_from_source(case[1])))
+        for case in corpus[0] + corpus[1]
+    ]
+    for path in sorted(fixtures_dir.rglob("*.[pRm]*")):
+        syntax = detect_language(str(path), None)
+        comments = extract_comments(path.read_text(encoding="utf-8"), syntax, file=str(path))
+        try:
+            annotations = tuple(parse_annotations(comments))
+        except YwxError:
+            continue
+        docs.append(AnnotationDocument(str(path), syntax.language_name, annotations))
+    assert len(docs) == len(corpus[0]) + len(corpus[1]) + 15
+    for doc in docs:
+        assert serialize_annotations(doc) == stdlib_json(document_payload(doc))
 
 
 # An independent recognizer: split the text at whole-token tags with one

@@ -345,8 +345,9 @@ class TestDeepNesting:
         ],
     )
     def test_exit_code_without_traceback(self, deep_inputs, argv):
-        proc = run_child(*(a.format(**deep_inputs) for a in argv))
-        assert proc.returncode in (0, 2)
+        # The model text grows with the square of the depth (712 MB here).
+        proc = run_child(*(a.format(**deep_inputs) for a in argv), "-o", os.devnull)
+        assert proc.returncode in ((0,) if argv[0] in ("extract", "model") else (0, 2))
         assert "Traceback" not in proc.stderr
         if proc.returncode == 2:
             assert proc.stderr.startswith("ywx: error:")
@@ -371,6 +372,53 @@ class TestDeepNesting:
             # A cluster for every level but the root and the innermost program.
             assert text.count("subgraph") == self.DEPTH - 2
             assert text.endswith("}\n")
+
+
+class TestDeepModelFile:
+    """A model file is written without recursion, as the stdlib encoder would."""
+
+    DEPTH = 600  # past the depth at which that encoder exceeds the recursion limit
+
+    def test_model_is_the_stdlib_text(self, tmp_path):
+        script = tmp_path / "deep.py"
+        lines = [f"# @begin b{i} @in x @out y" for i in range(self.DEPTH)]
+        lines += ["y = x", *(f"# @end b{i}" for i in reversed(range(self.DEPTH)))]
+        script.write_text("\n".join(lines) + "\n")
+        listing = tmp_path / "ann.json"
+        assert run_child("extract", str(script), "-o", str(listing)).returncode == 0
+        outputs = []
+        for source in (script, listing):
+            outputs.append(tmp_path / f"model-from-{source.suffix[1:]}.json")
+            proc = run_child("model", str(source), "-o", str(outputs[-1]))
+            assert proc.returncode == 0, proc.stderr
+        # The oracle recurses once per level, so it runs with a raised limit.
+        oracle = (
+            "import json, sys\n"
+            "sys.setrecursionlimit(20000)\n"
+            "from support import model_payload, stdlib_json\n"
+            "from ywx.annotations import parse_annotations\n"
+            "from ywx.comments import LANGUAGES, extract_comments\n"
+            "from ywx.model import build_model\n"
+            "script, *outputs = sys.argv[1:]\n"
+            "text = open(script, encoding='utf-8').read()\n"
+            "comments = extract_comments(text, LANGUAGES['python'], file=script)\n"
+            "model = build_model(parse_annotations(comments), 'deep', [script])\n"
+            "payload = model_payload(model)\n"
+            "expected = stdlib_json(payload)\n"
+            "for path in outputs:\n"
+            "    written = open(path, encoding='utf-8').read()\n"
+            "    assert written == expected, path\n"
+            "    assert json.loads(written) == payload, path\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), str(Path(__file__).parent), env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", oracle, str(script), *map(str, outputs)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestStagedPipelines:

@@ -1,17 +1,25 @@
 """Block-tree building, channel inference, and the model interchange format."""
 
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from support import (
+    SELF_FEEDING_SRC,
     annotations_from_source,
     channels_as_dict,
     model_from_source,
+    model_payload,
     oracle_channels,
     random_tree,
     script_from_tree,
+    stdlib_json,
 )
+from ywx.annotations import parse_annotations
+from ywx.comments import detect_language, extract_comments
 from ywx.errors import (
     AmbiguousWriter,
     DuplicateBlockName,
@@ -22,12 +30,17 @@ from ywx.errors import (
     PortOutsideBlock,
     UnbalancedEnd,
     UnclosedBlock,
+    YwxError,
 )
 from ywx.model import (
+    Block,
+    Channel,
     Direction,
     Endpoint,
     ModelIndex,
+    Port,
     Role,
+    WorkflowModel,
     build_blocks,
     build_model,
     infer_channels,
@@ -604,3 +617,65 @@ class TestInterchange:
         out_port["role"] = "parameter"
         with pytest.raises(MalformedModel):
             parse_model(json.dumps(payload))
+
+
+# Any text: non-ASCII, control characters, quotes, backslashes, U+2028.
+TEXT = st.text(st.characters() | st.sampled_from('"\\\x00\x1f\x7f\u2028\u00e9\U0001F600'), max_size=8)
+# A line or span end may be any int, a bool included: an annotation listing's
+# "line": true loads as one.
+INTS = st.integers(-(10**12), 10**12) | st.booleans()
+_PORTS = st.builds(
+    Port, TEXT, st.sampled_from(Direction), st.sampled_from(Role), TEXT, INTS,
+    st.none() | TEXT,
+)
+_ENDS = st.builds(Endpoint, TEXT, st.sampled_from(Direction))
+_CHANNELS = st.builds(
+    Channel, TEXT, TEXT, st.sampled_from(Role), _ENDS, st.lists(_ENDS, max_size=3).map(tuple)
+)
+
+
+@st.composite
+def _blocks(draw, depth=0):
+    children = () if depth == 2 else tuple(draw(st.lists(_blocks(depth + 1), max_size=3)))
+    return Block(
+        draw(TEXT),
+        draw(TEXT),
+        draw(st.none() | TEXT),
+        tuple(draw(st.lists(_PORTS, max_size=3))),
+        children,
+        (draw(INTS), draw(INTS)),
+        draw(TEXT),
+    )
+
+
+_MODELS = st.builds(
+    WorkflowModel,
+    _blocks(),
+    st.lists(_CHANNELS, max_size=4).map(tuple),
+    st.lists(TEXT, max_size=3).map(tuple),
+)
+
+
+class TestWriter:
+    """A model file holds exactly the stdlib encoder's ``indent=2`` text."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_MODELS)
+    def test_generated_models(self, model):
+        assert serialize_model(model) == stdlib_json(model_payload(model))
+
+    def test_corpus_and_fixture_models(self, corpus_models, fixtures_dir):
+        models = [*corpus_models, model_from_source(SELF_FEEDING_SRC)]
+        for path in sorted(fixtures_dir.rglob("*.[pRm]*")):
+            if path.suffix == ".json":
+                continue
+            syntax = detect_language(str(path), None)
+            text = path.read_text(encoding="utf-8")
+            try:
+                anns = parse_annotations(extract_comments(text, syntax, file=str(path)))
+                models.append(build_model(anns, root_name=Path(path).stem))
+            except YwxError:
+                continue
+        assert len(models) > len(corpus_models) + 3
+        for model in models:
+            assert serialize_model(model) == stdlib_json(model_payload(model))

@@ -215,6 +215,27 @@ class TestRecovery:
             "script.py:3 share the qualified name 'W.A.B'"
         ]
 
+    def test_dotted_name_collision_under_an_implicit_root(self):
+        # Two top-level blocks: the root is named after the file.
+        diags = validate_text(
+            "# @begin A\n# @begin B\n# @end B\n# @end A\n# @begin A.B\n# @end A.B\n"
+        )
+        assert [d.render() for d in diags] == [
+            "script.py:5: error YW007 block 'A.B' and the block declared at "
+            "script.py:2 share the qualified name 'script.A.B'"
+        ]
+
+    def test_dotted_name_collision_before_a_second_top_level_block(self):
+        # The collision sits in W, but the later V makes the root implicit.
+        diags = validate_text(
+            "# @begin W\n# @begin A\n# @begin B\n# @end B\n# @end A\n"
+            "# @begin A.B\n# @end A.B\n# @end W\n# @begin V\n# @end V\n"
+        )
+        assert [d.render() for d in diags] == [
+            "script.py:6: error YW007 block 'A.B' and the block declared at "
+            "script.py:3 share the qualified name 'script.W.A.B'"
+        ]
+
     def test_in_and_out_with_one_name_is_fine(self):
         diags = validate_text(
             "# @begin W @in state @out state\nstate = step(state)\n# @end W\n"
