@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _json_str
+from operator import attrgetter
 from typing import Iterable, Iterator
 
+from ._record import record
 from .comments import SourceComment
 from .errors import (
     AnnotationError,
@@ -34,13 +35,17 @@ class Tag(Enum):
     OUT = "out"
     PARAM = "param"
 
+    # Members are singletons, so equality is identity; hashing by identity
+    # spares the Python-level ``Enum.__hash__`` on every table lookup.
+    __hash__ = object.__hash__
+
 
 IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*\Z")
 
 _TAG_WORDS = {"@" + tag.value: tag for tag in Tag}
 
 
-@dataclass(frozen=True)
+@record
 class Annotation:
     """One recognized ``@tag value`` occurrence with its location."""
 
@@ -51,58 +56,65 @@ class Annotation:
     line: int
 
 
-def _scan_tokens(
-    comment: SourceComment, problems: list[AnnotationError] | None
+def _tags(
+    comments: Iterable[tuple[str, str, int]], problems: list[AnnotationError] | None
 ) -> list[Annotation]:
-    text = comment.text
-    if "@" not in text:
-        return []
+    """The annotations in comments given as ``(text, file, line)``, in order.
+
+    The one tag walk. With ``problems`` None an unreadable tag raises;
+    otherwise it is recorded there and the walk resumes at the next token.
+    """
     found: list[Annotation] = []
-    tokens = text.split()
-    n = len(tokens)
-    i = 0
-    while i < n:
-        # Only a token that starts with "@" is looked up as a tag.
-        token = tokens[i]
-        tag = _TAG_WORDS.get(token.lower()) if token[0] == "@" else None
-        i += 1
-        if tag is None:
+    for text, file, line in comments:
+        if "@" not in text:
             continue
-        # The tag's value and description are the tokens up to the next tag.
-        stop = i
-        while stop < n and not (
-            tokens[stop][0] == "@" and tokens[stop].lower() in _TAG_WORDS
-        ):
-            stop += 1
-        j, i = i, stop
-        if tag is Tag.END:
-            value = ""
-            if j < stop and IDENTIFIER_RE.match(tokens[j]):
+        tokens = text.split()
+        n = len(tokens)
+        i = 0
+        while i < n:
+            # Only a token that starts with "@" is looked up as a tag.
+            token = tokens[i]
+            tag = _TAG_WORDS.get(token.lower()) if token[0] == "@" else None
+            i += 1
+            if tag is None:
+                continue
+            # The tag's value and description are the tokens up to the next tag.
+            stop = i
+            while stop < n and not (
+                tokens[stop][0] == "@" and tokens[stop].lower() in _TAG_WORDS
+            ):
+                stop += 1
+            j, i = i, stop
+            if tag is Tag.END:
+                value = ""
+                if j < stop and IDENTIFIER_RE.match(tokens[j]):
+                    value = tokens[j]
+                    j += 1
+            elif j < stop and IDENTIFIER_RE.match(tokens[j]):
                 value = tokens[j]
                 j += 1
-        elif j < stop and IDENTIFIER_RE.match(tokens[j]):
-            value = tokens[j]
-            j += 1
-        else:
-            if j < stop:
-                error: AnnotationError = InvalidValue(
-                    f"@{tag.value} value {tokens[j]!r} is not a valid name",
-                    file=comment.file,
-                    line=comment.start_line,
-                )
             else:
-                error = MissingValue(
-                    f"@{tag.value} requires a value",
-                    file=comment.file,
-                    line=comment.start_line,
-                )
-            if problems is None:
-                raise error
-            problems.append(error)
-            continue
-        description = " ".join(tokens[j:stop]) or None
-        found.append(Annotation(tag, value, description, comment.file, comment.start_line))
+                if j < stop:
+                    error: AnnotationError = InvalidValue(
+                        f"@{tag.value} value {tokens[j]!r} is not a valid name",
+                        file=file,
+                        line=line,
+                    )
+                else:
+                    error = MissingValue(
+                        f"@{tag.value} requires a value", file=file, line=line
+                    )
+                if problems is None:
+                    raise error
+                problems.append(error)
+                continue
+            description = " ".join(tokens[j:stop]) or None
+            found.append(Annotation(tag, value, description, file, line))
     return found
+
+
+# What the tag walk reads of a SourceComment.
+_TEXT = attrgetter("text", "file", "start_line")
 
 
 def parse_annotations(comments: Iterable[SourceComment]) -> list[Annotation]:
@@ -113,10 +125,7 @@ def parse_annotations(comments: Iterable[SourceComment]) -> list[Annotation]:
     recognized tag becomes the annotation's description. Comments without
     recognized tags contribute nothing.
     """
-    found: list[Annotation] = []
-    for comment in comments:
-        found.extend(_scan_tokens(comment, None))
-    return found
+    return _tags(map(_TEXT, comments), None)
 
 
 def parse_annotations_lenient(
@@ -127,14 +136,11 @@ def parse_annotations_lenient(
     An unreadable tag is skipped and scanning resumes at the next token, so
     one bad annotation does not hide the rest of the comment.
     """
-    found: list[Annotation] = []
     problems: list[AnnotationError] = []
-    for comment in comments:
-        found.extend(_scan_tokens(comment, problems))
-    return found, problems
+    return _tags(map(_TEXT, comments), problems), problems
 
 
-@dataclass(frozen=True)
+@record
 class AnnotationDocument:
     """An annotation stream for one source file, ready for interchange."""
 
@@ -260,6 +266,10 @@ def _require(condition: bool, message: str, line: int | None = None) -> None:
         raise MalformedRecord(message, line=line)
 
 
+def _bad_record(index: int, problem: str, line: int | None = None) -> MalformedRecord:
+    return MalformedRecord(f"annotation record {index}: {problem}", line=line)
+
+
 def parse_annotation_file(text: str) -> AnnotationDocument:
     """Parse the JSON interchange form back into an annotation document."""
     return _document_from_json(text, _decode_json(text, MalformedRecord))
@@ -279,38 +289,27 @@ def _document_from_json(text: str, payload: object) -> AnnotationDocument:
     _require(isinstance(records, list), "'annotations' must be a list")
 
     annotations: list[Annotation] = []
-    for index, record in enumerate(records):
-        where = f"annotation record {index}"
-        _require(isinstance(record, dict), f"{where}: must be an object")
-        line = record.get("line")
-        _require(isinstance(line, int) and line >= 1, f"{where}: 'line' must be a positive int")
-        tag_name = record.get("tag")
-        _require(isinstance(tag_name, str), f"{where}: 'tag' must be a string", line)
-        try:
-            tag = Tag(tag_name.lower())
-        except ValueError:
-            raise MalformedRecord(f"{where}: unknown tag {tag_name!r}", line=line) from None
-        value = record.get("value")
-        _require(isinstance(value, str), f"{where}: 'value' must be a string", line)
-        if tag is Tag.END:
-            _require(
-                value == "" or bool(IDENTIFIER_RE.match(value)),
-                f"{where}: bad end value {value!r}",
-                line,
-            )
-        else:
-            _require(
-                bool(IDENTIFIER_RE.match(value)),
-                f"{where}: bad value {value!r} for @{tag.value}",
-                line,
-            )
-        description = record.get("description")
-        _require(
-            description is None or isinstance(description, str),
-            f"{where}: 'description' must be a string or null",
-            line,
-        )
-        if description == "":
-            description = None
-        annotations.append(Annotation(tag, value, description, file, line))
+    for index, raw in enumerate(records):
+        if raw.__class__ is not dict:
+            raise _bad_record(index, "must be an object")
+        line = raw.get("line")
+        if not (line.__class__ is int and line >= 1):  # a bool is an int, not a line
+            raise _bad_record(index, "'line' must be a positive int")
+        tag_name = raw.get("tag")
+        if tag_name.__class__ is not str:
+            raise _bad_record(index, "'tag' must be a string", line)
+        tag = _TAG_WORDS.get("@" + tag_name.lower())
+        if tag is None:
+            raise _bad_record(index, f"unknown tag {tag_name!r}", line)
+        value = raw.get("value")
+        if value.__class__ is not str:
+            raise _bad_record(index, "'value' must be a string", line)
+        if not (IDENTIFIER_RE.match(value) or (tag is Tag.END and value == "")):
+            bad = "end value" if tag is Tag.END else "value"
+            suffix = "" if tag is Tag.END else f" for @{tag.value}"
+            raise _bad_record(index, f"bad {bad} {value!r}{suffix}", line)
+        description = raw.get("description")
+        if description is not None and description.__class__ is not str:
+            raise _bad_record(index, "'description' must be a string or null", line)
+        annotations.append(Annotation(tag, value, description or None, file, line))
     return AnnotationDocument(file, language, tuple(annotations))

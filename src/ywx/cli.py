@@ -24,9 +24,9 @@ from .annotations import (
     AnnotationDocument,
     _document_chunks,
     _document_from_json,
-    parse_annotations,
+    _tags,
 )
-from .comments import detect_language, extract_comments
+from .comments import _comment_lines, detect_language
 from .errors import FormatMismatch, UsageError, YwxError
 from .model import (
     WorkflowModel,
@@ -139,9 +139,11 @@ def _is_intermediate(path: str) -> bool:
 
 
 def _read_script(path: str, language: str | None) -> list[Annotation]:
+    """``parse_annotations(extract_comments(...))`` of a script, with no
+    comment records built between the text and its annotations."""
     syntax = detect_language(path, language)
     text = Path(path).read_text(encoding="utf-8")
-    return parse_annotations(extract_comments(text, syntax, file=path))
+    return _tags(_comment_lines(text, syntax, path), None)
 
 
 def _load_intermediate(path: str) -> AnnotationDocument | WorkflowModel:
@@ -222,10 +224,9 @@ def _cmd_extract(args: argparse.Namespace) -> int:
             "extract starts from a script, not an intermediate file",
             file=args.input,
         )
-    syntax = detect_language(args.input, args.language)
-    text = Path(args.input).read_text(encoding="utf-8")
-    annotations = parse_annotations(extract_comments(text, syntax, file=args.input))
-    doc = AnnotationDocument(args.input, syntax.language_name, tuple(annotations))
+    annotations = _read_script(args.input, args.language)
+    language = detect_language(args.input, args.language).language_name
+    doc = AnnotationDocument(args.input, language, tuple(annotations))
     _write(_document_chunks(doc), args.output)
     return 0
 

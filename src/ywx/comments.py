@@ -18,11 +18,13 @@ once per CommentSyntax, on first use.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
+from ._record import record
 from .errors import UnknownLanguage, UnterminatedBlockComment
 
 
@@ -83,7 +85,7 @@ def detect_language(path: str | Path, override: str | None = None) -> CommentSyn
     return LANGUAGES[lang]
 
 
-@dataclass(frozen=True)
+@record
 class SourceComment:
     """One comment's text with its location; markers already stripped."""
 
@@ -93,7 +95,7 @@ class SourceComment:
     end_line: int
 
 
-@dataclass(frozen=True)
+@record
 class CommentSpan:
     """Raw character span of one comment within the source string.
 
@@ -141,6 +143,10 @@ class _Scanner:
             self.string_body[quote] = re.compile(rf"{plain}(?:\\[^\n]{plain})*")
 
 
+# A comment as the scan finds it: the fields of a CommentSpan, in order.
+_Span = tuple[str, int, int, int, int, int, int]
+
+
 def scan_comment_spans(
     source: str, syntax: CommentSyntax, file: str = "<source>"
 ) -> list[CommentSpan]:
@@ -152,8 +158,13 @@ def scan_comment_spans(
     ``%``) wins. Each step jumps to the next token with a compiled pattern,
     and line numbers are counted between jumps.
     """
+    return [CommentSpan(*span) for span in _scan(source, syntax, file)]
+
+
+def _scan(source: str, syntax: CommentSyntax, file: str) -> list[_Span]:
+    """The one comment scan, see ``scan_comment_spans``; plain tuples, not records."""
     scanner = syntax._scanner
-    spans: list[CommentSpan] = []
+    spans: list[_Span] = []
     n = len(source)
     line = 1  # the line number at ``counted``
     counted = 0
@@ -176,7 +187,7 @@ def scan_comment_spans(
             eol = source.find("\n", start)
             if eol < 0:
                 eol = n
-            spans.append(CommentSpan("line", start, eol, token.end(), eol, line, line))
+            spans.append(("line", start, eol, token.end(), eol, line, line))
             i = eol
             continue
         close_at = source.find(arg, token.end())
@@ -188,30 +199,44 @@ def scan_comment_spans(
             )
         end = close_at + len(arg)
         end_line = line + source.count("\n", token.end(), close_at)
-        spans.append(
-            CommentSpan("block", start, end, token.end(), close_at, line, end_line)
-        )
+        spans.append(("block", start, end, token.end(), close_at, line, end_line))
         line = end_line + source.count("\n", close_at, end)
         counted = i = end
+
+
+def _comment_lines(
+    source: str, syntax: CommentSyntax, file: str
+) -> Iterator[tuple[str, str, int]]:
+    """``extract_comments`` without the records: each comment's ``(text, file, line)``.
+
+    The whole source is scanned before the first line is given, so an
+    unterminated block comment raises before any comment is read.
+    """
+    return _lines(source, _scan(source, syntax, file), file)
+
+
+def _lines(source: str, spans: Iterable[_Span], file: str) -> Iterator[tuple[str, str, int]]:
+    """The non-blank lines of the comments at ``spans``, stripped, in order."""
+    for kind, _, _, inner_start, inner_end, line, _ in spans:
+        if kind == "line":
+            text = source[inner_start:inner_end].strip()
+            if text:
+                yield text, file, line
+        else:
+            for offset, piece in enumerate(source[inner_start:inner_end].split("\n")):
+                text = piece.strip()
+                if text:
+                    yield text, file, line + offset
+
+
+_SPAN_FIELDS = attrgetter(*(f.name for f in fields(CommentSpan)))
 
 
 def _comments_in(
     source: str, spans: list[CommentSpan], file: str
 ) -> list[SourceComment]:
-    comments: list[SourceComment] = []
-    for span in spans:
-        inner = source[span.inner_start : span.inner_end]
-        if span.kind == "line":
-            text = inner.strip()
-            if text:
-                comments.append(SourceComment(text, file, span.start_line, span.start_line))
-        else:
-            for offset, piece in enumerate(inner.split("\n")):
-                text = piece.strip()
-                if text:
-                    lineno = span.start_line + offset
-                    comments.append(SourceComment(text, file, lineno, lineno))
-    return comments
+    lines = _lines(source, map(_SPAN_FIELDS, spans), file)
+    return [SourceComment(text, file, line, line) for text, _, line in lines]
 
 
 def _blanked(source: str, spans: list[CommentSpan]) -> str:
@@ -235,7 +260,8 @@ def extract_comments(
     annotations written inside block comments keep distinct line numbers.
     Blank comments are dropped.
     """
-    return _comments_in(source, scan_comment_spans(source, syntax, file=file), file)
+    lines = _comment_lines(source, syntax, file)
+    return [SourceComment(text, file, line, line) for text, _, line in lines]
 
 
 def strip_comments(source: str, syntax: CommentSyntax, file: str = "<source>") -> str:

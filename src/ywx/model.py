@@ -11,12 +11,12 @@ so channel inference never looks across more than one boundary at a time.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
 
+from ._record import record
 from .annotations import (
     IDENTIFIER_RE,
     Annotation,
@@ -47,13 +47,17 @@ class Direction(Enum):
     IN = "in"
     OUT = "out"
 
+    __hash__ = object.__hash__  # identity, as for annotations.Tag
+
 
 class Role(Enum):
     DATA = "data"
     PARAMETER = "parameter"
 
+    __hash__ = object.__hash__  # identity, as for annotations.Tag
 
-@dataclass(frozen=True)
+
+@record
 class Port:
     """A named input or output declared on a block."""
 
@@ -65,7 +69,7 @@ class Port:
     description: str | None = None
 
 
-@dataclass(frozen=True)
+@record
 class Block:
     """A program or workflow; a block with children is a workflow."""
 
@@ -82,7 +86,7 @@ class Block:
         return bool(self.children)
 
 
-@dataclass(frozen=True)
+@record
 class Endpoint:
     """One end of a channel: a block plus the direction of its port there."""
 
@@ -90,7 +94,7 @@ class Endpoint:
     direction: Direction
 
 
-@dataclass(frozen=True)
+@record
 class Channel:
     """A single-writer dataflow connection within one workflow scope."""
 
@@ -101,7 +105,7 @@ class Channel:
     sinks: tuple[Endpoint, ...]
 
 
-@dataclass(frozen=True)
+@record
 class WorkflowModel:
     root: Block
     channels: tuple[Channel, ...]
@@ -256,26 +260,31 @@ def sanitize_name(raw: str) -> str:
 
 # -- building the block tree ------------------------------------------------
 
-@dataclass
-class _OpenBlock:
-    name: str
-    path: str  # dotted names from the top level down
-    file: str
-    line: int
-    description: str | None
-    ports: list[Port] = field(default_factory=list)
-    port_keys: set[tuple[str, Direction]] = field(default_factory=set)
-    children: list["_Closed"] = field(default_factory=list)
+class _Skeleton:
+    """A block while its stream is bracketed: open until ``end`` is set."""
 
+    __slots__ = (
+        "name", "path", "file", "line", "description", "ports", "port_keys", "children", "end"
+    )
 
-@dataclass
-class _Closed:
-    name: str
-    file: str
-    description: str | None
-    ports: list[Port]
-    children: list["_Closed"]
-    span: tuple[int, int]
+    def __init__(
+        self,
+        name: str,
+        path: str,  # dotted names from the top level down
+        file: str,
+        line: int,
+        description: str | None,
+        children: list[_Skeleton] | None = None,
+    ) -> None:
+        self.name = name
+        self.path = path
+        self.file = file
+        self.line = line
+        self.description = description
+        self.ports: list[Port] = []
+        self.port_keys: set[tuple[str, Direction]] = set()
+        self.children: list[_Skeleton] = [] if children is None else children
+        self.end = 0
 
 
 _PORT_TAGS = {
@@ -302,9 +311,9 @@ def _bracket(
     message names it below a root named after the stream's first file.
     """
     problems: list[ModelError] = []
-    stack: list[_OpenBlock] = []
-    top_level: list[_Closed] = []
-    paths: dict[str, tuple[_OpenBlock | None, Annotation]] = {}  # first declarations
+    stack: list[_Skeleton] = []
+    top_level: list[_Skeleton] = []
+    paths: dict[str, tuple[_Skeleton | None, Annotation]] = {}  # first declarations
     # Dotted-name collisions, as (problem index, path, first declaration,
     # annotation): their qualified name waits for the root.
     collisions: list[tuple[int, str, Annotation, Annotation]] = []
@@ -322,7 +331,8 @@ def _bracket(
     for ann in annotations:
         if stack and ann.file != stack[-1].file:
             close_open_blocks()
-        max_line = max(max_line, ann.line)
+        if ann.line > max_line:
+            max_line = ann.line
         if ann.tag is Tag.BEGIN:
             owner = stack[-1] if stack else None
             path = f"{owner.path}.{ann.value}" if owner else ann.value
@@ -339,7 +349,7 @@ def _bracket(
                 # A name may hold dots: A's child B and a sibling A.B collide.
                 collisions.append((len(problems), path, first[1], ann))
                 problems.append(DuplicateBlockName("", file=ann.file, line=ann.line))
-            stack.append(_OpenBlock(ann.value, path, ann.file, ann.line, ann.description))
+            stack.append(_Skeleton(ann.value, path, ann.file, ann.line, ann.description))
         elif ann.tag is Tag.END:
             if not stack:
                 problems.append(UnbalancedEnd(
@@ -352,15 +362,8 @@ def _bracket(
                     file=ann.file,
                     line=ann.line,
                 ))
-            open_block = stack.pop()
-            closed = _Closed(
-                open_block.name,
-                open_block.file,
-                open_block.description,
-                open_block.ports,
-                open_block.children,
-                (open_block.line, ann.line),
-            )
+            closed = stack.pop()
+            closed.end = ann.line
             (stack[-1].children if stack else top_level).append(closed)
         else:
             if not stack:
@@ -391,7 +394,8 @@ def _bracket(
         root_skeleton, prefix = top_level[0], ""
     else:
         name = sanitize_name(root_name or Path(first_file).stem)
-        root_skeleton = _Closed(name, first_file, None, [], top_level, (0, max_line + 1))
+        root_skeleton = _Skeleton(name, "", first_file, 0, None, top_level)
+        root_skeleton.end = max_line + 1
         # Named after the stream's first file whatever ``root_name`` is, so
         # that the problems of a stream do not depend on who names its root.
         prefix = f"{sanitize_name(Path(first_file).stem)}."
@@ -458,21 +462,21 @@ def _fold_tree(
         stack[-1][3].append(block)
 
 
-def _freeze(top: _Closed) -> Block:
+def _freeze(top: _Skeleton) -> Block:
     """Turn a closed skeleton into a frozen Block, qualifying names on the way."""
 
-    def enter(skeleton: _Closed, prefix: str) -> tuple[str, _Closed, list[_Closed]]:
+    def enter(skeleton: _Skeleton, prefix: str) -> tuple[str, _Skeleton, list[_Skeleton]]:
         qualified = f"{prefix}.{skeleton.name}" if prefix else skeleton.name
         return qualified, skeleton, skeleton.children
 
-    def leave(qualified: str, skeleton: _Closed, children: list[Block]) -> Block:
+    def leave(qualified: str, skeleton: _Skeleton, children: list[Block]) -> Block:
         return Block(
             skeleton.name,
             qualified,
             skeleton.description,
             tuple(skeleton.ports),
             tuple(children),
-            skeleton.span,
+            (skeleton.line, skeleton.end),
             skeleton.file,
         )
 
@@ -684,27 +688,30 @@ _DIRECTIONS = {d.value: d for d in Direction}
 _ROLES = {r.value: r for r in Role}
 
 
+# A decoded JSON value is of exactly one of the JSON types, so its class is
+# tested with ``is``: that is cheaper than ``isinstance``, and it tells a bool,
+# which ``isinstance`` takes for an int, from a line number.
 def _parse_port(raw: object, owner: str) -> Port:
-    if not isinstance(raw, dict):
+    if raw.__class__ is not dict:
         raise _fail(f"port of {owner!r} must be an object")
     name = raw.get("name")
-    if not (isinstance(name, str) and IDENTIFIER_RE.match(name)):
+    if not (name.__class__ is str and IDENTIFIER_RE.match(name)):
         raise _fail(f"bad port name {name!r} on {owner!r}")
     direction = raw.get("direction")
     role = raw.get("role")
     # Only strings are looked up: a list or dict value is unhashable.
-    direction = _DIRECTIONS.get(direction) if isinstance(direction, str) else None
-    role = _ROLES.get(role) if isinstance(role, str) else None
+    direction = _DIRECTIONS.get(direction) if direction.__class__ is str else None
+    role = _ROLES.get(role) if role.__class__ is str else None
     if direction is None or role is None:
         raise _fail(f"bad port direction/role on {owner!r}")
     line = raw.get("line")
-    if not isinstance(line, int):
+    if line.__class__ is not int:
         raise _fail(f"port {name!r} on {owner!r} needs an integer line")
     description = raw.get("description")
-    if description is not None and not isinstance(description, str):
+    if description is not None and description.__class__ is not str:
         raise _fail(f"port {name!r} on {owner!r} has a non-string description")
     file = raw.get("file")
-    if not isinstance(file, str):
+    if file.__class__ is not str:
         file = "<model>"
     if direction is Direction.OUT and role is Role.PARAMETER:
         raise _fail(f"port {name!r} on {owner!r} cannot be an out parameter")
@@ -716,38 +723,39 @@ _BlockHead = tuple[str, "str | None", tuple[Port, ...], tuple[int, int], str]
 
 def _enter_block(raw: object, prefix: str) -> tuple[str, _BlockHead, list]:
     """Check one serialized block, all but its children; see ``_fold_tree``."""
-    if not isinstance(raw, dict):
+    if raw.__class__ is not dict:
         raise _fail("block must be an object")
     name = raw.get("name")
-    if not (isinstance(name, str) and IDENTIFIER_RE.match(name)):
+    if not (name.__class__ is str and IDENTIFIER_RE.match(name)):
         raise _fail(f"bad block name {name!r}")
     qualified = raw.get("qualified_name")
     expected = f"{prefix}.{name}" if prefix else name
     if qualified != expected:
         raise _fail(f"qualified name {qualified!r} should be {expected!r}")
     description = raw.get("description")
-    if description is not None and not isinstance(description, str):
+    if description is not None and description.__class__ is not str:
         raise _fail(f"block {name!r} has a non-string description")
     span = raw.get("span")
     if not (
-        isinstance(span, list)
+        span.__class__ is list
         and len(span) == 2
-        and all(isinstance(v, int) for v in span)
+        and span[0].__class__ is int
+        and span[1].__class__ is int
     ):
         raise _fail(f"block {name!r} needs a [begin, end] span")
     file = raw.get("file")
-    if not isinstance(file, str):
+    if file.__class__ is not str:
         file = "<model>"
     raw_ports = raw.get("ports")
-    if not isinstance(raw_ports, list):
+    if raw_ports.__class__ is not list:
         raise _fail(f"block {name!r} needs a port list")
-    ports = tuple(_parse_port(p, expected) for p in raw_ports)
-    if len({(p.name, p.direction) for p in ports}) != len(ports):
+    ports = tuple([_parse_port(p, expected) for p in raw_ports])
+    if len(ports) > 1 and len({(p.name, p.direction) for p in ports}) != len(ports):
         raise _fail(f"block {expected!r} declares a duplicate port")
     raw_children = raw.get("children")
-    if not isinstance(raw_children, list):
+    if raw_children.__class__ is not list:
         raise _fail(f"block {name!r} needs a child list")
-    return expected, (name, description, ports, (span[0], span[1]), file), raw_children
+    return expected, (name, description, ports, tuple(span), file), raw_children
 
 
 def parse_model(text: str) -> WorkflowModel:
@@ -799,15 +807,36 @@ def _model_from_json(text: str, payload: object) -> WorkflowModel:
     except AmbiguousWriter as exc:
         raise _fail(f"block tree is ambiguous: {exc}") from exc
     # The file's records must be exactly those a model file is written with.
-    if raw_channels != [
-        {
-            "data": ch.data,
-            "scope": ch.scope,
-            "role": ch.role.value,
-            "source": {"block": ch.source.block, "port_direction": ch.source.direction.value},
-            "sinks": [{"block": e.block, "port_direction": e.direction.value} for e in ch.sinks],
-        }
-        for ch in channels
-    ]:
+    if len(raw_channels) != len(channels) or not all(
+        map(_same_channel, raw_channels, channels)
+    ):
         raise _fail("'channels' differs from the channels inferred from 'root'")
     return WorkflowModel(root, channels, tuple(raw_files))
+
+
+def _same_channel(raw: object, ch: Channel) -> bool:
+    """Whether ``raw`` equals the record a model file is written with for ``ch``."""
+    if not (
+        raw.__class__ is dict
+        and len(raw) == 5
+        and raw.get("data") == ch.data
+        and raw.get("scope") == ch.scope
+        and raw.get("role") == ch.role._value_
+        and _same_end(raw.get("source"), ch.source)
+    ):
+        return False
+    sinks = raw.get("sinks")
+    return (
+        sinks.__class__ is list
+        and len(sinks) == len(ch.sinks)
+        and all(map(_same_end, sinks, ch.sinks))
+    )
+
+
+def _same_end(raw: object, end: Endpoint) -> bool:
+    return (
+        raw.__class__ is dict
+        and len(raw) == 2
+        and raw.get("block") == end.block
+        and raw.get("port_direction") == end.direction._value_
+    )

@@ -268,6 +268,37 @@ class TestIntermediateLoad:
         root = payload["root"]["qualified_name"]
         assert err == f"ywx: error: bad port direction/role on {root!r}\n"
 
+    @staticmethod
+    def bool_line_in_listing(doc, model_file):
+        payload = json.loads(doc.read_text())
+        payload["annotations"][0]["line"] = True
+        doc.write_text(json.dumps(payload))
+        return doc, "annotation record 0: 'line' must be a positive int"
+
+    @staticmethod
+    def bool_port_line(doc, model_file):
+        payload = json.loads(model_file.read_text())
+        port = payload["root"]["ports"][0]
+        port["line"] = True
+        model_file.write_text(json.dumps(payload))
+        root = payload["root"]["qualified_name"]
+        return model_file, f"port {port['name']!r} on {root!r} needs an integer line"
+
+    @staticmethod
+    def bool_block_span(doc, model_file):
+        payload = json.loads(model_file.read_text())
+        block = payload["root"]["children"][0]
+        block["span"] = [False, block["span"][1]]
+        model_file.write_text(json.dumps(payload))
+        return model_file, f"block {block['name']!r} needs a [begin, end] span"
+
+    @pytest.mark.parametrize("edit", ["bool_line_in_listing", "bool_port_line", "bool_block_span"])
+    @pytest.mark.parametrize("command", [["graph", "--nested"], ["query", "blocks"]])
+    def test_bool_is_not_a_line_number(self, tmp_path, capsys, edit, command):
+        path, message = getattr(self, edit)(*self.intermediates(tmp_path))
+        code, err = run_err(capsys, *command, str(path), "-o", str(tmp_path / "out.txt"))
+        assert (code, err) == (2, f"ywx: error: {message}\n")
+
     def test_lone_surrogate_in_model_is_malformed_model(self, tmp_path):
         from ywx.cli import _load_intermediate
         from ywx.errors import MalformedModel
