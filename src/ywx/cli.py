@@ -26,7 +26,7 @@ from .annotations import (
     _document_from_json,
     _tags,
 )
-from .comments import _comment_lines, detect_language
+from .comments import _lines, _scan, detect_language
 from .errors import FormatMismatch, UsageError, YwxError
 from .model import (
     WorkflowModel,
@@ -143,7 +143,7 @@ def _read_script(path: str, language: str | None) -> list[Annotation]:
     comment records built between the text and its annotations."""
     syntax = detect_language(path, language)
     text = Path(path).read_text(encoding="utf-8")
-    return _tags(_comment_lines(text, syntax, path), None)
+    return _tags(_lines(text, _scan(text, syntax, path), path), None)
 
 
 def _load_intermediate(path: str) -> AnnotationDocument | WorkflowModel:

@@ -18,9 +18,8 @@ once per CommentSyntax, on first use.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -162,7 +161,12 @@ def scan_comment_spans(
 
 
 def _scan(source: str, syntax: CommentSyntax, file: str) -> list[_Span]:
-    """The one comment scan, see ``scan_comment_spans``; plain tuples, not records."""
+    """The one comment scan, see ``scan_comment_spans``; plain tuples, not records.
+
+    Every command reads a script through it, ``validate`` included: the
+    spans give the comment lines (``_lines``) and the blanked code
+    (``_blanked``), and the public functions here wrap it.
+    """
     scanner = syntax._scanner
     spans: list[_Span] = []
     n = len(source)
@@ -204,17 +208,6 @@ def _scan(source: str, syntax: CommentSyntax, file: str) -> list[_Span]:
         counted = i = end
 
 
-def _comment_lines(
-    source: str, syntax: CommentSyntax, file: str
-) -> Iterator[tuple[str, str, int]]:
-    """``extract_comments`` without the records: each comment's ``(text, file, line)``.
-
-    The whole source is scanned before the first line is given, so an
-    unterminated block comment raises before any comment is read.
-    """
-    return _lines(source, _scan(source, syntax, file), file)
-
-
 def _lines(source: str, spans: Iterable[_Span], file: str) -> Iterator[tuple[str, str, int]]:
     """The non-blank lines of the comments at ``spans``, stripped, in order."""
     for kind, _, _, inner_start, inner_end, line, _ in spans:
@@ -229,24 +222,15 @@ def _lines(source: str, spans: Iterable[_Span], file: str) -> Iterator[tuple[str
                     yield text, file, line + offset
 
 
-_SPAN_FIELDS = attrgetter(*(f.name for f in fields(CommentSpan)))
-
-
-def _comments_in(
-    source: str, spans: list[CommentSpan], file: str
-) -> list[SourceComment]:
-    lines = _lines(source, map(_SPAN_FIELDS, spans), file)
-    return [SourceComment(text, file, line, line) for text, _, line in lines]
-
-
-def _blanked(source: str, spans: list[CommentSpan]) -> str:
+def _blanked(source: str, spans: Iterable[_Span]) -> str:
+    """``source`` with the comments at ``spans`` blanked, line structure kept."""
     pieces: list[str] = []
     done = 0
-    for span in spans:
-        pieces.append(source[done : span.start])
-        body = source[span.start : span.end]
+    for _, start, end, _, _, _, _ in spans:
+        pieces.append(source[done:start])
+        body = source[start:end]
         pieces.append("\n".join(" " * len(part) for part in body.split("\n")))
-        done = span.end
+        done = end
     pieces.append(source[done:])
     return "".join(pieces)
 
@@ -260,15 +244,10 @@ def extract_comments(
     annotations written inside block comments keep distinct line numbers.
     Blank comments are dropped.
     """
-    lines = _comment_lines(source, syntax, file)
+    lines = _lines(source, _scan(source, syntax, file), file)
     return [SourceComment(text, file, line, line) for text, _, line in lines]
 
 
 def strip_comments(source: str, syntax: CommentSyntax, file: str = "<source>") -> str:
     """Blank out every comment, preserving line structure exactly."""
-    return _blanked(source, scan_comment_spans(source, syntax, file=file))
-
-
-def dump_comments(comments: Iterable[SourceComment]) -> str:
-    """Debug listing: one ``FILE:LINE:TEXT`` line per comment."""
-    return "\n".join(f"{c.file}:{c.start_line}:{c.text}" for c in comments)
+    return _blanked(source, _scan(source, syntax, file))

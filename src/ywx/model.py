@@ -307,8 +307,9 @@ def _bracket(
     block name is passed over. Blocks never span files: those still open
     when the file changes or the stream ends are reported innermost first,
     and closed. Two blocks may not share a dotted path from the top level,
-    which is their qualified name below the root; under an implicit root the
-    message names it below a root named after the stream's first file.
+    which is their qualified name below the root; the message names it below
+    the root this walk builds, which under an implicit root is ``root_name``
+    or the stream's first file's stem.
     """
     problems: list[ModelError] = []
     stack: list[_Skeleton] = []
@@ -396,9 +397,7 @@ def _bracket(
         name = sanitize_name(root_name or Path(first_file).stem)
         root_skeleton = _Skeleton(name, "", first_file, 0, None, top_level)
         root_skeleton.end = max_line + 1
-        # Named after the stream's first file whatever ``root_name`` is, so
-        # that the problems of a stream do not depend on who names its root.
-        prefix = f"{sanitize_name(Path(first_file).stem)}."
+        prefix = f"{name}."
     for index, path, first, ann in collisions:
         problems[index] = DuplicateBlockName(
             f"block {ann.value!r} and the block declared at {first.file}:"

@@ -342,21 +342,16 @@ class UnboundRef:
     port: Port
 
 
-def chain_defects(
-    model: WorkflowModel,
-    output_name: str,
-    graph: DependencyGraph | None = None,
-) -> tuple[UnboundRef, ...]:
+def chain_defects(model: WorkflowModel, output_name: str) -> tuple[UnboundRef, ...]:
     """Ports that break the dependency chain behind one root output.
 
-    Walks backwards from the output's data node. A chain is intact when every
-    backward path ends at a root input or at a block with no (or only bound)
-    inputs. Every unbound port or one-sided workflow boundary that a path runs
-    into is returned; an empty result means the chain is complete.
+    Walks backwards from the output's data node in the model's dependency
+    graph. A chain is intact when every backward path ends at a root input or
+    at a block with no (or only bound) inputs. Every unbound port or
+    one-sided workflow boundary that a path runs into is returned; an empty
+    result means the chain is complete.
     """
-    if graph is None:
-        graph = build_dependency_graph(model)
-    return _chain_defects(graph, output_name)
+    return _chain_defects(build_dependency_graph(model), output_name)
 
 
 def _chain_defects(graph: DependencyGraph, output_name: str) -> tuple[UnboundRef, ...]:

@@ -23,7 +23,7 @@ boundary itself or recurses, so a nest of any depth renders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import StyleError, UnknownFocus
@@ -418,16 +418,7 @@ _VIEW_RENDERERS = {
 
 
 def _with_view(options: RenderOptions | None, view: str) -> RenderOptions:
-    if options is None:
-        options = RenderOptions(view=view)
-    if options.view != view:
-        options = RenderOptions(
-            view,
-            options.rankdir,
-            options.focus,
-            options.nested,
-            options.de_emphasize_params,
-        )
+    options = replace(options or RenderOptions(), view=view)
     if options.rankdir not in RANKDIRS:
         raise ValueError(f"rankdir must be one of {RANKDIRS}, got {options.rankdir!r}")
     return options

@@ -37,15 +37,10 @@ from pathlib import Path
 from typing import Sequence
 
 from . import queries
-from .annotations import Annotation, parse_annotations_lenient
-from .comments import (
-    CommentSyntax,
-    _blanked,
-    _comments_in,
-    detect_language,
-    scan_comment_spans,
-)
+from .annotations import Annotation, _tags
+from .comments import CommentSyntax, _blanked, _lines, _scan, detect_language
 from .errors import (
+    AnnotationError,
     DuplicateBlockName,
     DuplicatePort,
     MismatchedEndName,
@@ -121,7 +116,9 @@ def _structure_diagnostic(problem: ModelError) -> Diagnostic:
     )
 
 
-def check_structure(annotations: Sequence[Annotation]) -> list[Diagnostic]:
+def check_structure(
+    annotations: Sequence[Annotation], root_name: str | None = None
+) -> list[Diagnostic]:
     """Report every bracketing problem of an annotation stream, in document order.
 
     The problems are those of the model builder's own walk, which recovers
@@ -129,8 +126,10 @@ def check_structure(annotations: Sequence[Annotation]) -> list[Diagnostic]:
     closes the open block, and so on. Blocks never span files. When this
     returns no diagnostics, building the block tree from the same stream
     cannot fail, and otherwise the build raises the first of them.
+    ``root_name`` names an implicit root, as in ``build_blocks``; a clash of
+    dotted block names is reported under that root's qualified name.
     """
-    problems, _ = _bracket(annotations)
+    problems, _ = _bracket(annotations, root_name)
     return [_structure_diagnostic(p) for p in problems]
 
 
@@ -271,24 +270,27 @@ def validate_sources(
     """Run every check over (path, text, syntax) triples, in document order.
 
     Several files are read as one workflow, but each file must bracket its
-    blocks completely: block stacks do not span files. The files' merged
-    annotation stream is bracketed once, which gives both the structural
-    diagnostics and the block tree the other checks run on.
+    blocks completely: block stacks do not span files. Each file is scanned
+    once, and its comment spans give both its annotations and the blanked
+    code YW010 searches. The files' merged annotation stream is bracketed
+    once, under an implicit root named after the first file as the model's
+    is, which gives both the structural diagnostics and the block tree the
+    other checks run on.
     """
     diagnostics: list[Diagnostic] = []
     merged: list[Annotation] = []
     stripped: dict[str, str] = {}
     for path, text, syntax in sources:
         try:
-            spans = scan_comment_spans(text, syntax, file=path)
+            spans = _scan(text, syntax, path)
         except UnterminatedBlockComment as exc:
             diagnostics.append(
                 Diagnostic(ERROR, "YW005", exc.message, path, exc.line or 1)
             )
-            comments, stripped[path] = [], text
-        else:
-            comments, stripped[path] = _comments_in(text, spans, path), _blanked(text, spans)
-        annotations, problems = parse_annotations_lenient(comments)
+            spans = []
+        problems: list[AnnotationError] = []
+        merged.extend(_tags(_lines(text, spans, path), problems))
+        stripped[path] = _blanked(text, spans)
         for problem in problems:
             diagnostics.append(
                 Diagnostic(
@@ -299,7 +301,6 @@ def validate_sources(
                     problem.line or 1,
                 )
             )
-        merged.extend(annotations)
 
     root_name = Path(sources[0][0]).stem if sources else None
     structure, tree = _bracket(merged, root_name)

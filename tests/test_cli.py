@@ -8,7 +8,12 @@ from pathlib import Path
 
 import pytest
 
+from ywx.annotations import parse_annotations
 from ywx.cli import run
+from ywx.comments import detect_language, extract_comments
+from ywx.errors import DuplicateBlockName
+from ywx.model import build_blocks
+from ywx.validate import check_structure
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).parent.parent / "src"
@@ -727,6 +732,52 @@ class TestDuplicateQualifiedNames:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("ywx: error:")
         assert "'W.A.B'" in proc.stderr
+
+
+class TestImplicitRootName:
+    """A dotted-name clash is named under the root the model would get:
+    the first input's stem, even when that input holds no annotations."""
+
+    @pytest.fixture
+    def scripts(self, tmp_path):
+        a = tmp_path / "a.py"
+        a.write_text("x = 1\n")
+        b = tmp_path / "b.py"
+        b.write_text(
+            "# @begin A\n"
+            "# @begin B\n"
+            "# @end B\n"
+            "# @end A\n"
+            "# @begin A.B\n"
+            "# @end A.B\n"
+        )
+        return str(a), str(b)
+
+    def test_validate_names_the_models_root(self, capsys, scripts):
+        code = run(["validate", *scripts])
+        out = capsys.readouterr().out
+        assert code == 1
+        [clash] = [line for line in out.splitlines() if " YW007 " in line]
+        assert "'a.A.B'" in clash
+
+    def test_model_names_the_same_root(self, capsys, scripts):
+        code, err = run_err(capsys, "model", *scripts)
+        assert code == 2
+        assert "'a.A.B'" in err
+
+    def test_check_structure_matches_the_build(self, scripts):
+        stream = [
+            ann
+            for path in scripts
+            for ann in parse_annotations(
+                extract_comments(Path(path).read_text(), detect_language(path), path)
+            )
+        ]
+        [diagnostic] = check_structure(stream, root_name="a")
+        with pytest.raises(DuplicateBlockName) as raised:
+            build_blocks(stream, root_name="a")
+        assert diagnostic.message == raised.value.message
+        assert "'a.A.B'" in diagnostic.message
 
 
 class TestValidateCommand:

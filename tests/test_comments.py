@@ -11,7 +11,6 @@ from ywx.comments import (
     LANGUAGES,
     CommentSyntax,
     detect_language,
-    dump_comments,
     extract_comments,
     scan_comment_spans,
     strip_comments,
@@ -131,11 +130,6 @@ class TestSyntaxValidation:
     def test_empty_marker_rejected(self):
         with pytest.raises(ValueError):
             CommentSyntax("bad", ("",))
-
-
-def test_dump_comments_format():
-    got = extract_comments("# one\n# two\n", PY, file="f.py")
-    assert dump_comments(got) == "f.py:1:one\nf.py:2:two"
 
 
 # Fragments chosen to exercise every scanner state transition.

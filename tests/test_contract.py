@@ -4,6 +4,9 @@ Everything behind these names may move between modules; the names
 themselves, and what ``from ywx import *`` yields, must not change silently.
 """
 
+import ast
+from pathlib import Path
+
 import ywx
 from ywx import cli
 
@@ -89,3 +92,45 @@ def test_query_names_are_pinned():
         "lineage",
         "invoking-blocks",
     )
+
+
+def _module_level_names(node: ast.stmt) -> list[str]:
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [
+        name.id for target in targets for name in ast.walk(target)
+        if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)
+    ]
+
+
+def test_every_private_helper_is_used():
+    """A module-level ``_name`` in the package is read somewhere in it.
+
+    A private helper that outlives its last caller is dead code; imports
+    do not count as uses, so re-exporting a helper does not keep it alive.
+    """
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(ywx.__file__).parent.glob("*.py"))
+    }
+    loaded: set[str] = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+    unused = [
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        for name in _module_level_names(node)
+        if name.startswith("_") and not name.startswith("__") and name not in loaded
+    ]
+    assert unused == []

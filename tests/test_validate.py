@@ -453,16 +453,16 @@ class TestPortNamesInCode:
         ]
 
     def test_one_scan_per_file(self, monkeypatch):
-        original = ywx.comments.scan_comment_spans
+        original = ywx.comments._scan
         scanned = []
 
-        def counting(source, syntax, file="<source>"):
+        def counting(source, syntax, file):
             scanned.append(file)
-            return original(source, syntax, file=file)
+            return original(source, syntax, file)
 
         for name, module in list(sys.modules.items()):
-            if name.startswith("ywx") and getattr(module, "scan_comment_spans", None) is original:
-                monkeypatch.setattr(module, "scan_comment_spans", counting)
+            if name.startswith("ywx") and getattr(module, "_scan", None) is original:
+                monkeypatch.setattr(module, "_scan", counting)
         a = "# @begin A @in x @out y\ny = f(x)  # first\n# @end A\n"
         b = "# @begin B @in y @out z\nz = g(y)\n# @end B\n"
         syntax = detect_language("any.py")
@@ -504,9 +504,9 @@ def test_structure_diagnostics_match_the_build(files):
         for path, text, _ in sources
         for ann in parse_annotations(extract_comments(text, syntax, file=path))
     ]
-    structure = check_structure(merged)
+    structure = check_structure(merged, root_name="f0")
     try:
-        build_blocks(merged)
+        build_blocks(merged, root_name="f0")
     except NoBlocks:
         assert structure == []
     except YwxError as exc:
