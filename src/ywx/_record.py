@@ -12,8 +12,10 @@ def record(cls: _T) -> _T:
     """Make ``cls`` a frozen, slotted dataclass with a cheap ``__init__``.
 
     Every command rebuilds its model from the scripts or a model file, and
-    one load of a 0.9k-line script builds about 4,300 records: comments,
-    annotations, ports, blocks, endpoints and channels. A frozen dataclass's
+    one load of a 0.9k-line script builds about 1,900 records: ports,
+    blocks, endpoints and channels. Its comments and annotations stay plain
+    tuples; only the public parsers and ``extract``'s listing make records
+    of them. A frozen dataclass's
     own ``__init__`` must store each field through ``object.__setattr__``,
     to get past the ``__setattr__`` that makes it frozen. This ``__init__``
     stores each field through its slot's descriptor instead, which that

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import re
 from enum import Enum
+from itertools import starmap
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import attrgetter
 from typing import Iterable, Iterator
@@ -56,15 +57,24 @@ class Annotation:
     line: int
 
 
+# An annotation as the tag walk yields it: the fields of an ``Annotation``.
+_Tagged = tuple[Tag, str, "str | None", str, int]
+
+# The same tuple read off an ``Annotation`` record.
+_FIELDS = attrgetter("tag", "value", "description", "file", "line")
+
+
 def _tags(
     comments: Iterable[tuple[str, str, int]], problems: list[AnnotationError] | None
-) -> list[Annotation]:
-    """The annotations in comments given as ``(text, file, line)``, in order.
+) -> list[_Tagged]:
+    """The annotations in comments given as ``(text, file, line)``, in order,
+    as ``(tag, value, description, file, line)`` tuples.
 
     The one tag walk. With ``problems`` None an unreadable tag raises;
     otherwise it is recorded there and the walk resumes at the next token.
+    ``Annotation(*item)`` makes an item's record, where one is needed.
     """
-    found: list[Annotation] = []
+    found: list[_Tagged] = []
     for text, file, line in comments:
         if "@" not in text:
             continue
@@ -109,7 +119,7 @@ def _tags(
                 problems.append(error)
                 continue
             description = " ".join(tokens[j:stop]) or None
-            found.append(Annotation(tag, value, description, file, line))
+            found.append((tag, value, description, file, line))
     return found
 
 
@@ -125,7 +135,7 @@ def parse_annotations(comments: Iterable[SourceComment]) -> list[Annotation]:
     recognized tag becomes the annotation's description. Comments without
     recognized tags contribute nothing.
     """
-    return _tags(map(_TEXT, comments), None)
+    return list(starmap(Annotation, _tags(map(_TEXT, comments), None)))
 
 
 def parse_annotations_lenient(
@@ -137,7 +147,8 @@ def parse_annotations_lenient(
     one bad annotation does not hide the rest of the comment.
     """
     problems: list[AnnotationError] = []
-    return _tags(map(_TEXT, comments), problems), problems
+    found = _tags(map(_TEXT, comments), problems)
+    return list(starmap(Annotation, found)), problems
 
 
 @record

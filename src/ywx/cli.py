@@ -13,9 +13,11 @@ input problems.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
+from itertools import starmap
 from pathlib import Path
 from typing import Iterable
 
@@ -24,12 +26,14 @@ from .annotations import (
     AnnotationDocument,
     _document_chunks,
     _document_from_json,
+    _Tagged,
     _tags,
 )
 from .comments import _lines, _scan, detect_language
-from .errors import FormatMismatch, UsageError, YwxError
+from .errors import FormatMismatch, UsageError, YwxError, _read_text
 from .model import (
     WorkflowModel,
+    _build_model,
     _model_chunks,
     _model_from_json,
     build_model,
@@ -138,11 +142,11 @@ def _is_intermediate(path: str) -> bool:
     return Path(path).suffix.lower() == ".json"
 
 
-def _read_script(path: str, language: str | None) -> list[Annotation]:
-    """``parse_annotations(extract_comments(...))`` of a script, with no
-    comment records built between the text and its annotations."""
+def _read_script(path: str, language: str | None) -> list[_Tagged]:
+    """``parse_annotations(extract_comments(...))`` of a script as tag-walk
+    tuples, with no comment or annotation records built on the way."""
     syntax = detect_language(path, language)
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     return _tags(_lines(text, _scan(text, syntax, path), path), None)
 
 
@@ -153,7 +157,7 @@ def _load_intermediate(path: str) -> AnnotationDocument | WorkflowModel:
     payload is then checked and converted as ``parse_annotation_file`` or
     ``parse_model`` would do from the text.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -194,9 +198,7 @@ def _model_from_inputs(
             source_files=[loaded.source_file],
         )
     merged = [ann for path in paths for ann in _read_script(path, language)]
-    return build_model(
-        merged, root_name=Path(paths[0]).stem, source_files=list(paths)
-    )
+    return _build_model(merged, Path(paths[0]).stem, paths)
 
 
 def _write(chunks: Iterable[str], output: str | None) -> None:
@@ -224,9 +226,9 @@ def _cmd_extract(args: argparse.Namespace) -> int:
             "extract starts from a script, not an intermediate file",
             file=args.input,
         )
-    annotations = _read_script(args.input, args.language)
+    annotations = tuple(starmap(Annotation, _read_script(args.input, args.language)))
     language = detect_language(args.input, args.language).language_name
-    doc = AnnotationDocument(args.input, language, tuple(annotations))
+    doc = AnnotationDocument(args.input, language, annotations)
     _write(_document_chunks(doc), args.output)
     return 0
 
@@ -325,8 +327,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
             lines.append(f"{s.port}: {s.kind}{suffix}")
     else:  # lineage
         manifest_path = _require(args.manifest, "--manifest", sub)
-        manifest_text = Path(manifest_path).read_text(encoding="utf-8")
-        manifest = parse_manifest(manifest_text, model)
+        manifest = parse_manifest(_read_text(manifest_path), model)
         records = infer_file_lineage(
             model, manifest, args.direction, _require(args.name, "--name", sub)
         )
@@ -366,6 +367,24 @@ _COMMANDS = {
 
 
 def run(argv: list[str] | None = None) -> int:
+    """Run one ywx command; returns its exit status.
+
+    The cyclic garbage collector is suspended while the command runs, and
+    left as the caller had it. A command builds acyclic records, which
+    reference counting frees, so a collection pass would walk every live
+    record and free nothing; the few cycles argparse leaves go at the next
+    pass after the command.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv: list[str] | None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -376,7 +395,7 @@ def run(argv: list[str] | None = None) -> int:
     except YwxError as exc:
         print(f"ywx: error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         print(f"ywx: error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

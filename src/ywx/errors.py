@@ -1,6 +1,8 @@
-"""Shared error types for the ywx toolchain."""
+"""Shared error types for the ywx toolchain, and the one input file reader."""
 
 from __future__ import annotations
+
+from pathlib import Path
 
 
 class YwxError(Exception):
@@ -142,3 +144,21 @@ class UsageError(YwxError):
 
 class FormatMismatch(YwxError):
     pass
+
+
+class UnreadableInput(YwxError):
+    """An input file whose bytes are not UTF-8 text."""
+
+
+def _read_text(path: str | Path) -> str:
+    """The UTF-8 text of an input file: a script, a listing, a model file, a
+    manifest or a style file. Bytes that do not decode raise
+    ``UnreadableInput``, which names the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UnreadableInput(
+            f"not UTF-8 text: byte 0x{exc.object[exc.start]:02x} at offset "
+            f"{exc.start}: {exc.reason}",
+            file=str(path),
+        ) from exc

@@ -18,9 +18,11 @@ from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
 
 from ._record import record
 from .annotations import (
+    _FIELDS,
     IDENTIFIER_RE,
     Annotation,
     Tag,
+    _Tagged,
     _check_unicode,
     _decode_json,
     _json_int,
@@ -295,9 +297,12 @@ _PORT_TAGS = {
 
 
 def _bracket(
-    annotations: Sequence[Annotation], root_name: str | None = None
+    annotations: Sequence[_Tagged], root_name: str | None = None
 ) -> tuple[list[ModelError], Block | None]:
     """Match a document-ordered stream's ``@begin``/``@end`` pairs into blocks.
+
+    The stream is the tag walk's ``(tag, value, description, file, line)``
+    tuples; ``_FIELDS`` reads them off ``Annotation`` records.
 
     The one begin/end stack of the toolchain. It returns every structural
     problem, in document order, and the block tree, which is None when there
@@ -314,10 +319,11 @@ def _bracket(
     problems: list[ModelError] = []
     stack: list[_Skeleton] = []
     top_level: list[_Skeleton] = []
-    paths: dict[str, tuple[_Skeleton | None, Annotation]] = {}  # first declarations
-    # Dotted-name collisions, as (problem index, path, first declaration,
-    # annotation): their qualified name waits for the root.
-    collisions: list[tuple[int, str, Annotation, Annotation]] = []
+    # First declarations, as (owner, file, line).
+    paths: dict[str, tuple[_Skeleton | None, str, int]] = {}
+    # Dotted-name collisions, as (problem index, path, first declaration's
+    # file and line, name, file, line): their qualified name waits for the root.
+    collisions: list[tuple[int, str, str, int, str, str, int]] = []
     max_line = 0
 
     def close_open_blocks() -> None:
@@ -329,68 +335,66 @@ def _bracket(
                 line=open_block.line,
             ))
 
-    for ann in annotations:
-        if stack and ann.file != stack[-1].file:
+    for tag, value, description, file, line in annotations:
+        if stack and file != stack[-1].file:
             close_open_blocks()
-        if ann.line > max_line:
-            max_line = ann.line
-        if ann.tag is Tag.BEGIN:
+        if line > max_line:
+            max_line = line
+        if tag is Tag.BEGIN:
             owner = stack[-1] if stack else None
-            path = f"{owner.path}.{ann.value}" if owner else ann.value
+            path = f"{owner.path}.{value}" if owner else value
             first = paths.get(path)
             if first is None:
-                paths[path] = (owner, ann)
+                paths[path] = (owner, file, line)
             elif first[0] is owner:
                 problems.append(DuplicateBlockName(
-                    f"block name {ann.value!r} is declared twice in the same scope",
-                    file=ann.file,
-                    line=ann.line,
+                    f"block name {value!r} is declared twice in the same scope",
+                    file=file,
+                    line=line,
                 ))
             else:
                 # A name may hold dots: A's child B and a sibling A.B collide.
-                collisions.append((len(problems), path, first[1], ann))
-                problems.append(DuplicateBlockName("", file=ann.file, line=ann.line))
-            stack.append(_Skeleton(ann.value, path, ann.file, ann.line, ann.description))
-        elif ann.tag is Tag.END:
+                collisions.append((len(problems), path, *first[1:], value, file, line))
+                problems.append(DuplicateBlockName("", file=file, line=line))
+            stack.append(_Skeleton(value, path, file, line, description))
+        elif tag is Tag.END:
             if not stack:
                 problems.append(UnbalancedEnd(
-                    "@end without a matching @begin", file=ann.file, line=ann.line
+                    "@end without a matching @begin", file=file, line=line
                 ))
                 continue
-            if ann.value and ann.value != stack[-1].name:
+            if value and value != stack[-1].name:
                 problems.append(MismatchedEndName(
-                    f"@end {ann.value!r} does not close block {stack[-1].name!r}",
-                    file=ann.file,
-                    line=ann.line,
+                    f"@end {value!r} does not close block {stack[-1].name!r}",
+                    file=file,
+                    line=line,
                 ))
             closed = stack.pop()
-            closed.end = ann.line
+            closed.end = line
             (stack[-1].children if stack else top_level).append(closed)
         else:
             if not stack:
                 problems.append(PortOutsideBlock(
-                    f"@{ann.tag.value} {ann.value!r} appears outside any block",
-                    file=ann.file,
-                    line=ann.line,
+                    f"@{tag.value} {value!r} appears outside any block",
+                    file=file,
+                    line=line,
                 ))
                 continue
-            direction, role = _PORT_TAGS[ann.tag]
+            direction, role = _PORT_TAGS[tag]
             owner = stack[-1]
-            key = (ann.value, direction)
+            key = (value, direction)
             if key in owner.port_keys:
                 problems.append(DuplicatePort(
                     f"block {owner.name!r} already declares {direction.value} "
-                    f"port {ann.value!r}",
-                    file=ann.file,
-                    line=ann.line,
+                    f"port {value!r}",
+                    file=file,
+                    line=line,
                 ))
                 continue
             owner.port_keys.add(key)
-            owner.ports.append(
-                Port(ann.value, direction, role, ann.file, ann.line, ann.description)
-            )
+            owner.ports.append(Port(value, direction, role, file, line, description))
     close_open_blocks()
-    first_file = annotations[0].file if annotations else ""
+    first_file = annotations[0][3] if annotations else ""
     if len(top_level) == 1 and top_level[0].children:
         root_skeleton, prefix = top_level[0], ""
     else:
@@ -398,12 +402,12 @@ def _bracket(
         root_skeleton = _Skeleton(name, "", first_file, 0, None, top_level)
         root_skeleton.end = max_line + 1
         prefix = f"{name}."
-    for index, path, first, ann in collisions:
+    for index, path, at_file, at_line, value, file, line in collisions:
         problems[index] = DuplicateBlockName(
-            f"block {ann.value!r} and the block declared at {first.file}:"
-            f"{first.line} share the qualified name {prefix + path!r}",
-            file=ann.file,
-            line=ann.line,
+            f"block {value!r} and the block declared at {at_file}:"
+            f"{at_line} share the qualified name {prefix + path!r}",
+            file=file,
+            line=line,
         )
     if problems or not top_level:
         return problems, None
@@ -419,6 +423,11 @@ def build_blocks(annotations: Sequence[Annotation], root_name: str | None = None
     A stream with structural problems raises the first in document order;
     a block that opens in one file and ends in another is one of them.
     """
+    return _blocks(list(map(_FIELDS, annotations)), root_name)
+
+
+def _blocks(annotations: Sequence[_Tagged], root_name: str | None) -> Block:
+    """``build_blocks`` of a stream of tag-walk tuples."""
     problems, root = _bracket(annotations, root_name)
     if problems:
         raise problems[0]
@@ -561,9 +570,10 @@ def _channels(groups: Sequence[ChannelGroup]) -> tuple[Channel, ...]:
             or any(p.role is Role.PARAMETER for _, p in group.sinks)
             else Role.DATA
         )
-        sinks = tuple(
-            Endpoint(b, p.direction) for b, p in sorted(group.sinks, key=itemgetter(0))
-        )
+        readers = group.sinks
+        if len(readers) > 1:
+            readers = sorted(readers, key=itemgetter(0))
+        sinks = tuple([Endpoint(b, p.direction) for b, p in readers])
         channels.append(
             Channel(group.data, group.scope, role, Endpoint(block, port.direction), sinks)
         )
@@ -576,17 +586,18 @@ def build_model(
     source_files: Sequence[str] | None = None,
 ) -> WorkflowModel:
     """Build the complete model (block tree plus channels) in one step."""
-    root = build_blocks(annotations, root_name=root_name)
-    files: tuple[str, ...]
-    if source_files is not None:
-        files = tuple(source_files)
-    else:
-        ordered: list[str] = []
-        for ann in annotations:
-            if ann.file not in ordered:
-                ordered.append(ann.file)
-        files = tuple(ordered)
-    return WorkflowModel(root, infer_channels(root), files)
+    stream = list(map(_FIELDS, annotations))
+    if source_files is None:
+        source_files = list(dict.fromkeys(item[3] for item in stream))
+    return _build_model(stream, root_name, source_files)
+
+
+def _build_model(
+    annotations: Sequence[_Tagged], root_name: str | None, source_files: Sequence[str]
+) -> WorkflowModel:
+    """``build_model`` of a stream of tag-walk tuples, as the CLI reads a script."""
+    root = _blocks(annotations, root_name)
+    return WorkflowModel(root, infer_channels(root), tuple(source_files))
 
 
 # -- serialization ----------------------------------------------------------

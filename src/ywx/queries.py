@@ -106,16 +106,23 @@ class DependencyGraph:
 
 
 def build_dependency_graph(model: WorkflowModel) -> DependencyGraph:
+    """The dependency graph of ``model``, with its ``_Index``.
+
+    Each edge is added to ``forward`` and ``reverse`` once, in channel
+    order, where it is first met: a boundary's pass-through edge is met from
+    the channels on both of its sides. No reader depends on the order of
+    an adjacency list; ``derivation`` orders its steps by node key.
+    """
     index = _Index(model)
     nodes: set[NodeKey] = {("block", q) for q in index.programs}
-    edges: set[tuple[NodeKey, NodeKey]] = set()
     for port in model.root.ports:
         nodes.add(("data", index.root_q, port.name))
-    for ch in model.channels:
-        nodes.add(("data", ch.scope, ch.data))
-
+    seen: set[tuple[NodeKey, NodeKey]] = set()
+    forward: dict[NodeKey, list[NodeKey]] = {}
+    reverse: dict[NodeKey, list[NodeKey]] = {}
     for ch in model.channels:
         dnode = ("data", ch.scope, ch.data)
+        nodes.add(dnode)
         for end in (ch.source, *ch.sinks):
             if end.block in index.programs:
                 other = ("block", end.block)
@@ -124,19 +131,12 @@ def build_dependency_graph(model: WorkflowModel) -> DependencyGraph:
                 if far is None:
                     continue
                 other = ("data", far.scope, far.data)
-            edges.add((other, dnode) if end is ch.source else (dnode, other))
-
-    forward: dict[NodeKey, tuple[NodeKey, ...]] = {}
-    reverse: dict[NodeKey, tuple[NodeKey, ...]] = {}
-    for a, b in sorted(edges):
-        forward.setdefault(a, []).append(b)
-        reverse.setdefault(b, []).append(a)
-    return DependencyGraph(
-        frozenset(nodes),
-        {k: tuple(v) for k, v in forward.items()},
-        {k: tuple(v) for k, v in reverse.items()},
-        index,
-    )
+            edge = (other, dnode) if end is ch.source else (dnode, other)
+            if edge not in seen:
+                seen.add(edge)
+                forward.setdefault(edge[0], []).append(edge[1])
+                reverse.setdefault(edge[1], []).append(edge[0])
+    return DependencyGraph(frozenset(nodes), forward, reverse, index)
 
 
 # -- name resolution ----------------------------------------------------------

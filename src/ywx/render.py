@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .errors import StyleError, UnknownFocus
+from .errors import StyleError, UnknownFocus, _read_text
 from .model import (
     Block,
     Channel,
@@ -57,7 +57,7 @@ RANKDIRS = ("LR", "TB")
 def load_style_file(path: str | Path) -> dict[str, str]:
     """Read a key=value style file; unknown keys are rejected."""
     style = dict(DEFAULT_STYLE)
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

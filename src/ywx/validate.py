@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import queries
-from .annotations import Annotation, _tags
+from .annotations import _FIELDS, Annotation, _Tagged, _tags
 from .comments import CommentSyntax, _blanked, _lines, _scan, detect_language
 from .errors import (
     AnnotationError,
@@ -49,6 +49,7 @@ from .errors import (
     UnbalancedEnd,
     UnclosedBlock,
     UnterminatedBlockComment,
+    _read_text,
 )
 from .model import (
     Block,
@@ -129,7 +130,7 @@ def check_structure(
     ``root_name`` names an implicit root, as in ``build_blocks``; a clash of
     dotted block names is reported under that root's qualified name.
     """
-    problems, _ = _bracket(annotations, root_name)
+    problems, _ = _bracket(list(map(_FIELDS, annotations)), root_name)
     return [_structure_diagnostic(p) for p in problems]
 
 
@@ -278,7 +279,7 @@ def validate_sources(
     other checks run on.
     """
     diagnostics: list[Diagnostic] = []
-    merged: list[Annotation] = []
+    merged: list[_Tagged] = []
     stripped: dict[str, str] = {}
     for path, text, syntax in sources:
         try:
@@ -335,5 +336,5 @@ def validate_scripts(
     sources = []
     for path in paths:
         syntax = detect_language(path, language)
-        sources.append((str(path), Path(path).read_text(encoding="utf-8"), syntax))
+        sources.append((str(path), _read_text(path), syntax))
     return validate_sources(sources)

@@ -112,6 +112,52 @@ class TestExitCodes:
         assert proc.stderr.startswith("ywx: error:")
 
 
+class TestUndecodableInput:
+    """Every input file that is not UTF-8 text is an input error naming it."""
+
+    @pytest.fixture
+    def bad(self, tmp_path):
+        for name in ("bad.py", "bad.json", "bad.style"):
+            (tmp_path / name).write_bytes(b"\xff# @begin W\n")
+        return tmp_path
+
+    @staticmethod
+    def assert_names(err, path):
+        assert err == (
+            f"ywx: error: {path}: not UTF-8 text: byte 0xff at offset 0: "
+            "invalid start byte\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["extract", "{bad}.py"],
+            ["model", "{bad}.py"],
+            ["graph", "{bad}.py"],
+            ["query", "blocks", "{bad}.py"],
+            ["validate", AFFY, "{bad}.py"],
+            ["model", "{bad}.json"],  # an annotation listing
+            ["graph", "{bad}.json"],  # a model file
+            ["query", "lineage", MSTMIP, "--name", "NEE_std", "--manifest", "{bad}.json"],
+        ],
+        ids=[
+            "extract", "model", "graph", "query", "validate",
+            "listing", "model-file", "manifest",
+        ],
+    )
+    def test_input_file(self, bad, capsys, argv):
+        argv = [a.format(bad=bad / "bad") for a in argv]
+        code, err = run_err(capsys, *argv)
+        assert code == 2
+        self.assert_names(err, next(a for a in argv if a.startswith(str(bad))))
+
+    def test_style_file(self, bad, capsys, monkeypatch):
+        monkeypatch.setenv("YWX_STYLE", str(bad / "bad.style"))
+        code, err = run_err(capsys, "graph", AFFY)
+        assert code == 2
+        self.assert_names(err, bad / "bad.style")
+
+
 class TestIntermediateHandling:
     def test_extract_rejects_json(self, capsys):
         code, err = run_err(capsys, "extract", MANIFEST)

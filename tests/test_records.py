@@ -11,6 +11,7 @@ annotations, without comment records; its model must equal the library's
 import dataclasses
 import sys
 from dataclasses import MISSING, FrozenInstanceError
+from itertools import starmap
 from pathlib import Path
 
 import pytest
@@ -223,7 +224,8 @@ def assert_routes_agree(path: Path, language=None):
         return build_model(library(), root_name=path.stem, source_files=[name])
 
     annotations = _outcome(library)
-    assert _outcome(lambda: cli._read_script(name, language)) == annotations
+    read = _outcome(lambda: list(starmap(Annotation, cli._read_script(name, language))))
+    assert read == annotations
     model = _outcome(library_model)
     assert _outcome(lambda: cli._model_from_inputs([name], language)) == model
     return annotations, model
