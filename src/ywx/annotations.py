@@ -283,11 +283,13 @@ def _bad_record(index: int, problem: str, line: int | None = None) -> MalformedR
 
 def parse_annotation_file(text: str) -> AnnotationDocument:
     """Parse the JSON interchange form back into an annotation document."""
-    return _document_from_json(text, _decode_json(text, MalformedRecord))
+    file, language, tags = _listing_from_json(text, _decode_json(text, MalformedRecord))
+    return AnnotationDocument(file, language, tuple(starmap(Annotation, tags)))
 
 
-def _document_from_json(text: str, payload: object) -> AnnotationDocument:
-    """Check and convert an annotation listing already decoded from ``text``."""
+def _listing_from_json(text: str, payload: object) -> tuple[str, str, list[_Tagged]]:
+    """Check an annotation listing already decoded from ``text``; returns its
+    source file, its language and its annotations as tag-walk tuples."""
     _check_unicode(text, payload, MalformedRecord)
     _require(isinstance(payload, dict), "top level must be an object")
     source = payload.get("source")
@@ -299,7 +301,7 @@ def _document_from_json(text: str, payload: object) -> AnnotationDocument:
     records = payload.get("annotations")
     _require(isinstance(records, list), "'annotations' must be a list")
 
-    annotations: list[Annotation] = []
+    annotations: list[_Tagged] = []
     for index, raw in enumerate(records):
         if raw.__class__ is not dict:
             raise _bad_record(index, "must be an object")
@@ -322,5 +324,5 @@ def _document_from_json(text: str, payload: object) -> AnnotationDocument:
         description = raw.get("description")
         if description is not None and description.__class__ is not str:
             raise _bad_record(index, "'description' must be a string or null", line)
-        annotations.append(Annotation(tag, value, description or None, file, line))
-    return AnnotationDocument(file, language, tuple(annotations))
+        annotations.append((tag, value, description or None, file, line))
+    return file, language, annotations

@@ -6,6 +6,11 @@ from the previous stage's output file. Results are deterministic: running a
 pipeline in stages through files yields byte-identical output to running the
 final stage straight from the scripts.
 
+A call builds only the named command's argparse parser. The full tree of
+all five is built only when no command is named first (no arguments, ``-h``,
+an unknown command, a leading option) or the command leaves arguments over,
+so that the top-level usage text reports it, as it always did.
+
 Exit status: 0 on success, 1 when validate reports errors, 2 for usage or
 input problems.
 """
@@ -25,7 +30,7 @@ from .annotations import (
     Annotation,
     AnnotationDocument,
     _document_chunks,
-    _document_from_json,
+    _listing_from_json,
     _Tagged,
     _tags,
 )
@@ -36,7 +41,6 @@ from .model import (
     _build_model,
     _model_chunks,
     _model_from_json,
-    build_model,
 )
 from .queries import (
     blocks_affected_by_input,
@@ -81,59 +85,69 @@ QUERY_NAMES = (
 )
 
 
+def _add_arguments(parser: argparse.ArgumentParser, name: str) -> None:
+    """Declare command ``name``'s arguments on ``parser``: the one argument
+    list, shared by the command's own parser and the full tree."""
+    add = parser.add_argument
+    if name == "query":
+        add("subquery", choices=QUERY_NAMES)
+    if name == "extract":
+        add("input", metavar="SCRIPT")
+    else:
+        add("inputs", nargs="+", metavar="INPUT")
+    add("-l", "--language", help="comment syntax override")
+    add("-o", "--output", help="write output to FILE instead of stdout")
+    if name == "graph":
+        add("--view", choices=VIEWS, default="process")
+        add("--rankdir", choices=RANKDIRS, default="LR")
+        add("--focus", help="qualified name of the workflow to draw")
+        add(
+            "--nested", action="store_true", help="draw sub-workflows as nested clusters"
+        )
+        add(
+            "--de-emphasize-params",
+            action="store_true",
+            help="draw parameter channels and nodes in a muted style",
+        )
+    elif name == "query":
+        add("--block", help="block name (qualified, or simple if unique)")
+        add("--name", help="data, port, or file name")
+        add("--manifest", help="run manifest JSON file (lineage)")
+        add("--direction", choices=("upstream", "downstream"), default="upstream")
+    if name in ("query", "validate"):
+        add("--json", action="store_true", help="machine-readable output")
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """The full tree: the top-level parser with one subparser per command."""
     parser = argparse.ArgumentParser(
         prog="ywx",
         description="Recover and inspect workflow structure from annotated scripts.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_io(sp: argparse.ArgumentParser, multi: bool = True) -> None:
-        if multi:
-            sp.add_argument("inputs", nargs="+", metavar="INPUT")
-        else:
-            sp.add_argument("input", metavar="SCRIPT")
-        sp.add_argument("-l", "--language", help="comment syntax override")
-        sp.add_argument("-o", "--output", help="write output to FILE instead of stdout")
-
-    sp = sub.add_parser("extract", help="list a script's annotations as JSON")
-    add_io(sp, multi=False)
-
-    sp = sub.add_parser("model", help="build the workflow model as JSON")
-    add_io(sp)
-
-    sp = sub.add_parser("graph", help="render a DOT graph view of the model")
-    add_io(sp)
-    sp.add_argument("--view", choices=VIEWS, default="process")
-    sp.add_argument("--rankdir", choices=RANKDIRS, default="LR")
-    sp.add_argument("--focus", help="qualified name of the workflow to draw")
-    sp.add_argument(
-        "--nested",
-        action="store_true",
-        help="draw sub-workflows as nested clusters",
-    )
-    sp.add_argument(
-        "--de-emphasize-params",
-        dest="de_emphasize_params",
-        action="store_true",
-        help="draw parameter channels and nodes in a muted style",
-    )
-
-    sp = sub.add_parser("query", help="answer structure and provenance questions")
-    sp.add_argument("subquery", choices=QUERY_NAMES)
-    add_io(sp)
-    sp.add_argument("--block", help="block name (qualified, or simple if unique)")
-    sp.add_argument("--name", help="data, port, or file name")
-    sp.add_argument("--manifest", help="run manifest JSON file (lineage)")
-    sp.add_argument(
-        "--direction", choices=("upstream", "downstream"), default="upstream"
-    )
-    sp.add_argument("--json", action="store_true", help="machine-readable output")
-
-    sp = sub.add_parser("validate", help="check annotations for consistency")
-    add_io(sp)
-    sp.add_argument("--json", action="store_true", help="machine-readable output")
+    for name, (_, help_text) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), name)
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``_build_parser().parse_args(argv)``, building only the named
+    command's parser when that parser alone takes every argument.
+
+    The full tree hands a command's subparser the arguments after its name
+    and then rejects what the subparser left over, so where the command's
+    own parser (named as the subparser is) leaves nothing, the result is
+    the same. Otherwise the full tree parses ``argv``, for its usage text.
+    """
+    name = argv[0] if argv else None
+    if name in _COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"ywx {name}")
+        _add_arguments(parser, name)
+        args, extra = parser.parse_known_args(argv[1:])
+        if not extra:
+            args.command = name
+            return args
+    return _build_parser().parse_args(argv)
 
 
 # -- input handling -----------------------------------------------------------
@@ -150,12 +164,13 @@ def _read_script(path: str, language: str | None) -> list[_Tagged]:
     return _tags(_lines(text, _scan(text, syntax, path), path), None)
 
 
-def _load_intermediate(path: str) -> AnnotationDocument | WorkflowModel:
+def _load_intermediate(path: str) -> tuple[str, str, list[_Tagged]] | WorkflowModel:
     """Read an annotation listing or a model file, decoding its JSON once.
 
     The decoded payload's keys tell the two kinds apart, and the same
-    payload is then checked and converted as ``parse_annotation_file`` or
-    ``parse_model`` would do from the text.
+    payload is then checked as ``parse_annotation_file`` or ``parse_model``
+    would do from the text. A listing comes back as its source file, its
+    language and its annotations as tag-walk tuples, with no records built.
     """
     text = _read_text(path)
     try:
@@ -165,7 +180,7 @@ def _load_intermediate(path: str) -> AnnotationDocument | WorkflowModel:
             f"{path} is not valid JSON: {exc.msg}", file=path, line=exc.lineno
         ) from exc
     if isinstance(payload, dict) and "annotations" in payload:
-        return _document_from_json(text, payload)
+        return _listing_from_json(text, payload)
     if isinstance(payload, dict) and "root" in payload and "channels" in payload:
         return _model_from_json(text, payload)
     raise FormatMismatch(
@@ -192,11 +207,8 @@ def _model_from_inputs(
                     file=paths[0],
                 )
             return loaded
-        return build_model(
-            loaded.annotations,
-            root_name=Path(loaded.source_file).stem,
-            source_files=[loaded.source_file],
-        )
+        source_file, _, annotations = loaded
+        return _build_model(annotations, Path(source_file).stem, [source_file])
     merged = [ann for path in paths for ann in _read_script(path, language)]
     return _build_model(merged, Path(paths[0]).stem, paths)
 
@@ -357,17 +369,21 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 1 if has_errors(diagnostics) else 0
 
 
+# Each command's handler and its line in the top-level help.
 _COMMANDS = {
-    "extract": _cmd_extract,
-    "model": _cmd_model,
-    "graph": _cmd_graph,
-    "query": _cmd_query,
-    "validate": _cmd_validate,
+    "extract": (_cmd_extract, "list a script's annotations as JSON"),
+    "model": (_cmd_model, "build the workflow model as JSON"),
+    "graph": (_cmd_graph, "render a DOT graph view of the model"),
+    "query": (_cmd_query, "answer structure and provenance questions"),
+    "validate": (_cmd_validate, "check annotations for consistency"),
 }
 
 
 def run(argv: list[str] | None = None) -> int:
     """Run one ywx command; returns its exit status.
+
+    ``argv`` defaults to ``sys.argv[1:]``. Only the named command's parser
+    is built, or the full tree when the module docstring says so.
 
     The cyclic garbage collector is suspended while the command runs, and
     left as the caller had it. A command builds acyclic records, which
@@ -385,13 +401,12 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def _run(argv: list[str] | None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except YwxError as exc:
         print(f"ywx: error: {exc}", file=sys.stderr)
         return 2

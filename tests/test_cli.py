@@ -1,5 +1,7 @@
 """Command line behaviour: exit codes, piping through intermediates, output."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,7 +9,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ywx import cli
 from ywx.annotations import parse_annotations
 from ywx.cli import run
 from ywx.comments import detect_language, extract_comments
@@ -864,3 +869,97 @@ class TestInstalledEntryPoint:
         assert proc.returncode == 0
         assert "extract" in proc.stdout
         assert "validate" in proc.stdout
+
+
+# -- one parser per command ----------------------------------------------------
+#
+# ``run`` builds only the named command's parser and falls back to the full
+# tree, ``_build_parser()``, for anything else; either way it must behave as
+# the full tree alone does.
+
+def full_tree_run(argv):
+    """``run`` as it was with the full tree: parse, then run the command."""
+    try:
+        args = cli._build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
+    return cli._COMMANDS[args.command][0](args)
+
+
+USAGE_CASES = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["bogus"],
+    ["extr", "{F}"],
+    *([name, "-h"] for name in ("extract", "model", "graph", "query", "validate")),
+    ["extract"],
+    ["extract", "{F}", "{G}"],
+    ["query", "blocks"],
+    ["query", "nope", "{F}"],
+    ["query", "blocks", "{F}", "--direction", "x"],
+    ["graph", "{F}", "--view", "nope"],
+    ["validate", "{F}", "--js"],
+    ["graph", "{F}", "--nest"],
+    ["graph", "{F}", "--rankdir=TB"],
+    ["--rankdir=TB", "graph", "{F}"],
+    ["extract", "{F}", "-lpython"],
+    ["-lpython", "extract", "{F}"],
+    ["extract", "--", "{F}"],
+    ["--", "extract", "{F}"],
+    ["query", "blocks", "{F}", "--json", "--", "extra"],
+    ["extract", "{F}", "-o", "{tmp}/a.json", "-o", "{tmp}/b.json"],
+]
+
+
+class TestUsageText:
+    @pytest.mark.parametrize(
+        "argv", USAGE_CASES, ids=[" ".join(argv) or "no-args" for argv in USAGE_CASES]
+    )
+    def test_run_matches_the_full_tree(self, tmp_path, capsys, argv):
+        argv = [a.format(F=AFFY, G=PALEO, tmp=tmp_path) for a in argv]
+        seen = []
+        for runner in (run, full_tree_run):
+            code = runner(list(argv))
+            seen.append((code, *capsys.readouterr()))
+        assert seen[0] == seen[1]
+
+
+LONG_OPTIONS = [
+    "--help", "--language", "--output", "--view", "--rankdir", "--focus", "--nested",
+    "--de-emphasize-params", "--block", "--name", "--manifest", "--direction", "--json",
+]
+VALUES = ["F", "data", "TB", "python", "downstream"]
+TOKENS = sorted(
+    {*cli._COMMANDS, *cli.QUERY_NAMES, "--", "-h", "-l", "-o", "-lpython", "-oF", "F"}
+    | {option[:end] for option in LONG_OPTIONS for end in range(3, len(option) + 1)}
+    | {f"{option}={value}" for option in LONG_OPTIONS for value in VALUES}
+)
+
+
+def parse_outcome(parse, argv):
+    """What parsing ``argv`` gives: a Namespace or an exit, with the text printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+argv_strategy = st.one_of(
+    st.lists(st.sampled_from(TOKENS), max_size=6),
+    st.builds(
+        lambda name, rest: [name, *rest],
+        st.sampled_from(sorted(cli._COMMANDS)),
+        st.lists(st.sampled_from(TOKENS), max_size=6),
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=argv_strategy)
+def test_parse_matches_the_full_tree(argv):
+    expected = parse_outcome(lambda a: cli._build_parser().parse_args(a), list(argv))
+    assert parse_outcome(cli._parse, list(argv)) == expected

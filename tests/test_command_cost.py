@@ -1,11 +1,14 @@
 """What a command costs, counted rather than timed.
 
-A script load through the CLI goes from comment text to the block tree with
-no ``Annotation`` records; only ``extract``, whose listing is made of them,
-builds one per tag. ``cli.run`` suspends the cyclic garbage collector while
-a command runs and leaves it as it found it.
+A script or listing load through the CLI goes to the block tree with no
+``Annotation`` records; only ``extract``, whose listing is made of them,
+builds one per tag. A command builds one argparse parser, its own; only
+top-level help and usage errors build the full tree. ``cli.run`` suspends
+the cyclic garbage collector while a command runs and leaves it as it found
+it.
 """
 
+import argparse
 import gc
 import json
 from pathlib import Path
@@ -20,6 +23,8 @@ FIXTURES = Path(__file__).parent / "fixtures"
 NAMES = ("affymetrix.R", "mstmip_nee.m", "paleoclimate.R")
 SCRIPTS = [str(FIXTURES / name) for name in NAMES]
 BROKEN_CHAIN = str(FIXTURES / "defects" / "d09_broken_chain.py")
+MSTMIP = str(FIXTURES / "mstmip_nee.m")
+MANIFEST = str(FIXTURES / "mstmip_manifest.json")
 
 
 @pytest.fixture
@@ -49,12 +54,64 @@ def test_validate_builds_no_annotation_records(built):
 
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=NAMES)
+def test_listing_load_builds_no_annotation_records(built, tmp_path, script):
+    listing = tmp_path / "ann.json"
+    assert cli.run(["extract", script, "-o", str(listing)]) == 0
+    built[0] = 0
+    model = cli._model_from_inputs([str(listing)], None)
+    assert model == cli._model_from_inputs([script], None)
+    assert built[0] == 0
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=NAMES)
 def test_extract_builds_one_record_per_tag(built, tmp_path, script):
     listing = tmp_path / "ann.json"
     assert cli.run(["extract", script, "-o", str(listing)]) == 0
     tags = json.loads(listing.read_text(encoding="utf-8"))["annotations"]
     assert len(tags) > 10
     assert built[0] == len(tags)
+
+
+# -- argument parsers ------------------------------------------------------------
+
+
+@pytest.fixture
+def parsers(monkeypatch):
+    """A one-item list counting the ``argparse.ArgumentParser``s built in the test."""
+    count = [0]
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        count[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    return count
+
+
+FULL_TREE = 6  # the top-level parser and one subparser per command
+
+
+@pytest.mark.parametrize(
+    "argv, code, count",
+    [
+        pytest.param(["extract", SCRIPTS[0], "-o", "{out}"], 0, 1, id="extract"),
+        pytest.param(["model", SCRIPTS[0], "-o", "{out}"], 0, 1, id="model"),
+        pytest.param(["graph", SCRIPTS[0], "--nested"], 0, 1, id="graph"),
+        pytest.param(
+            ["query", "lineage", MSTMIP, "--name", "NEE_std", "--manifest", MANIFEST],
+            0,
+            1,
+            id="query-lineage",
+        ),
+        pytest.param(["validate", BROKEN_CHAIN], 1, 1, id="validate"),
+        pytest.param(["--help"], 0, FULL_TREE, id="help"),
+        pytest.param(["graph", SCRIPTS[0], "--bogus"], 2, 1 + FULL_TREE, id="bad-flag"),
+    ],
+)
+def test_parsers_built_per_command(parsers, tmp_path, capsys, argv, code, count):
+    assert cli.run([a.format(out=tmp_path / "out") for a in argv]) == code
+    assert parsers[0] == count
 
 
 # -- the cyclic collector -----------------------------------------------------
