@@ -6,10 +6,10 @@ from the previous stage's output file. Results are deterministic: running a
 pipeline in stages through files yields byte-identical output to running the
 final stage straight from the scripts.
 
-A call builds only the named command's argparse parser. The full tree of
-all five is built only when no command is named first (no arguments, ``-h``,
-an unknown command, a leading option) or the command leaves arguments over,
-so that the top-level usage text reports it, as it always did.
+A plain call is read straight from ``_ARGUMENTS`` and builds no parser.
+Any other goes to argparse: the named command's parser, or the full tree of
+all five when no command is named first or arguments are left over. So only
+argparse prints help, usage and errors, in the text it always did.
 
 Exit status: 0 on success, 1 when validate reports errors, 2 for usage or
 input problems.
@@ -85,37 +85,49 @@ QUERY_NAMES = (
 )
 
 
+# Each command's arguments as (flags, ``add_argument`` keywords), in the
+# order its parser declares them: positionals first, then options, each
+# option's long flag last. Its parser and ``_read_plain`` both read this.
+_COMMON = (
+    (("-l", "--language"), {"help": "comment syntax override"}),
+    (("-o", "--output"), {"help": "write output to FILE instead of stdout"}),
+)
+_INPUTS = (("inputs",), {"nargs": "+", "metavar": "INPUT"})
+_SWITCH = {"action": "store_true"}
+_JSON = (("--json",), {**_SWITCH, "help": "machine-readable output"})
+_ARGUMENTS = {
+    "extract": ((("input",), {"metavar": "SCRIPT"}), *_COMMON),
+    "model": (_INPUTS, *_COMMON),
+    "graph": (
+        _INPUTS,
+        *_COMMON,
+        (("--view",), {"choices": VIEWS, "default": "process"}),
+        (("--rankdir",), {"choices": RANKDIRS, "default": "LR"}),
+        (("--focus",), {"help": "qualified name of the workflow to draw"}),
+        (("--nested",), {**_SWITCH, "help": "draw sub-workflows as nested clusters"}),
+        (
+            ("--de-emphasize-params",),
+            {**_SWITCH, "help": "draw parameter channels and nodes in a muted style"},
+        ),
+    ),
+    "query": (
+        (("subquery",), {"choices": QUERY_NAMES}),
+        _INPUTS,
+        *_COMMON,
+        (("--block",), {"help": "block name (qualified, or simple if unique)"}),
+        (("--name",), {"help": "data, port, or file name"}),
+        (("--manifest",), {"help": "run manifest JSON file (lineage)"}),
+        (("--direction",), {"choices": ("upstream", "downstream"), "default": "upstream"}),
+        _JSON,
+    ),
+    "validate": (_INPUTS, *_COMMON, _JSON),
+}
+
+
 def _add_arguments(parser: argparse.ArgumentParser, name: str) -> None:
-    """Declare command ``name``'s arguments on ``parser``: the one argument
-    list, shared by the command's own parser and the full tree."""
-    add = parser.add_argument
-    if name == "query":
-        add("subquery", choices=QUERY_NAMES)
-    if name == "extract":
-        add("input", metavar="SCRIPT")
-    else:
-        add("inputs", nargs="+", metavar="INPUT")
-    add("-l", "--language", help="comment syntax override")
-    add("-o", "--output", help="write output to FILE instead of stdout")
-    if name == "graph":
-        add("--view", choices=VIEWS, default="process")
-        add("--rankdir", choices=RANKDIRS, default="LR")
-        add("--focus", help="qualified name of the workflow to draw")
-        add(
-            "--nested", action="store_true", help="draw sub-workflows as nested clusters"
-        )
-        add(
-            "--de-emphasize-params",
-            action="store_true",
-            help="draw parameter channels and nodes in a muted style",
-        )
-    elif name == "query":
-        add("--block", help="block name (qualified, or simple if unique)")
-        add("--name", help="data, port, or file name")
-        add("--manifest", help="run manifest JSON file (lineage)")
-        add("--direction", choices=("upstream", "downstream"), default="upstream")
-    if name in ("query", "validate"):
-        add("--json", action="store_true", help="machine-readable output")
+    """Declare command ``name``'s arguments on ``parser``, from ``_ARGUMENTS``."""
+    for flags, keywords in _ARGUMENTS[name]:
+        parser.add_argument(*flags, **keywords)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -130,15 +142,59 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """``_build_parser().parse_args(argv)``, building only the named
-    command's parser when that parser alone takes every argument.
-
-    The full tree hands a command's subparser the arguments after its name
-    and then rejects what the subparser left over, so where the command's
-    own parser (named as the subparser is) leaves nothing, the result is
-    the same. Otherwise the full tree parses ``argv``, for its usage text.
+def _read_plain(argv: list[str]) -> argparse.Namespace | None:
+    """What the named command's parser returns for ``argv``, or None unless
+    ``argv`` is a plain call: a command, its positionals, then options spelled
+    as declared, a value-taking one followed by one value in its choices (the
+    last of a repeated option wins), and no positional or value empty or
+    starting with ``-``. argparse's result on that form is fixed and error-free.
     """
+    specs = _ARGUMENTS.get(argv[0]) if argv else None
+    if specs is None:
+        return None
+    end = 1
+    while end < len(argv) and argv[end][:1] not in ("", "-"):
+        end += 1
+    words, rest = argv[1:end], iter(argv[end:])
+    args = argparse.Namespace(command=argv[0])
+    options = {}
+    for flags, spec in specs:
+        if flags[0][0] != "-":
+            if not words or words[0] not in spec.get("choices", (words[0],)):
+                return None
+            value, words = (words, []) if "nargs" in spec else (words[0], words[1:])
+            setattr(args, flags[0], value)
+        else:
+            dest = flags[-1][2:].replace("-", "_")
+            options.update(dict.fromkeys(flags, (dest, spec)))
+            setattr(args, dest, False if "action" in spec else spec.get("default"))
+    if words:
+        return None
+    for flag in rest:
+        if flag not in options:
+            return None
+        dest, spec = options[flag]
+        if "action" in spec:
+            value = True
+        else:
+            value = next(rest, "")
+            if value[:1] in ("", "-") or value not in spec.get("choices", (value,)):
+                return None
+        setattr(args, dest, value)
+    return args
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``_build_parser().parse_args(argv)``, building as little as it may.
+
+    A plain call builds no parser (see ``_read_plain``). Otherwise the named
+    command's own parser, named as its subparser in the full tree, gives the
+    same result wherever it takes every argument; the full tree parses the
+    rest, for its usage text. So only argparse prints help and errors.
+    """
+    plain = _read_plain(argv)
+    if plain is not None:
+        return plain
     name = argv[0] if argv else None
     if name in _COMMANDS:
         parser = argparse.ArgumentParser(prog=f"ywx {name}")
@@ -215,7 +271,7 @@ def _model_from_inputs(
 
 def _write(chunks: Iterable[str], output: str | None) -> None:
     """Write the output text, given as a stream of chunks, to ``output`` or stdout."""
-    if output:
+    if output is not None:
         with open(output, "w", encoding="utf-8") as out:
             out.writelines(chunks)
     else:
@@ -382,8 +438,8 @@ _COMMANDS = {
 def run(argv: list[str] | None = None) -> int:
     """Run one ywx command; returns its exit status.
 
-    ``argv`` defaults to ``sys.argv[1:]``. Only the named command's parser
-    is built, or the full tree when the module docstring says so.
+    ``argv`` defaults to ``sys.argv[1:]``. A plain call builds no parser;
+    see the module docstring for the rest.
 
     The cyclic garbage collector is suspended while the command runs, and
     left as the caller had it. A command builds acyclic records, which

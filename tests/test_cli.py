@@ -871,11 +871,12 @@ class TestInstalledEntryPoint:
         assert "validate" in proc.stdout
 
 
-# -- one parser per command ----------------------------------------------------
+# -- plain calls and one parser per command ------------------------------------
 #
-# ``run`` builds only the named command's parser and falls back to the full
-# tree, ``_build_parser()``, for anything else; either way it must behave as
-# the full tree alone does.
+# ``run`` reads a plain call with no parser, builds only the named command's
+# parser for most other calls, and falls back to the full tree,
+# ``_build_parser()``, for anything else; every way it must behave as the
+# full tree alone does.
 
 def full_tree_run(argv):
     """``run`` as it was with the full tree: parse, then run the command."""
@@ -930,8 +931,14 @@ LONG_OPTIONS = [
     "--de-emphasize-params", "--block", "--name", "--manifest", "--direction", "--json",
 ]
 VALUES = ["F", "data", "TB", "python", "downstream"]
+# Standalone values: every choice of --view, --rankdir and --direction, two
+# inputs, and words argparse reads in its own ways.
+WORDS = [
+    "process", "data", "combined", "LR", "TB", "upstream", "downstream",
+    "F", "G", "-", "", "-1", "a=b",
+]
 TOKENS = sorted(
-    {*cli._COMMANDS, *cli.QUERY_NAMES, "--", "-h", "-l", "-o", "-lpython", "-oF", "F"}
+    {*cli._COMMANDS, *cli.QUERY_NAMES, *WORDS, "--", "-h", "-l", "-o", "-lpython", "-oF"}
     | {option[:end] for option in LONG_OPTIONS for end in range(3, len(option) + 1)}
     | {f"{option}={value}" for option in LONG_OPTIONS for value in VALUES}
 )
@@ -948,6 +955,43 @@ def parse_outcome(parse, argv):
     return result, out.getvalue(), err.getvalue()
 
 
+COMMON_FLAGS = ["-l", "--language", "-o", "--output"]
+FLAGS_OF = {
+    "extract": COMMON_FLAGS,
+    "model": COMMON_FLAGS,
+    "graph": [
+        *COMMON_FLAGS, "--view", "--rankdir", "--focus", "--nested", "--de-emphasize-params",
+    ],
+    "query": [*COMMON_FLAGS, "--block", "--name", "--manifest", "--direction", "--json"],
+    "validate": [*COMMON_FLAGS, "--json"],
+}
+SWITCHES = {"--nested", "--de-emphasize-params", "--json"}
+
+
+def near_plain(head):
+    """``head``, its inputs, then the command's own flags spelled out in full:
+    a switch alone, any other flag with a word after it (a value, a bad
+    choice, or a word argparse would not take as a value)."""
+    option = st.sampled_from(FLAGS_OF[head[0]]).flatmap(
+        lambda flag: st.just((flag,))
+        if flag in SWITCHES
+        else st.tuples(
+            st.just(flag),
+            st.sampled_from([*WORDS, *VALUES, "-l", "--json", "--view=data", "-h"]),
+        )
+    )
+    return st.builds(
+        lambda inputs, options: [*head, *inputs, *(w for o in options for w in o)],
+        st.lists(st.sampled_from(["F", "G"]), min_size=1, max_size=2),
+        st.lists(option, max_size=3),
+    )
+
+
+plain_strategy = st.one_of(
+    st.sampled_from(sorted(set(cli._COMMANDS) - {"query"})).map(lambda n: [n]),
+    st.sampled_from(cli.QUERY_NAMES).map(lambda sub: ["query", sub]),
+).flatmap(near_plain)
+
 argv_strategy = st.one_of(
     st.lists(st.sampled_from(TOKENS), max_size=6),
     st.builds(
@@ -955,6 +999,7 @@ argv_strategy = st.one_of(
         st.sampled_from(sorted(cli._COMMANDS)),
         st.lists(st.sampled_from(TOKENS), max_size=6),
     ),
+    plain_strategy,
 )
 
 
@@ -963,3 +1008,16 @@ argv_strategy = st.one_of(
 def test_parse_matches_the_full_tree(argv):
     expected = parse_outcome(lambda a: cli._build_parser().parse_args(a), list(argv))
     assert parse_outcome(cli._parse, list(argv)) == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["extract", AFFY], ["model", AFFY], ["graph", AFFY], ["query", "blocks", AFFY],
+     ["validate", AFFY]],
+    ids=lambda argv: argv[0],
+)
+def test_empty_output_path_is_input_error(capsys, argv):
+    code = run([*argv, "-o", ""])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("ywx: error: ")

@@ -2,10 +2,10 @@
 
 A script or listing load through the CLI goes to the block tree with no
 ``Annotation`` records; only ``extract``, whose listing is made of them,
-builds one per tag. A command builds one argparse parser, its own; only
-top-level help and usage errors build the full tree. ``cli.run`` suspends
-the cyclic garbage collector while a command runs and leaves it as it found
-it.
+builds one per tag. A plain call builds no argparse parser; a rarer option
+form builds its command's own, and only top-level help and usage errors
+build the full tree. ``cli.run`` suspends the cyclic garbage collector
+while a command runs and leaves it as it found it.
 """
 
 import argparse
@@ -95,16 +95,18 @@ FULL_TREE = 6  # the top-level parser and one subparser per command
 @pytest.mark.parametrize(
     "argv, code, count",
     [
-        pytest.param(["extract", SCRIPTS[0], "-o", "{out}"], 0, 1, id="extract"),
-        pytest.param(["model", SCRIPTS[0], "-o", "{out}"], 0, 1, id="model"),
-        pytest.param(["graph", SCRIPTS[0], "--nested"], 0, 1, id="graph"),
+        pytest.param(["extract", SCRIPTS[0], "-o", "{out}"], 0, 0, id="extract"),
+        pytest.param(["model", SCRIPTS[0], "-o", "{out}"], 0, 0, id="model"),
+        pytest.param(["graph", SCRIPTS[0], "--nested"], 0, 0, id="graph"),
         pytest.param(
             ["query", "lineage", MSTMIP, "--name", "NEE_std", "--manifest", MANIFEST],
             0,
-            1,
+            0,
             id="query-lineage",
         ),
-        pytest.param(["validate", BROKEN_CHAIN], 1, 1, id="validate"),
+        pytest.param(["validate", BROKEN_CHAIN], 1, 0, id="validate"),
+        pytest.param(["graph", SCRIPTS[0], "--nest"], 0, 1, id="abbreviated"),
+        pytest.param(["graph", SCRIPTS[0], "--view=data"], 0, 1, id="attached-value"),
         pytest.param(["--help"], 0, FULL_TREE, id="help"),
         pytest.param(["graph", SCRIPTS[0], "--bogus"], 2, 1 + FULL_TREE, id="bad-flag"),
     ],
