@@ -75,51 +75,54 @@ def _tags(
     ``Annotation(*item)`` makes an item's record, where one is needed.
     """
     found: list[_Tagged] = []
+    # Bound once: the walk calls them for every "@" token and every tag.
+    tag_word, identifier = _TAG_WORDS.get, IDENTIFIER_RE.match
     for text, file, line in comments:
         if "@" not in text:
             continue
         tokens = text.split()
         n = len(tokens)
-        i = 0
-        while i < n:
-            # Only a token that starts with "@" is looked up as a tag.
-            token = tokens[i]
-            tag = _TAG_WORDS.get(token.lower()) if token[0] == "@" else None
-            i += 1
-            if tag is None:
-                continue
-            # The tag's value and description are the tokens up to the next tag.
-            stop = i
-            while stop < n and not (
-                tokens[stop][0] == "@" and tokens[stop].lower() in _TAG_WORDS
-            ):
+        tag = None
+        start = stop = 0
+        while True:
+            # Find the next tag from ``stop`` on. Only a token that starts
+            # with "@" is looked up, and each token is classified once.
+            following = None
+            while stop < n:
+                token = tokens[stop]
+                if token[0] == "@" and (following := tag_word(token.lower())) is not None:
+                    break
                 stop += 1
-            j, i = i, stop
-            if tag is Tag.END:
-                value = ""
-                if j < stop and IDENTIFIER_RE.match(tokens[j]):
-                    value = tokens[j]
-                    j += 1
-            elif j < stop and IDENTIFIER_RE.match(tokens[j]):
-                value = tokens[j]
-                j += 1
-            else:
-                if j < stop:
-                    error: AnnotationError = InvalidValue(
-                        f"@{tag.value} value {tokens[j]!r} is not a valid name",
-                        file=file,
-                        line=line,
-                    )
+            # The open tag's value and description are the tokens up to it.
+            if tag is not None:
+                value = None
+                if start < stop and identifier(tokens[start]):
+                    value = tokens[start]
+                    start += 1
+                elif tag is Tag.END:
+                    value = ""
                 else:
-                    error = MissingValue(
-                        f"@{tag.value} requires a value", file=file, line=line
-                    )
-                if problems is None:
-                    raise error
-                problems.append(error)
-                continue
-            description = " ".join(tokens[j:stop]) or None
-            found.append((tag, value, description, file, line))
+                    if start < stop:
+                        error: AnnotationError = InvalidValue(
+                            f"@{tag.value} value {tokens[start]!r} is not a valid name",
+                            file=file,
+                            line=line,
+                        )
+                    else:
+                        error = MissingValue(
+                            f"@{tag.value} requires a value", file=file, line=line
+                        )
+                    if problems is None:
+                        raise error
+                    problems.append(error)
+                if value is not None:
+                    description = " ".join(tokens[start:stop]) if start < stop else None
+                    found.append((tag, value, description, file, line))
+            if following is None:
+                break
+            tag = following
+            stop += 1
+            start = stop
     return found
 
 

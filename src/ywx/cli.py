@@ -35,7 +35,7 @@ from .annotations import (
     _tags,
 )
 from .comments import _lines, _scan, detect_language
-from .errors import FormatMismatch, UsageError, YwxError, _read_text
+from .errors import FormatMismatch, MalformedModel, UsageError, YwxError, _read_text
 from .model import (
     WorkflowModel,
     _build_model,
@@ -227,21 +227,23 @@ def _load_intermediate(path: str) -> tuple[str, str, list[_Tagged]] | WorkflowMo
     payload is then checked as ``parse_annotation_file`` or ``parse_model``
     would do from the text. A listing comes back as its source file, its
     language and its annotations as tag-walk tuples, with no records built.
+    Each problem names the file once; a listing record's names the script
+    line the record is about.
     """
     text = _read_text(path)
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise FormatMismatch(
-            f"{path} is not valid JSON: {exc.msg}", file=path, line=exc.lineno
-        ) from exc
+        raise FormatMismatch(f"not valid JSON: {exc.msg}", file=path, line=exc.lineno) from exc
     if isinstance(payload, dict) and "annotations" in payload:
         return _listing_from_json(text, payload)
     if isinstance(payload, dict) and "root" in payload and "channels" in payload:
-        return _model_from_json(text, payload)
-    raise FormatMismatch(
-        f"{path} is neither an annotation listing nor a model file", file=path
-    )
+        try:
+            return _model_from_json(text, payload)
+        except MalformedModel as exc:
+            exc.file = path
+            raise
+    raise FormatMismatch("neither an annotation listing nor a model file", file=path)
 
 
 def _model_from_inputs(
@@ -258,8 +260,7 @@ def _model_from_inputs(
         if isinstance(loaded, WorkflowModel):
             if not allow_model:
                 raise FormatMismatch(
-                    f"{paths[0]} already holds a model; pass scripts or an "
-                    "annotation listing",
+                    "already holds a model; pass scripts or an annotation listing",
                     file=paths[0],
                 )
             return loaded

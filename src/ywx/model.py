@@ -6,6 +6,12 @@ share a data name within one workflow scope: the writer is either the
 workflow's own input or exactly one child's output, and every matching
 reader becomes a sink. Nested workflows re-declare ports at each level,
 so channel inference never looks across more than one boundary at a time.
+
+A script or listing load builds its model in one pass over the tags: each
+Block is made, frozen, at its ``@end``, and each workflow's scope gets its
+channels at the workflow's ``@end`` (see ``_bracket``). A model file's tree
+is walked once more for its channels (``infer_channels``). Records are
+frozen, so equal ``Endpoint``s of one model may be one object.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import re
 from enum import Enum
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import Iterable, Iterator, Sequence
 
 from ._record import record
 from .annotations import (
@@ -250,43 +256,36 @@ class ModelIndex:
         return links
 
 
+# Compiled at import, not through the ``re`` cache by a process's first load.
+_NON_NAME = re.compile(r"[^A-Za-z0-9_]")
+
+
 def sanitize_name(raw: str) -> str:
     """Coerce an arbitrary string (e.g. a file stem) into a block name."""
-    cleaned = re.sub(r"[^A-Za-z0-9_]", "_", raw)
+    cleaned = _NON_NAME.sub("_", raw)
     if not cleaned:
         return "script"
-    if not re.match(r"[A-Za-z_]", cleaned[0]):
+    if cleaned[0].isdigit():  # only ASCII letters, digits and "_" are left
         cleaned = "_" + cleaned
     return cleaned
 
 
-# -- building the block tree ------------------------------------------------
+# -- building the model -----------------------------------------------------
 
 class _Skeleton:
-    """A block while its stream is bracketed: open until ``end`` is set."""
+    """A block between its ``@begin`` and its ``@end``; see ``_bracket``."""
 
-    __slots__ = (
-        "name", "path", "file", "line", "description", "ports", "port_keys", "children", "end"
-    )
+    __slots__ = ("name", "qualified", "file", "line", "description", "slot", "ports",
+                 "port_keys", "children")
 
     def __init__(
-        self,
-        name: str,
-        path: str,  # dotted names from the top level down
-        file: str,
-        line: int,
-        description: str | None,
-        children: list[_Skeleton] | None = None,
+        self, name: str, qualified: str, file: str, line: int, description: str | None, slot: int
     ) -> None:
-        self.name = name
-        self.path = path
-        self.file = file
-        self.line = line
-        self.description = description
+        self.name, self.qualified, self.file, self.line = name, qualified, file, line
+        self.description, self.slot = description, slot
         self.ports: list[Port] = []
         self.port_keys: set[tuple[str, Direction]] = set()
-        self.children: list[_Skeleton] = [] if children is None else children
-        self.end = 0
+        self.children: list[Block] = []
 
 
 _PORT_TAGS = {
@@ -295,34 +294,78 @@ _PORT_TAGS = {
     Tag.PARAM: (Direction.IN, Role.PARAMETER),
 }
 
+# A scope's channels, or the AmbiguousWriter of its first ambiguous data name;
+# None for a program, which has no scope.
+_Scope = list[Channel] | AmbiguousWriter | None
+# A port as a writer or reader of a data name in a scope: its block's
+# qualified name, its block's endpoint on its side, and the port.
+_PortAt = tuple[str, Endpoint, Port]
+# A data name ``validate`` checks: (scope, data, writers, readers).
+_Group = tuple[str, str, list[_PortAt], list[_PortAt]]
+
+
+def _explicit_root(annotations: Sequence[_Tagged]) -> bool:
+    """Whether the stream's one top-level block has children, and so is the
+    root: exactly one ``@begin`` at depth 0 and at least one below it. The
+    depth count is right for a stream without structural problems, the only
+    kind that builds a tree; it reports nothing and matches no names."""
+    begin_tag, end_tag = Tag.BEGIN, Tag.END  # read once: see _scope_channels
+    depth = 0
+    nested = top = False
+    for tag, _, _, _, _ in annotations:
+        if tag is begin_tag:
+            if depth:
+                nested = True
+            elif top:
+                return False
+            top = True
+            depth += 1
+        elif tag is end_tag and depth:
+            depth -= 1
+    return nested
+
 
 def _bracket(
-    annotations: Sequence[_Tagged], root_name: str | None = None
-) -> tuple[list[ModelError], Block | None]:
+    annotations: Sequence[_Tagged],
+    root_name: str | None = None,
+    checks: list[_Group] | None = None,
+) -> tuple[list[ModelError], Block | None, list[_Scope]]:
     """Match a document-ordered stream's ``@begin``/``@end`` pairs into blocks.
 
     The stream is the tag walk's ``(tag, value, description, file, line)``
-    tuples; ``_FIELDS`` reads them off ``Annotation`` records.
+    tuples; ``_FIELDS`` reads them off ``Annotation`` records. This is the
+    one begin/end stack of the toolchain, and the one pass from tags to
+    model. The root is decided first (``_explicit_root``), so a qualified
+    name is final at its ``@begin``. Each Block is made at its ``@end``, and
+    a workflow's ``@end`` puts its scope's channels (``_scope_channels``,
+    given ``checks``) in the slot it reserved at its ``@begin``, so the
+    slots hold them in pre-order.
 
-    The one begin/end stack of the toolchain. It returns every structural
-    problem, in document order, and the block tree, which is None when there
-    is a problem or no block at all. Each problem is recovered from: an
-    unmatched ``@end`` or a port outside any block is skipped, a wrongly
-    named ``@end`` still closes the open block, and a duplicate port or
-    block name is passed over. Blocks never span files: those still open
-    when the file changes or the stream ends are reported innermost first,
-    and closed. Two blocks may not share a dotted path from the top level,
-    which is their qualified name below the root; the message names it below
-    the root this walk builds, which under an implicit root is ``root_name``
-    or the stream's first file's stem.
+    It returns every structural problem in document order, the block tree
+    (None when there is a problem or no block at all) and the slots. Each
+    problem is recovered from: an unmatched ``@end`` or a port outside any
+    block is skipped, a wrongly named ``@end`` still closes the open block,
+    and a duplicate port or block name is passed over. Blocks never span
+    files: those still open when the file changes or the stream ends are
+    reported innermost first, and closed. Two blocks may not share a dotted
+    path from the top level; the message names it below the root the whole
+    stream gives: its one top-level block if it alone was closed and has
+    children, else the implicit one, ``root_name`` or the first file's stem.
     """
+    begin_tag, end_tag = Tag.BEGIN, Tag.END  # read once: see _scope_channels
     problems: list[ModelError] = []
     stack: list[_Skeleton] = []
-    top_level: list[_Skeleton] = []
-    # First declarations, as (owner, file, line).
-    paths: dict[str, tuple[_Skeleton | None, str, int]] = {}
-    # Dotted-name collisions, as (problem index, path, first declaration's
-    # file and line, name, file, line): their qualified name waits for the root.
+    top_level: list[Block] = []
+    first_file = annotations[0][3] if annotations else ""
+    implicit = sanitize_name(root_name or Path(first_file).stem)
+    explicit = _explicit_root(annotations)
+    prefix = "" if explicit else f"{implicit}."
+    slots: list[_Scope] = [] if explicit else [None]
+    ends: dict[str, tuple[Endpoint, Endpoint]] = {}
+    # First declarations by qualified name, as (owner, file, line).
+    first: dict[str, tuple[_Skeleton | None, str, int]] = {}
+    # Dotted-name collisions, as (problem index, qualified name, first
+    # declaration's file and line, name, file, line), named once the stream ends.
     collisions: list[tuple[int, str, str, int, str, str, int]] = []
     max_line = 0
 
@@ -331,8 +374,7 @@ def _bracket(
             open_block = stack.pop()
             problems.append(UnclosedBlock(
                 f"block {open_block.name!r} is never closed",
-                file=open_block.file,
-                line=open_block.line,
+                file=open_block.file, line=open_block.line,
             ))
 
     for tag, value, description, file, line in annotations:
@@ -340,24 +382,24 @@ def _bracket(
             close_open_blocks()
         if line > max_line:
             max_line = line
-        if tag is Tag.BEGIN:
+        if tag is begin_tag:
             owner = stack[-1] if stack else None
-            path = f"{owner.path}.{value}" if owner else value
-            first = paths.get(path)
-            if first is None:
-                paths[path] = (owner, file, line)
-            elif first[0] is owner:
+            qualified = f"{owner.qualified}.{value}" if owner else prefix + value
+            declared = first.get(qualified)
+            if declared is None:
+                first[qualified] = (owner, file, line)
+            elif declared[0] is owner:
                 problems.append(DuplicateBlockName(
                     f"block name {value!r} is declared twice in the same scope",
-                    file=file,
-                    line=line,
+                    file=file, line=line,
                 ))
             else:
                 # A name may hold dots: A's child B and a sibling A.B collide.
-                collisions.append((len(problems), path, *first[1:], value, file, line))
+                collisions.append((len(problems), qualified, *declared[1:], value, file, line))
                 problems.append(DuplicateBlockName("", file=file, line=line))
-            stack.append(_Skeleton(value, path, file, line, description))
-        elif tag is Tag.END:
+            stack.append(_Skeleton(value, qualified, file, line, description, len(slots)))
+            slots.append(None)
+        elif tag is end_tag:
             if not stack:
                 problems.append(UnbalancedEnd(
                     "@end without a matching @begin", file=file, line=line
@@ -366,18 +408,21 @@ def _bracket(
             if value and value != stack[-1].name:
                 problems.append(MismatchedEndName(
                     f"@end {value!r} does not close block {stack[-1].name!r}",
-                    file=file,
-                    line=line,
+                    file=file, line=line,
                 ))
             closed = stack.pop()
-            closed.end = line
-            (stack[-1].children if stack else top_level).append(closed)
+            block = Block(
+                closed.name, closed.qualified, closed.description, tuple(closed.ports),
+                tuple(closed.children), (closed.line, line), closed.file,
+            )
+            if closed.children:
+                slots[closed.slot] = _scope_channels(block, ends, checks)
+            (stack[-1].children if stack else top_level).append(block)
         else:
             if not stack:
                 problems.append(PortOutsideBlock(
                     f"@{tag.value} {value!r} appears outside any block",
-                    file=file,
-                    line=line,
+                    file=file, line=line,
                 ))
                 continue
             direction, role = _PORT_TAGS[tag]
@@ -385,33 +430,28 @@ def _bracket(
             key = (value, direction)
             if key in owner.port_keys:
                 problems.append(DuplicatePort(
-                    f"block {owner.name!r} already declares {direction.value} "
-                    f"port {value!r}",
-                    file=file,
-                    line=line,
+                    f"block {owner.name!r} already declares {direction.value} port {value!r}",
+                    file=file, line=line,
                 ))
                 continue
             owner.port_keys.add(key)
             owner.ports.append(Port(value, direction, role, file, line, description))
     close_open_blocks()
-    first_file = annotations[0][3] if annotations else ""
-    if len(top_level) == 1 and top_level[0].children:
-        root_skeleton, prefix = top_level[0], ""
-    else:
-        name = sanitize_name(root_name or Path(first_file).stem)
-        root_skeleton = _Skeleton(name, "", first_file, 0, None, top_level)
-        root_skeleton.end = max_line + 1
-        prefix = f"{name}."
-    for index, path, at_file, at_line, value, file, line in collisions:
-        problems[index] = DuplicateBlockName(
-            f"block {value!r} and the block declared at {at_file}:"
-            f"{at_line} share the qualified name {prefix + path!r}",
-            file=file,
-            line=line,
-        )
+    if collisions:
+        named = "" if len(top_level) == 1 and top_level[0].children else f"{implicit}."
+        for index, qualified, at_file, at_line, value, file, line in collisions:
+            problems[index] = DuplicateBlockName(
+                f"block {value!r} and the block declared at {at_file}:{at_line} "
+                f"share the qualified name {named + qualified[len(prefix):]!r}",
+                file=file, line=line,
+            )
     if problems or not top_level:
-        return problems, None
-    return problems, _freeze(root_skeleton)
+        return problems, None, []
+    if explicit:
+        return problems, top_level[0], slots
+    root = Block(implicit, implicit, None, (), tuple(top_level), (0, max_line + 1), first_file)
+    slots[0] = _scope_channels(root, ends, checks)
+    return problems, root, slots
 
 
 def build_blocks(annotations: Sequence[Annotation], root_name: str | None = None) -> Block:
@@ -423,161 +463,114 @@ def build_blocks(annotations: Sequence[Annotation], root_name: str | None = None
     A stream with structural problems raises the first in document order;
     a block that opens in one file and ends in another is one of them.
     """
-    return _blocks(list(map(_FIELDS, annotations)), root_name)
+    return _blocks(list(map(_FIELDS, annotations)), root_name)[0]
 
 
-def _blocks(annotations: Sequence[_Tagged], root_name: str | None) -> Block:
-    """``build_blocks`` of a stream of tag-walk tuples."""
-    problems, root = _bracket(annotations, root_name)
+def _blocks(annotations: Sequence[_Tagged], root_name: str | None) -> tuple[Block, list[_Scope]]:
+    """``build_blocks`` of a stream of tag-walk tuples, with ``_bracket``'s slots."""
+    problems, root, slots = _bracket(annotations, root_name)
     if problems:
         raise problems[0]
     if root is None:
         raise NoBlocks("the annotation stream defines no blocks")
-    return root
-
-
-_Node = TypeVar("_Node")
-_Head = TypeVar("_Head")
-_DONE = object()
-
-
-def _fold_tree(
-    top: _Node,
-    enter: Callable[[_Node, str], tuple[str, _Head, Sequence[_Node]]],
-    leave: Callable[[str, _Head, list[Block]], Block],
-) -> Block:
-    """Build a Block tree depth first with an explicit stack, not recursion.
-
-    ``enter(node, prefix)`` checks a node in pre-order, before any of its
-    children, and returns its qualified name, what ``leave`` needs of it and
-    its children. ``leave(qualified, head, children)`` makes the node's
-    Block once all its children are built, so checks run in the order a
-    recursive walk would run them, and no nesting depth is too deep.
-    """
-    qualified, head, children = enter(top, "")
-    stack = [(qualified, head, iter(children), [])]
-    while True:
-        qualified, head, pending, built = stack[-1]
-        child = next(pending, _DONE)
-        if child is not _DONE:
-            child_q, child_head, grandchildren = enter(child, qualified)
-            stack.append((child_q, child_head, iter(grandchildren), []))
-            continue
-        stack.pop()
-        block = leave(qualified, head, built)
-        if not stack:
-            return block
-        stack[-1][3].append(block)
-
-
-def _freeze(top: _Skeleton) -> Block:
-    """Turn a closed skeleton into a frozen Block, qualifying names on the way."""
-
-    def enter(skeleton: _Skeleton, prefix: str) -> tuple[str, _Skeleton, list[_Skeleton]]:
-        qualified = f"{prefix}.{skeleton.name}" if prefix else skeleton.name
-        return qualified, skeleton, skeleton.children
-
-    def leave(qualified: str, skeleton: _Skeleton, children: list[Block]) -> Block:
-        return Block(
-            skeleton.name,
-            qualified,
-            skeleton.description,
-            tuple(skeleton.ports),
-            tuple(children),
-            (skeleton.line, skeleton.end),
-            skeleton.file,
-        )
-
-    return _fold_tree(top, enter, leave)
+    return root, slots
 
 
 # -- channel inference ------------------------------------------------------
 
-class ChannelGroup(NamedTuple):
-    """All candidate writers and readers for one data name in one scope.
-
-    Each writer and reader is a ``(block qualified name, port)`` pair; the
-    port's direction is the endpoint's.
-    """
-
-    scope: str
-    data: str
-    sources: list[tuple[str, Port]]
-    sinks: list[tuple[str, Port]]
-
-
-def channel_groups(root: Block) -> list[ChannelGroup]:
-    """Enumerate per-scope name matches before any single-writer check.
+def _scope_channels(
+    workflow: Block, ends: dict[str, tuple[Endpoint, Endpoint]], checks: list[_Group] | None
+) -> list[Channel] | AmbiguousWriter:
+    """The channels of one workflow's scope, in data name order.
 
     Within a workflow W and data name d: candidate writers are W's own
     in/param ports named d plus each child's out ports named d; candidate
     readers are the children's in/param ports named d plus W's own out
-    ports named d. A name nothing writes forms no group, since it is
-    neither a channel nor the subject of a check. Groups come per workflow
-    in pre-order, and by name within one.
+    ports named d. One writer and a reader make a channel, a parameter one
+    if a parameter port is among them. Several writers and a reader make d
+    ambiguous: the AmbiguousWriter of the first such name comes back instead
+    of the channels. A name nothing writes is neither a channel nor checked.
+    With ``checks`` a list, every ambiguous name and every name nothing
+    reads is appended to it. ``ends`` holds the load's in and out endpoints
+    by block, so equal endpoints are one object. A block has at most one
+    port per name and direction, so sorting the readers by block name is
+    sorting them by endpoint.
     """
-    groups: list[ChannelGroup] = []
-    for workflow in iter_blocks(root):
-        if not workflow.is_workflow:
+    # Enum members are read once: on Python 3.11 each read goes through the
+    # metaclass's __getattr__ hook.
+    into, out_of = Direction.IN, Direction.OUT
+    parameter, plain = Role.PARAMETER, Role.DATA
+    scope = workflow.qualified_name
+    writers: dict[str, list[_PortAt]] = {}
+    readers: dict[str, list[_PortAt]] = {}
+    params: set[str] = set()
+    writes = into  # the workflow's own in ports write, and its children's out ports
+    for block in (workflow, *workflow.children):
+        q = block.qualified_name
+        pair = ends.get(q)
+        if pair is None:
+            pair = ends[q] = (Endpoint(q, into), Endpoint(q, out_of))
+        for port in block.ports:
+            name, direction = port.name, port.direction
+            item = (q, pair[0] if direction is into else pair[1], port)
+            side = writers if direction is writes else readers
+            group = side.get(name)
+            if group is None:
+                side[name] = [item]
+            else:
+                group.append(item)
+            if port.role is parameter:
+                params.add(name)
+        writes = out_of
+    channels: list[Channel] = []
+    ambiguous = None
+    for data in sorted(writers):
+        sources = writers[data]
+        sinks = readers.get(data)
+        if sinks is None or len(sources) > 1:
+            if checks is not None:
+                checks.append((scope, data, sources, sinks or []))
+            if sinks is not None and ambiguous is None:
+                listed = ", ".join(f"{b} ({p.file}:{p.line})" for b, _, p in sources)
+                second = sources[1][2]
+                ambiguous = AmbiguousWriter(
+                    f"data {data!r} has several writers in scope {scope!r}: {listed}",
+                    file=second.file,
+                    line=second.line,
+                )
             continue
-        scope = workflow.qualified_name
-        sources: dict[str, list[tuple[str, Port]]] = {}
-        sinks: dict[str, list[tuple[str, Port]]] = {}
-        for port in workflow.ports:
-            side = sources if port.direction is Direction.IN else sinks
-            side.setdefault(port.name, []).append((scope, port))
-        for child in workflow.children:
-            block = child.qualified_name
-            for port in child.ports:
-                side = sources if port.direction is Direction.OUT else sinks
-                side.setdefault(port.name, []).append((block, port))
-        for name in sorted(sources):
-            groups.append(ChannelGroup(scope, name, sources[name], sinks.get(name, [])))
-    return groups
+        if len(sinks) > 1:
+            sinks.sort(key=itemgetter(0))
+        channels.append(Channel(
+            data,
+            scope,
+            parameter if data in params else plain,
+            sources[0][1],
+            tuple([end for _, end, _ in sinks]),
+        ))
+    return channels if ambiguous is None else ambiguous
+
+
+def _joined(slots: Iterable[_Scope]) -> tuple[Channel, ...]:
+    """The scopes' channels in slot order, or the first AmbiguousWriter raised:
+    a copy, since the one in ``slots`` would be reachable from the frames its
+    traceback holds, a reference cycle."""
+    channels: list[Channel] = []
+    for found in slots:
+        if isinstance(found, AmbiguousWriter):
+            raise AmbiguousWriter(found.message, file=found.file, line=found.line)
+        if found:
+            channels += found
+    return tuple(channels)
 
 
 def infer_channels(root: Block) -> tuple[Channel, ...]:
-    """Derive every channel in every scope; single writer per name and scope."""
-    return _channels(channel_groups(root))
+    """Derive every channel in every scope; single writer per name and scope.
 
-
-def _channels(groups: Sequence[ChannelGroup]) -> tuple[Channel, ...]:
-    """The channels of the groups that have readers, or AmbiguousWriter.
-
-    A block has at most one port per name and direction, so no block is
-    two readers of one group, and sorting the readers by block name is
-    sorting them by endpoint.
+    A script or listing load derives each scope's in ``_bracket`` instead.
     """
-    channels: list[Channel] = []
-    for group in groups:
-        if not group.sinks:
-            continue
-        if len(group.sources) > 1:
-            writers = ", ".join(
-                f"{block} ({port.file}:{port.line})" for block, port in group.sources
-            )
-            second = group.sources[1][1]
-            raise AmbiguousWriter(
-                f"data {group.data!r} has several writers in scope "
-                f"{group.scope!r}: {writers}",
-                file=second.file,
-                line=second.line,
-            )
-        block, port = group.sources[0]
-        role = (
-            Role.PARAMETER
-            if port.role is Role.PARAMETER
-            or any(p.role is Role.PARAMETER for _, p in group.sinks)
-            else Role.DATA
-        )
-        readers = group.sinks
-        if len(readers) > 1:
-            readers = sorted(readers, key=itemgetter(0))
-        sinks = tuple([Endpoint(b, p.direction) for b, p in readers])
-        channels.append(
-            Channel(group.data, group.scope, role, Endpoint(block, port.direction), sinks)
-        )
-    return tuple(channels)
+    ends: dict[str, tuple[Endpoint, Endpoint]] = {}
+    return _joined([_scope_channels(b, ends, None) for b in iter_blocks(root) if b.children])
 
 
 def build_model(
@@ -596,8 +589,8 @@ def _build_model(
     annotations: Sequence[_Tagged], root_name: str | None, source_files: Sequence[str]
 ) -> WorkflowModel:
     """``build_model`` of a stream of tag-walk tuples, as the CLI reads a script."""
-    root = _blocks(annotations, root_name)
-    return WorkflowModel(root, infer_channels(root), tuple(source_files))
+    root, slots = _blocks(annotations, root_name)
+    return WorkflowModel(root, _joined(slots), tuple(source_files))
 
 
 # -- serialization ----------------------------------------------------------
@@ -690,10 +683,6 @@ def _channel_json(ch: Channel) -> str:
     )
 
 
-def _fail(message: str) -> MalformedModel:
-    return MalformedModel(message)
-
-
 _DIRECTIONS = {d.value: d for d in Direction}
 _ROLES = {r.value: r for r in Role}
 
@@ -703,28 +692,28 @@ _ROLES = {r.value: r for r in Role}
 # which ``isinstance`` takes for an int, from a line number.
 def _parse_port(raw: object, owner: str) -> Port:
     if raw.__class__ is not dict:
-        raise _fail(f"port of {owner!r} must be an object")
+        raise MalformedModel(f"port of {owner!r} must be an object")
     name = raw.get("name")
     if not (name.__class__ is str and IDENTIFIER_RE.match(name)):
-        raise _fail(f"bad port name {name!r} on {owner!r}")
+        raise MalformedModel(f"bad port name {name!r} on {owner!r}")
     direction = raw.get("direction")
     role = raw.get("role")
     # Only strings are looked up: a list or dict value is unhashable.
     direction = _DIRECTIONS.get(direction) if direction.__class__ is str else None
     role = _ROLES.get(role) if role.__class__ is str else None
     if direction is None or role is None:
-        raise _fail(f"bad port direction/role on {owner!r}")
+        raise MalformedModel(f"bad port direction/role on {owner!r}")
     line = raw.get("line")
     if line.__class__ is not int:
-        raise _fail(f"port {name!r} on {owner!r} needs an integer line")
+        raise MalformedModel(f"port {name!r} on {owner!r} needs an integer line")
     description = raw.get("description")
     if description is not None and description.__class__ is not str:
-        raise _fail(f"port {name!r} on {owner!r} has a non-string description")
+        raise MalformedModel(f"port {name!r} on {owner!r} has a non-string description")
     file = raw.get("file")
     if file.__class__ is not str:
         file = "<model>"
     if direction is Direction.OUT and role is Role.PARAMETER:
-        raise _fail(f"port {name!r} on {owner!r} cannot be an out parameter")
+        raise MalformedModel(f"port {name!r} on {owner!r} cannot be an out parameter")
     return Port(name, direction, role, file, line, description)
 
 
@@ -732,19 +721,19 @@ _BlockHead = tuple[str, "str | None", tuple[Port, ...], tuple[int, int], str]
 
 
 def _enter_block(raw: object, prefix: str) -> tuple[str, _BlockHead, list]:
-    """Check one serialized block, all but its children; see ``_fold_tree``."""
+    """Check one serialized block, all but its children; see ``_tree_from_json``."""
     if raw.__class__ is not dict:
-        raise _fail("block must be an object")
+        raise MalformedModel("block must be an object")
     name = raw.get("name")
     if not (name.__class__ is str and IDENTIFIER_RE.match(name)):
-        raise _fail(f"bad block name {name!r}")
+        raise MalformedModel(f"bad block name {name!r}")
     qualified = raw.get("qualified_name")
     expected = f"{prefix}.{name}" if prefix else name
     if qualified != expected:
-        raise _fail(f"qualified name {qualified!r} should be {expected!r}")
+        raise MalformedModel(f"qualified name {qualified!r} should be {expected!r}")
     description = raw.get("description")
     if description is not None and description.__class__ is not str:
-        raise _fail(f"block {name!r} has a non-string description")
+        raise MalformedModel(f"block {name!r} has a non-string description")
     span = raw.get("span")
     if not (
         span.__class__ is list
@@ -752,20 +741,56 @@ def _enter_block(raw: object, prefix: str) -> tuple[str, _BlockHead, list]:
         and span[0].__class__ is int
         and span[1].__class__ is int
     ):
-        raise _fail(f"block {name!r} needs a [begin, end] span")
+        raise MalformedModel(f"block {name!r} needs a [begin, end] span")
     file = raw.get("file")
     if file.__class__ is not str:
         file = "<model>"
     raw_ports = raw.get("ports")
     if raw_ports.__class__ is not list:
-        raise _fail(f"block {name!r} needs a port list")
+        raise MalformedModel(f"block {name!r} needs a port list")
     ports = tuple([_parse_port(p, expected) for p in raw_ports])
     if len(ports) > 1 and len({(p.name, p.direction) for p in ports}) != len(ports):
-        raise _fail(f"block {expected!r} declares a duplicate port")
+        raise MalformedModel(f"block {expected!r} declares a duplicate port")
     raw_children = raw.get("children")
     if raw_children.__class__ is not list:
-        raise _fail(f"block {name!r} needs a child list")
+        raise MalformedModel(f"block {name!r} needs a child list")
     return expected, (name, description, ports, tuple(span), file), raw_children
+
+
+_DONE = object()
+
+
+def _tree_from_json(raw: object) -> Block:
+    """Check and build a serialized block tree depth first, without recursion.
+
+    ``_enter_block`` checks a block in pre-order, before any of its children,
+    and its Block is made once all its children are, so checks run in the
+    order a recursive walk would run them, and no nesting depth is too deep.
+    """
+    seen: set[str] = set()
+    qualified, head, children = _enter_block(raw, "")
+    stack = [(qualified, head, iter(children), [])]
+    while True:
+        qualified, head, pending, built = stack[-1]
+        child = next(pending, _DONE)
+        if child is not _DONE:
+            child_q, child_head, grandchildren = _enter_block(child, qualified)
+            stack.append((child_q, child_head, iter(grandchildren), []))
+            continue
+        stack.pop()
+        # A name may hold dots, so a child B of A and a sibling A.B collide.
+        for child in built:
+            if child.qualified_name in seen:
+                raise MalformedModel(
+                    f"block {qualified!r} has children with duplicate "
+                    f"qualified name {child.qualified_name!r}"
+                )
+            seen.add(child.qualified_name)
+        name, description, ports, span, file = head
+        block = Block(name, qualified, description, ports, tuple(built), span, file)
+        if not stack:
+            return block
+        stack[-1][3].append(block)
 
 
 def parse_model(text: str) -> WorkflowModel:
@@ -787,40 +812,26 @@ def _model_from_json(text: str, payload: object) -> WorkflowModel:
     """
     _check_unicode(text, payload, MalformedModel)
     if not isinstance(payload, dict):
-        raise _fail("top level must be an object")
-    seen: set[str] = set()
-
-    def leave(qualified: str, head: _BlockHead, children: list[Block]) -> Block:
-        # A name may hold dots, so a child B of A and a sibling A.B collide.
-        for child in children:
-            if child.qualified_name in seen:
-                raise _fail(
-                    f"block {qualified!r} has children with duplicate "
-                    f"qualified name {child.qualified_name!r}"
-                )
-            seen.add(child.qualified_name)
-        name, description, ports, span, file = head
-        return Block(name, qualified, description, ports, tuple(children), span, file)
-
-    root = _fold_tree(payload.get("root"), _enter_block, leave)
+        raise MalformedModel("top level must be an object")
+    root = _tree_from_json(payload.get("root"))
     if not root.children:
-        raise _fail("root block must be a workflow (have children)")
+        raise MalformedModel("root block must be a workflow (have children)")
     raw_files = payload.get("source_files", [])
     if not (isinstance(raw_files, list) and all(isinstance(f, str) for f in raw_files)):
-        raise _fail("'source_files' must be a list of strings")
+        raise MalformedModel("'source_files' must be a list of strings")
 
     raw_channels = payload.get("channels")
     if not isinstance(raw_channels, list):
-        raise _fail("'channels' must be a list")
+        raise MalformedModel("'channels' must be a list")
     try:
         channels = infer_channels(root)
     except AmbiguousWriter as exc:
-        raise _fail(f"block tree is ambiguous: {exc}") from exc
+        raise MalformedModel(f"block tree is ambiguous: {exc}") from exc
     # The file's records must be exactly those a model file is written with.
     if len(raw_channels) != len(channels) or not all(
         map(_same_channel, raw_channels, channels)
     ):
-        raise _fail("'channels' differs from the channels inferred from 'root'")
+        raise MalformedModel("'channels' differs from the channels inferred from 'root'")
     return WorkflowModel(root, channels, tuple(raw_files))
 
 

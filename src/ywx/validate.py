@@ -53,12 +53,11 @@ from .errors import (
 )
 from .model import (
     Block,
-    ChannelGroup,
     Direction,
     WorkflowModel,
     _bracket,
-    _channels,
-    channel_groups,
+    _Group,
+    _joined,
     iter_blocks,
 )
 
@@ -130,7 +129,7 @@ def check_structure(
     ``root_name`` names an implicit root, as in ``build_blocks``; a clash of
     dotted block names is reported under that root's qualified name.
     """
-    problems, _ = _bracket(list(map(_FIELDS, annotations)), root_name)
+    problems, _, _ = _bracket(list(map(_FIELDS, annotations)), root_name)
     return [_structure_diagnostic(p) for p in problems]
 
 
@@ -204,40 +203,26 @@ def check_port_names_in_code(
 
 # -- channel-level checks ----------------------------------------------------------
 
-def check_channel_sanity(groups: Sequence[ChannelGroup]) -> list[Diagnostic]:
+def check_channel_sanity(groups: Sequence[_Group]) -> list[Diagnostic]:
     """Flag data names with several writers and ports nothing ever reads.
 
-    Takes a tree's ``channel_groups``, which also give its channels.
+    Takes the names the model build appended to ``_bracket``'s ``checks``,
+    as ``(scope, data, writers, readers)``: those with a reader and several
+    writers, and those nothing reads.
     """
     found: list[Diagnostic] = []
-    for group in groups:
-        if len(group.sources) > 1 and group.sinks:
-            _, second = group.sources[1]
-            found.append(
-                Diagnostic(
-                    ERROR,
-                    "YW030",
-                    f"data {group.data!r} has more than one writer "
-                    f"in scope {group.scope!r}",
-                    second.file,
-                    second.line,
-                )
-            )
-        if not group.sinks:
-            for block, port in group.sources:
-                if block == group.scope:
-                    message = (
-                        f"input {group.data!r} of workflow {group.scope!r} "
-                        "is never used"
-                    )
+    for scope, data, sources, sinks in groups:
+        if len(sources) > 1 and sinks:
+            second = sources[1][2]
+            message = f"data {data!r} has more than one writer in scope {scope!r}"
+            found.append(Diagnostic(ERROR, "YW030", message, second.file, second.line))
+        if not sinks:
+            for block, _, port in sources:
+                if block == scope:
+                    message = f"input {data!r} of workflow {scope!r} is never used"
                 else:
-                    message = (
-                        f"output {group.data!r} of block {block!r} "
-                        "is never consumed"
-                    )
-                found.append(
-                    Diagnostic(WARNING, "YW031", message, port.file, port.line)
-                )
+                    message = f"output {data!r} of block {block!r} is never consumed"
+                found.append(Diagnostic(WARNING, "YW031", message, port.file, port.line))
     return found
 
 
@@ -275,8 +260,8 @@ def validate_sources(
     once, and its comment spans give both its annotations and the blanked
     code YW010 searches. The files' merged annotation stream is bracketed
     once, under an implicit root named after the first file as the model's
-    is, which gives both the structural diagnostics and the block tree the
-    other checks run on.
+    is. That one pass gives the structural diagnostics, the block tree, its
+    channels, and the data names YW030 and YW031 flag.
     """
     diagnostics: list[Diagnostic] = []
     merged: list[_Tagged] = []
@@ -304,16 +289,16 @@ def validate_sources(
             )
 
     root_name = Path(sources[0][0]).stem if sources else None
-    structure, tree = _bracket(merged, root_name)
+    checks: list[_Group] = []
+    structure, tree, slots = _bracket(merged, root_name, checks)
     diagnostics.extend(_structure_diagnostic(p) for p in structure)
     if tree is not None:
-        groups = channel_groups(tree)
-        sanity = check_channel_sanity(groups)
+        sanity = check_channel_sanity(checks)
         diagnostics.extend(sanity)
         diagnostics.extend(check_port_names_in_code(tree, stripped))
         if not any(d.code == "YW030" for d in sanity):
             model = WorkflowModel(
-                tree, _channels(groups), tuple(path for path, _, _ in sources)
+                tree, _joined(slots), tuple(path for path, _, _ in sources)
             )
             diagnostics.extend(check_dependency_chains(model))
 

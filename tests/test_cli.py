@@ -17,7 +17,7 @@ from ywx.annotations import parse_annotations
 from ywx.cli import run
 from ywx.comments import detect_language, extract_comments
 from ywx.errors import DuplicateBlockName
-from ywx.model import build_blocks
+from ywx.model import build_blocks, iter_blocks
 from ywx.validate import check_structure
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -322,7 +322,7 @@ class TestIntermediateLoad:
         code, err = run_err(capsys, "query", "blocks", str(model_file))
         assert code == 2
         root = payload["root"]["qualified_name"]
-        assert err == f"ywx: error: bad port direction/role on {root!r}\n"
+        assert err == f"ywx: error: {model_file}: bad port direction/role on {root!r}\n"
 
     @staticmethod
     def bool_line_in_listing(doc, model_file):
@@ -338,7 +338,7 @@ class TestIntermediateLoad:
         port["line"] = True
         model_file.write_text(json.dumps(payload))
         root = payload["root"]["qualified_name"]
-        return model_file, f"port {port['name']!r} on {root!r} needs an integer line"
+        return model_file, f"{model_file}: port {port['name']!r} on {root!r} needs an integer line"
 
     @staticmethod
     def bool_block_span(doc, model_file):
@@ -346,7 +346,7 @@ class TestIntermediateLoad:
         block = payload["root"]["children"][0]
         block["span"] = [False, block["span"][1]]
         model_file.write_text(json.dumps(payload))
-        return model_file, f"block {block['name']!r} needs a [begin, end] span"
+        return model_file, f"{model_file}: block {block['name']!r} needs a [begin, end] span"
 
     @pytest.mark.parametrize("edit", ["bool_line_in_listing", "bool_port_line", "bool_block_span"])
     @pytest.mark.parametrize("command", [["graph", "--nested"], ["query", "blocks"]])
@@ -383,7 +383,7 @@ class TestIntermediateLoad:
         code, err = run_err(capsys, "graph", str(broken))
         assert code == 2
         assert err == (
-            f"ywx: error: {broken}:1: {broken} is not valid JSON: "
+            f"ywx: error: {broken}:1: not valid JSON: "
             "Expecting property name enclosed in double quotes\n"
         )
 
@@ -394,8 +394,86 @@ class TestIntermediateLoad:
         code, err = run_err(capsys, "query", "blocks", str(stray))
         assert code == 2
         assert err == (
-            f"ywx: error: {stray}: {stray} is neither an annotation listing "
-            "nor a model file\n"
+            f"ywx: error: {stray}: neither an annotation listing nor a model file\n"
+        )
+
+
+class TestRootAndScopeOrder:
+    """What a load gives does not depend on the order the model is built in:
+    the root is decided before the blocks are, and scopes close innermost
+    first."""
+
+    @staticmethod
+    def script_and_listing(tmp_path, name, text):
+        script = tmp_path / name
+        script.write_text(text)
+        listing = tmp_path / "listing.json"
+        assert run(["extract", str(script), "-o", str(listing)]) == 0
+        return str(script), str(listing)
+
+    @pytest.mark.parametrize(
+        "name, text, names, span",
+        [
+            (
+                "two_top.py",
+                "# @begin A @out x\nx = 1\n# @end A\n# @begin B @in x\nprint(x)\n# @end B\n",
+                ["two_top", "two_top.A", "two_top.B"],
+                (0, 7),
+            ),
+            ("lone.py", "# @begin P @in x @out y\ny = x\n# @end P\n", ["lone", "lone.P"], (0, 4)),
+        ],
+        ids=["several-top-level-blocks", "one-top-level-program"],
+    )
+    def test_implicit_root(self, tmp_path, name, text, names, span):
+        script, listing = self.script_and_listing(tmp_path, name, text)
+        for path in (script, listing):
+            model = cli._model_from_inputs([path], None)
+            assert [b.qualified_name for b in iter_blocks(model.root)] == names
+            assert (model.root.span, model.root.file) == (span, script)
+            assert model.source_files == (script,)
+
+    def test_two_scripts_share_an_implicit_root(self, tmp_path):
+        # Each script alone has a workflow for its root.
+        out = tmp_path / "model.json"
+        assert run(["model", AFFY, PALEO, "-o", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        root = payload["root"]
+        assert (root["qualified_name"], root["span"], root["file"]) == (
+            "affymetrix",
+            [0, 41],
+            AFFY,
+        )
+        assert [child["qualified_name"] for child in root["children"]] == [
+            "affymetrix.affy_analysis",
+            "affymetrix.paleo_recon",
+        ]
+        assert payload["source_files"] == [AFFY, PALEO]
+
+    NESTED_AMBIGUITY = (
+        "# @begin W @in x @out y\n"
+        "# @begin A @in x @out d\nd = a(x)\n# @end A\n"
+        "# @begin B @in x @out d\nd = b(x)\n# @end B\n"
+        "# @begin C @in d @out y\n"
+        "# @begin C1 @in d @out e\ne = c1(d)\n# @end C1\n"
+        "# @begin C2 @in d @out e\ne = c2(d)\n# @end C2\n"
+        "# @begin C3 @in e @out y\ny = c3(e)\n# @end C3\n"
+        "# @end C\n"
+        "# @end W\n"
+    )
+
+    def test_outer_ambiguity_is_reported(self, tmp_path, capsys):
+        # W's 'd' and W.C's 'e' both have two writers; W.C closes first.
+        script, listing = self.script_and_listing(tmp_path, "amb.py", self.NESTED_AMBIGUITY)
+        for path in (script, listing):
+            assert run_err(capsys, "model", path) == (
+                2,
+                f"ywx: error: {script}:5: data 'd' has several writers in scope 'W': "
+                f"W.A ({script}:2), W.B ({script}:5)\n",
+            )
+        assert run(["validate", script]) == 1
+        assert capsys.readouterr().out == (
+            f"{script}:5: error YW030 data 'd' has more than one writer in scope 'W'\n"
+            f"{script}:12: error YW030 data 'e' has more than one writer in scope 'W.C'\n"
         )
 
 

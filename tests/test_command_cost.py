@@ -2,7 +2,9 @@
 
 A script or listing load through the CLI goes to the block tree with no
 ``Annotation`` records; only ``extract``, whose listing is made of them,
-builds one per tag. A plain call builds no argparse parser; a rarer option
+builds one per tag. It makes the model in the one walk that brackets the
+tags, with no later walk over the tree; a model file's channels are derived
+by one walk over the tree it holds. A plain call builds no argparse parser; a rarer option
 form builds its command's own, and only top-level help and usage errors
 build the full tree. ``cli.run`` suspends the cyclic garbage collector
 while a command runs and leaves it as it found it.
@@ -11,11 +13,12 @@ while a command runs and leaves it as it found it.
 import argparse
 import gc
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from ywx import cli
+from ywx import cli, model
 from ywx.annotations import Annotation
 from ywx.validate import validate_scripts
 
@@ -70,6 +73,39 @@ def test_extract_builds_one_record_per_tag(built, tmp_path, script):
     tags = json.loads(listing.read_text(encoding="utf-8"))["annotations"]
     assert len(tags) > 10
     assert built[0] == len(tags)
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """A counter of the calls to the model module's tree walks, by name."""
+    calls = Counter()
+    for name in ("iter_blocks", "infer_channels"):
+
+        def counting(*args, _name=name, _walk=getattr(model, name), **kwargs):
+            calls[_name] += 1
+            return _walk(*args, **kwargs)
+
+        monkeypatch.setattr(model, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=NAMES)
+def test_script_and_listing_loads_walk_no_tree(walks, tmp_path, script):
+    listing = tmp_path / "ann.json"
+    assert cli.run(["extract", script, "-o", str(listing)]) == 0
+    for path in (script, str(listing)):
+        walks.clear()
+        assert cli._model_from_inputs([path], None).channels
+        assert walks == Counter()
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=NAMES)
+def test_model_file_load_infers_channels_once(walks, tmp_path, script):
+    model_file = tmp_path / "model.json"
+    assert cli.run(["model", script, "-o", str(model_file)]) == 0
+    walks.clear()
+    assert cli._model_from_inputs([str(model_file)], None).channels
+    assert walks["infer_channels"] == 1
 
 
 # -- argument parsers ------------------------------------------------------------

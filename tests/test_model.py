@@ -171,6 +171,34 @@ class TestTreeBuilding:
         finally:
             gc.enable()
 
+    def test_ambiguous_build_leaves_no_cyclic_garbage(self):
+        import gc
+
+        # W.C's 'e' is ambiguous too, and its scope is closed before W's.
+        anns = annotations_from_source(
+            "# @begin W @in x @out y\n"
+            "# @begin A @in x @out d\n# @end A\n"
+            "# @begin B @in x @out d\n# @end B\n"
+            "# @begin C @in d @out y\n"
+            "# @begin C1 @in d @out e\n# @end C1\n"
+            "# @begin C2 @in d @out e\n# @end C2\n"
+            "# @begin C3 @in e @out y\n# @end C3\n"
+            "# @end C\n"
+            "# @end W\n"
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            try:
+                build_model(anns)
+            except AmbiguousWriter:
+                pass
+            else:
+                raise AssertionError("the build should fail")
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 class TestStructureErrors:
     def check(self, source, error, file="s.py"):

@@ -236,6 +236,39 @@ class TestRecovery:
             "script.py:3 share the qualified name 'script.W.A.B'"
         ]
 
+    @pytest.mark.parametrize(
+        "tail, expected",
+        [
+            # Two blocks open at the top level, but only W closes, and it
+            # has children: the collision is named under W.
+            (
+                "# @end W\n# @begin U\n",
+                [
+                    "script.py:6: error YW007 block 'A.B' and the block declared at "
+                    "script.py:3 share the qualified name 'W.A.B'",
+                    "script.py:9: error YW003 block 'U' is never closed",
+                ],
+            ),
+            # One block opens at the top level, but it never closes: the
+            # collision is named under the implicit root.
+            (
+                "",
+                [
+                    "script.py:1: error YW003 block 'W' is never closed",
+                    "script.py:6: error YW007 block 'A.B' and the block declared at "
+                    "script.py:3 share the qualified name 'script.W.A.B'",
+                ],
+            ),
+        ],
+        ids=["second-top-level-unclosed", "only-top-level-unclosed"],
+    )
+    def test_dotted_name_collision_with_an_unclosed_block(self, tail, expected):
+        diags = validate_text(
+            "# @begin W\n# @begin A\n# @begin B\n# @end B\n# @end A\n"
+            "# @begin A.B\n# @end A.B\n" + tail
+        )
+        assert [d.render() for d in diags] == expected
+
     def test_in_and_out_with_one_name_is_fine(self):
         diags = validate_text(
             "# @begin W @in state @out state\nstate = step(state)\n# @end W\n"
