@@ -7,8 +7,7 @@ pipeline in stages through files yields byte-identical output to running the
 final stage straight from the scripts.
 
 A plain call is read straight from ``_ARGUMENTS`` and builds no parser.
-Any other goes to argparse: the named command's parser, or the full tree of
-all five when no command is named first or arguments are left over. So only
+Any other goes to argparse's full tree of all five commands, so only
 argparse prints help, usage and errors, in the text it always did.
 
 Exit status: 0 on success, 1 when validate reports errors, 2 for usage or
@@ -87,7 +86,7 @@ QUERY_NAMES = (
 
 # Each command's arguments as (flags, ``add_argument`` keywords), in the
 # order its parser declares them: positionals first, then options, each
-# option's long flag last. Its parser and ``_read_plain`` both read this.
+# option's long flag last. ``_build_parser`` and ``_read_plain`` both read this.
 _COMMON = (
     (("-l", "--language"), {"help": "comment syntax override"}),
     (("-o", "--output"), {"help": "write output to FILE instead of stdout"}),
@@ -124,12 +123,6 @@ _ARGUMENTS = {
 }
 
 
-def _add_arguments(parser: argparse.ArgumentParser, name: str) -> None:
-    """Declare command ``name``'s arguments on ``parser``, from ``_ARGUMENTS``."""
-    for flags, keywords in _ARGUMENTS[name]:
-        parser.add_argument(*flags, **keywords)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     """The full tree: the top-level parser with one subparser per command."""
     parser = argparse.ArgumentParser(
@@ -138,7 +131,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text) in _COMMANDS.items():
-        _add_arguments(sub.add_parser(name, help=help_text), name)
+        command = sub.add_parser(name, help=help_text)
+        for flags, keywords in _ARGUMENTS[name]:
+            command.add_argument(*flags, **keywords)
     return parser
 
 
@@ -185,25 +180,12 @@ def _read_plain(argv: list[str]) -> argparse.Namespace | None:
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """``_build_parser().parse_args(argv)``, building as little as it may.
-
-    A plain call builds no parser (see ``_read_plain``). Otherwise the named
-    command's own parser, named as its subparser in the full tree, gives the
-    same result wherever it takes every argument; the full tree parses the
-    rest, for its usage text. So only argparse prints help and errors.
+    """``_build_parser().parse_args(argv)``, with no parser built for a plain
+    call (see ``_read_plain``). Any other call, such as an abbreviated
+    option, ``--opt=value``, help or an error, builds the full tree.
     """
     plain = _read_plain(argv)
-    if plain is not None:
-        return plain
-    name = argv[0] if argv else None
-    if name in _COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"ywx {name}")
-        _add_arguments(parser, name)
-        args, extra = parser.parse_known_args(argv[1:])
-        if not extra:
-            args.command = name
-            return args
-    return _build_parser().parse_args(argv)
+    return _build_parser().parse_args(argv) if plain is None else plain
 
 
 # -- input handling -----------------------------------------------------------

@@ -7,11 +7,11 @@ workflow's own input or exactly one child's output, and every matching
 reader becomes a sink. Nested workflows re-declare ports at each level,
 so channel inference never looks across more than one boundary at a time.
 
-A script or listing load builds its model in one pass over the tags: each
-Block is made, frozen, at its ``@end``, and each workflow's scope gets its
-channels at the workflow's ``@end`` (see ``_bracket``). A model file's tree
-is walked once more for its channels (``infer_channels``). Records are
-frozen, so equal ``Endpoint``s of one model may be one object.
+Every load builds its model in one pass over the tags: each Block is made,
+frozen, at its ``@end``, and each workflow's scope gets its channels at the
+workflow's ``@end`` (see ``_bracket``). A model file is read as the tag
+stream its tree describes, so the same pass builds it. Records are frozen,
+so equal ``Endpoint``s of one model may be one object.
 """
 
 from __future__ import annotations
@@ -567,7 +567,8 @@ def _joined(slots: Iterable[_Scope]) -> tuple[Channel, ...]:
 def infer_channels(root: Block) -> tuple[Channel, ...]:
     """Derive every channel in every scope; single writer per name and scope.
 
-    A script or listing load derives each scope's in ``_bracket`` instead.
+    This is for a tree built some other way: every load, a model file's
+    included, derives each scope's channels in ``_bracket`` instead.
     """
     ends: dict[str, tuple[Endpoint, Endpoint]] = {}
     return _joined([_scope_channels(b, ends, None) for b in iter_blocks(root) if b.children])
@@ -683,25 +684,27 @@ def _channel_json(ch: Channel) -> str:
     )
 
 
-_DIRECTIONS = {d.value: d for d in Direction}
-_ROLES = {r.value: r for r in Role}
+# A port's (direction, role) in a model file, as the tag that declares it.
+_PORT_WORDS = {(d._value_, r._value_): tag for tag, (d, r) in _PORT_TAGS.items()}
 
 
 # A decoded JSON value is of exactly one of the JSON types, so its class is
 # tested with ``is``: that is cheaper than ``isinstance``, and it tells a bool,
 # which ``isinstance`` takes for an int, from a line number.
-def _parse_port(raw: object, owner: str) -> Port:
+def _port_tag(raw: object, owner: str, owner_file: str) -> _Tagged:
+    """The tag-walk tuple of one serialized port of block ``owner``; a port
+    with no file is in its block's."""
     if raw.__class__ is not dict:
         raise MalformedModel(f"port of {owner!r} must be an object")
     name = raw.get("name")
     if not (name.__class__ is str and IDENTIFIER_RE.match(name)):
         raise MalformedModel(f"bad port name {name!r} on {owner!r}")
-    direction = raw.get("direction")
-    role = raw.get("role")
+    kind = (raw.get("direction"), raw.get("role"))
+    if kind == ("out", "parameter"):
+        raise MalformedModel(f"port {name!r} on {owner!r} cannot be an out parameter")
     # Only strings are looked up: a list or dict value is unhashable.
-    direction = _DIRECTIONS.get(direction) if direction.__class__ is str else None
-    role = _ROLES.get(role) if role.__class__ is str else None
-    if direction is None or role is None:
+    tag = _PORT_WORDS.get(kind) if kind[0].__class__ is str and kind[1].__class__ is str else None
+    if tag is None:
         raise MalformedModel(f"bad port direction/role on {owner!r}")
     line = raw.get("line")
     if line.__class__ is not int:
@@ -710,18 +713,17 @@ def _parse_port(raw: object, owner: str) -> Port:
     if description is not None and description.__class__ is not str:
         raise MalformedModel(f"port {name!r} on {owner!r} has a non-string description")
     file = raw.get("file")
-    if file.__class__ is not str:
-        file = "<model>"
-    if direction is Direction.OUT and role is Role.PARAMETER:
-        raise MalformedModel(f"port {name!r} on {owner!r} cannot be an out parameter")
-    return Port(name, direction, role, file, line, description)
+    return tag, name, description, file if file.__class__ is str else owner_file, line
 
 
-_BlockHead = tuple[str, "str | None", tuple[Port, ...], tuple[int, int], str]
-
-
-def _enter_block(raw: object, prefix: str) -> tuple[str, _BlockHead, list]:
-    """Check one serialized block, all but its children; see ``_tree_from_json``."""
+def _block_tags(
+    raw: object, prefix: str, parent_file: str
+) -> tuple[str, list[_Tagged], _Tagged, list]:
+    """Check one serialized block, all but its children: its qualified name,
+    its ``@begin`` and port tuples, its ``@end`` tuple and its children. A
+    span starts at a ``@begin`` line, 1 or more, or at the implicit root's 0.
+    A block with no file is in its parent's.
+    """
     if raw.__class__ is not dict:
         raise MalformedModel("block must be an object")
     name = raw.get("name")
@@ -742,55 +744,49 @@ def _enter_block(raw: object, prefix: str) -> tuple[str, _BlockHead, list]:
         and span[1].__class__ is int
     ):
         raise MalformedModel(f"block {name!r} needs a [begin, end] span")
+    if span[0] < 1 and (prefix or span[0]):
+        raise MalformedModel(f"block {name!r} needs a span starting at line 1 or later")
     file = raw.get("file")
     if file.__class__ is not str:
-        file = "<model>"
+        file = parent_file
     raw_ports = raw.get("ports")
     if raw_ports.__class__ is not list:
         raise MalformedModel(f"block {name!r} needs a port list")
-    ports = tuple([_parse_port(p, expected) for p in raw_ports])
-    if len(ports) > 1 and len({(p.name, p.direction) for p in ports}) != len(ports):
-        raise MalformedModel(f"block {expected!r} declares a duplicate port")
-    raw_children = raw.get("children")
-    if raw_children.__class__ is not list:
+    tags = [(Tag.BEGIN, name, description, file, span[0])]
+    tags += [_port_tag(p, expected, file) for p in raw_ports]
+    children = raw.get("children")
+    if children.__class__ is not list:
         raise MalformedModel(f"block {name!r} needs a child list")
-    return expected, (name, description, ports, tuple(span), file), raw_children
+    return expected, tags, (Tag.END, name, None, file, span[1]), children
 
 
-_DONE = object()
+def _tags_from_json(raw: object) -> tuple[list[_Tagged], list[_Tagged], _Tagged]:
+    """The tag stream a serialized block tree describes, then the root's own
+    ``@begin`` and port tuples and its ``@end`` tuple.
 
-
-def _tree_from_json(raw: object) -> Block:
-    """Check and build a serialized block tree depth first, without recursion.
-
-    ``_enter_block`` checks a block in pre-order, before any of its children,
-    and its Block is made once all its children are, so checks run in the
-    order a recursive walk would run them, and no nesting depth is too deep.
+    Each block gives its ``@begin`` and ports, its children's tags, then its
+    ``@end``. Blocks are checked in pre-order, without recursion, so no
+    nesting depth is too deep. A root whose span starts at 0 is implicit:
+    its own tuples are left out, and its children are the top level.
     """
-    seen: set[str] = set()
-    qualified, head, children = _enter_block(raw, "")
-    stack = [(qualified, head, iter(children), [])]
-    while True:
-        qualified, head, pending, built = stack[-1]
-        child = next(pending, _DONE)
-        if child is not _DONE:
-            child_q, child_head, grandchildren = _enter_block(child, qualified)
-            stack.append((child_q, child_head, iter(grandchildren), []))
-            continue
-        stack.pop()
-        # A name may hold dots, so a child B of A and a sibling A.B collide.
-        for child in built:
-            if child.qualified_name in seen:
-                raise MalformedModel(
-                    f"block {qualified!r} has children with duplicate "
-                    f"qualified name {child.qualified_name!r}"
-                )
-            seen.add(child.qualified_name)
-        name, description, ports, span, file = head
-        block = Block(name, qualified, description, ports, tuple(built), span, file)
-        if not stack:
-            return block
-        stack[-1][3].append(block)
+    qualified, head, tail, children = _block_tags(raw, "", "<model>")
+    if not children:
+        raise MalformedModel("root block must be a workflow (have children)")
+    implicit = head[0][4] == 0
+    stream = [] if implicit else head[:]
+    stack = [(qualified, tail, iter(children), implicit)]
+    while stack:
+        prefix, end, pending, implicit = stack[-1]
+        for child in pending:
+            qualified, tags, child_end, grandchildren = _block_tags(child, prefix, end[3])
+            stream += tags
+            stack.append((qualified, child_end, iter(grandchildren), False))
+            break
+        else:
+            stack.pop()
+            if not implicit:
+                stream.append(end)
+    return stream, head, tail
 
 
 def parse_model(text: str) -> WorkflowModel:
@@ -806,25 +802,38 @@ def parse_model(text: str) -> WorkflowModel:
 def _model_from_json(text: str, payload: object) -> WorkflowModel:
     """Check and convert a model file's payload, already decoded from ``text``.
 
-    Channels are a function of the tree: they are re-derived rather than
-    trusted, and the file's list must equal them, so every later walk can
-    rely on them matching the ports.
+    ``_bracket`` builds the model from the tag stream the file's tree
+    describes, by the rules of a script load, so only the file's format is
+    checked here. An implicit root must be the one its children make, and
+    the file's channels must equal the derived ones, so every later walk
+    can rely on them matching the ports.
     """
     _check_unicode(text, payload, MalformedModel)
     if not isinstance(payload, dict):
         raise MalformedModel("top level must be an object")
-    root = _tree_from_json(payload.get("root"))
-    if not root.children:
-        raise MalformedModel("root block must be a workflow (have children)")
+    stream, head, tail = _tags_from_json(payload.get("root"))
     raw_files = payload.get("source_files", [])
     if not (isinstance(raw_files, list) and all(isinstance(f, str) for f in raw_files)):
         raise MalformedModel("'source_files' must be a list of strings")
-
     raw_channels = payload.get("channels")
     if not isinstance(raw_channels, list):
         raise MalformedModel("'channels' must be a list")
+
+    name = head[0][1]
+    problems, root, slots = _bracket(stream, name)
+    if problems:
+        raise MalformedModel(str(problems[0])) from problems[0]
+    # An implicit root's own tags are those of the root its children make.
+    made = root.name, None, root.file
+    implicit = [(Tag.BEGIN, *made, 0), (Tag.END, *made, root.span[1])]
+    if head[0][4] == 0 and [*head, tail] != implicit:
+        raise MalformedModel(
+            f"root {name!r} spans from line 0 but is not the implicit root its "
+            f"children make: {root.name!r}, span {list(root.span)}, file {root.file!r}, "
+            "no description and no ports"
+        )
     try:
-        channels = infer_channels(root)
+        channels = _joined(slots)
     except AmbiguousWriter as exc:
         raise MalformedModel(f"block tree is ambiguous: {exc}") from exc
     # The file's records must be exactly those a model file is written with.

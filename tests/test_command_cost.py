@@ -2,12 +2,11 @@
 
 A script or listing load through the CLI goes to the block tree with no
 ``Annotation`` records; only ``extract``, whose listing is made of them,
-builds one per tag. It makes the model in the one walk that brackets the
-tags, with no later walk over the tree; a model file's channels are derived
-by one walk over the tree it holds. A plain call builds no argparse parser; a rarer option
-form builds its command's own, and only top-level help and usage errors
-build the full tree. ``cli.run`` suspends the cyclic garbage collector
-while a command runs and leaves it as it found it.
+builds one per tag. Every load, a model file's included, makes the model in
+the one walk that brackets the tags, with no later walk over the tree. A
+plain call, which every benchmark command is, builds no argparse parser;
+any other builds the full tree. ``cli.run`` suspends the cyclic garbage
+collector while a command runs and leaves it as it found it.
 """
 
 import argparse
@@ -28,6 +27,7 @@ SCRIPTS = [str(FIXTURES / name) for name in NAMES]
 BROKEN_CHAIN = str(FIXTURES / "defects" / "d09_broken_chain.py")
 MSTMIP = str(FIXTURES / "mstmip_nee.m")
 MANIFEST = str(FIXTURES / "mstmip_manifest.json")
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
 
 
 @pytest.fixture
@@ -91,21 +91,13 @@ def walks(monkeypatch):
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=NAMES)
 def test_script_and_listing_loads_walk_no_tree(walks, tmp_path, script):
-    listing = tmp_path / "ann.json"
+    listing, model_file = tmp_path / "ann.json", tmp_path / "model.json"
     assert cli.run(["extract", script, "-o", str(listing)]) == 0
-    for path in (script, str(listing)):
+    assert cli.run(["model", script, "-o", str(model_file)]) == 0
+    for path in (script, str(listing), str(model_file)):
         walks.clear()
         assert cli._model_from_inputs([path], None).channels
         assert walks == Counter()
-
-
-@pytest.mark.parametrize("script", SCRIPTS, ids=NAMES)
-def test_model_file_load_infers_channels_once(walks, tmp_path, script):
-    model_file = tmp_path / "model.json"
-    assert cli.run(["model", script, "-o", str(model_file)]) == 0
-    walks.clear()
-    assert cli._model_from_inputs([str(model_file)], None).channels
-    assert walks["infer_channels"] == 1
 
 
 # -- argument parsers ------------------------------------------------------------
@@ -141,15 +133,37 @@ FULL_TREE = 6  # the top-level parser and one subparser per command
             id="query-lineage",
         ),
         pytest.param(["validate", BROKEN_CHAIN], 1, 0, id="validate"),
-        pytest.param(["graph", SCRIPTS[0], "--nest"], 0, 1, id="abbreviated"),
-        pytest.param(["graph", SCRIPTS[0], "--view=data"], 0, 1, id="attached-value"),
+        pytest.param(["graph", SCRIPTS[0], "--nest"], 0, FULL_TREE, id="abbreviated"),
+        pytest.param(["graph", SCRIPTS[0], "--view=data"], 0, FULL_TREE, id="attached-value"),
         pytest.param(["--help"], 0, FULL_TREE, id="help"),
-        pytest.param(["graph", SCRIPTS[0], "--bogus"], 2, 1 + FULL_TREE, id="bad-flag"),
+        pytest.param(["graph", SCRIPTS[0], "--bogus"], 2, FULL_TREE, id="bad-flag"),
     ],
 )
 def test_parsers_built_per_command(parsers, tmp_path, capsys, argv, code, count):
     assert cli.run([a.format(out=tmp_path / "out") for a in argv]) == code
     assert parsers[0] == count
+
+
+@pytest.mark.parametrize("workload", ["corpus", "scaled"])
+def test_every_benchmark_call_is_plain(monkeypatch, workload):
+    # The fixtures' queries are chosen from their models when a run starts;
+    # the generated cases and the scaled script carry theirs.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import session
+    import workloads
+
+    if workload == "corpus":
+        cases = [c for c in workloads.corpus(1) if c.kind == "generated"]
+    else:
+        cases = [workloads.scaled(1)]
+    argvs = []
+    for case in cases:
+        stem = f"scripts/{Path(case.name).stem}"
+        manifest = None if case.manifest is None else f"{stem}.manifest.json"
+        steps = session.plan(f"scripts/{case.name}", case.queries, manifest)
+        argvs += [[*step.argv, "-o", step.output] for step in steps]
+    assert len(argvs) > len(cases) * 20
+    assert [argv for argv in argvs if cli._read_plain(argv) is None] == []
 
 
 # -- the cyclic collector -----------------------------------------------------

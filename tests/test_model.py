@@ -1,5 +1,6 @@
 """Block-tree building, channel inference, and the model interchange format."""
 
+import json
 import random
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from support import (
     stdlib_json,
 )
 from ywx.annotations import parse_annotations
+from ywx.cli import run
 from ywx.comments import detect_language, extract_comments
 from ywx.errors import (
     AmbiguousWriter,
@@ -515,6 +517,13 @@ class TestHelpers:
         assert sanitize_name(raw) == expected
 
 
+# Channel x has two sinks, W.P and W.Q.
+MALFORMED_SRC = (
+    "# @begin W @in x @out y\n# @begin P @in x @out y\n# @end P\n"
+    "# @begin Q @in x\n# @end Q\n# @end W\n"
+)
+
+
 def _dotted_name_collision(payload):
     """P gains a child R and its sibling Q is renamed P.R: both are W.P.R."""
     p, q = payload["root"]["children"]
@@ -525,6 +534,75 @@ def _dotted_name_collision(payload):
     sinks = payload["channels"][0]["sinks"]
     assert sinks[1]["block"] == "W.Q"
     sinks[1]["block"] = "W.P.R"
+
+
+def _duplicate_port(payload):
+    """P declares its in port x twice."""
+    ports = payload["root"]["children"][0]["ports"]
+    ports.append(dict(ports[0]))
+
+
+def _renamed_to_sibling(payload):
+    """Q is renamed P, so W has two children W.P."""
+    payload["root"]["children"][1].update(name="P", qualified_name="W.P")
+
+
+def _port_in_another_file(payload):
+    """P's in port x is in a file other than P's: a block spans two files."""
+    payload["root"]["children"][0]["ports"][0]["file"] = "other.py"
+
+
+def _implicit_root_with_ports(payload):
+    """W spans from line 0, so it is an implicit root, yet it has ports."""
+    payload["root"]["span"][0] = 0
+
+
+def _child_span_from_line_0(payload):
+    """Only an implicit root's span starts at 0; any @begin line is 1 or more."""
+    payload["root"]["children"][0]["span"][0] = 0
+
+
+# Two top-level blocks: the implicit root "two" spans [0, 5] in two.py.
+IMPLICIT_SRC = "# @begin P @in x @out y\n# @end P\n# @begin Q @in y\n# @end Q\n"
+
+
+def _as_implicit(payload, **root):
+    """Make ``payload`` IMPLICIT_SRC's model file, with ``root`` edited into its root."""
+    payload.clear()
+    payload.update(json.loads(serialize_model(model_from_source(IMPLICIT_SRC, file="two.py"))))
+    assert payload["root"]["span"] == [0, 5]
+    payload["root"].update(root)
+
+
+def _implicit_root_with_wrong_span(payload):
+    _as_implicit(payload, span=[0, 9])
+
+
+def _implicit_root_in_wrong_file(payload):
+    _as_implicit(payload, file="other.py")
+
+
+# Each mutation that only a tree rule or the root rule rejects, and its message.
+TREE_RULE_MUTATIONS = [
+    (_duplicate_port, "script.py:2: block 'P' already declares in port 'x'"),
+    (_renamed_to_sibling, "script.py:4: block name 'P' is declared twice in the same scope"),
+    (_port_in_another_file, "script.py:2: block 'P' is never closed"),
+    (
+        _implicit_root_with_ports,
+        "root 'W' spans from line 0 but is not the implicit root its children make: "
+        "'W', span [0, 6], file 'script.py', no description and no ports",
+    ),
+    (
+        _implicit_root_with_wrong_span,
+        "root 'two' spans from line 0 but is not the implicit root its children make: "
+        "'two', span [0, 5], file 'two.py', no description and no ports",
+    ),
+    (
+        _implicit_root_in_wrong_file,
+        "root 'two' spans from line 0 but is not the implicit root its children make: "
+        "'two', span [0, 5], file 'two.py', no description and no ports",
+    ),
+]
 
 
 class TestInterchange:
@@ -593,24 +671,38 @@ class TestInterchange:
             lambda d: d["channels"][0].__setitem__("role", "parameter"),
             lambda d: d["channels"][0]["sinks"].pop(),
             _dotted_name_collision,
+            _child_span_from_line_0,
+            *(mutate for mutate, _ in TREE_RULE_MUTATIONS),
         ],
     )
-    def test_malformed_models_rejected(self, mutate):
-        import json
-
-        # Channel x has two sinks, W.P and W.Q.
-        model = model_from_source(
-            "# @begin W @in x @out y\n# @begin P @in x @out y\n# @end P\n"
-            "# @begin Q @in x\n# @end Q\n# @end W\n"
-        )
-        payload = json.loads(serialize_model(model))
+    def test_malformed_models_rejected(self, tmp_path, capsys, mutate):
+        payload = json.loads(serialize_model(model_from_source(MALFORMED_SRC)))
         mutate(payload)
+        text = json.dumps(payload)
         with pytest.raises(MalformedModel):
+            parse_model(text)
+        model_file = tmp_path / "model.json"
+        model_file.write_text(text)
+        assert run(["graph", str(model_file)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"ywx: error: {model_file}: ")
+        assert err.count("\n") == 1  # one line, no traceback
+
+    @pytest.mark.parametrize(
+        "mutate, message", TREE_RULE_MUTATIONS, ids=[m.__name__ for m, _ in TREE_RULE_MUTATIONS]
+    )
+    def test_tree_rule_messages(self, mutate, message):
+        # A model file breaking a tree rule fails with the first problem the
+        # annotation stream it describes has, in that problem's words.
+        payload = json.loads(serialize_model(model_from_source(MALFORMED_SRC)))
+        mutate(payload)
+        with pytest.raises(MalformedModel) as caught:
             parse_model(json.dumps(payload))
+        assert str(caught.value) == message
 
     def test_first_error_in_depth_first_order(self):
-        import json
-
+        # File-format problems are found anywhere before any tree rule is
+        # applied; tree rules then fail in the stream's document order.
         model = model_from_source(
             "# @begin W @in x @out y\n# @begin P @in x @out m\n"
             "# @begin A\n# @end A\n# @begin B\n# @end B\n# @end P\n"
@@ -618,15 +710,32 @@ class TestInterchange:
         )
         payload = json.loads(serialize_model(model))
         p, q = payload["root"]["children"]
-        p["children"][1].update(name="A", qualified_name="W.P.A")
-        q["ports"][0]["direction"] = "sideways"
-        # P's children are all read before P's names are compared, and that
-        # happens before the walk reaches Q.
-        with pytest.raises(MalformedModel, match="'W.P' has children with duplicate"):
+        p["children"][1].update(name="A", qualified_name="W.P.A")  # a tree rule, line 5
+        q["ports"][0]["direction"] = "sideways"  # a file-format problem, line 8
+        with pytest.raises(MalformedModel, match="^bad port direction/role on 'W.Q'$"):
             parse_model(json.dumps(payload))
         p["children"][1]["ports"] = None
-        with pytest.raises(MalformedModel, match="block 'A' needs a port list"):
+        with pytest.raises(MalformedModel, match="^block 'A' needs a port list$"):
             parse_model(json.dumps(payload))
+        p["children"][1]["ports"] = []
+        q["ports"][0]["direction"] = "in"
+        q["ports"].append(dict(q["ports"][0]))  # a tree rule, line 8
+        with pytest.raises(MalformedModel) as caught:
+            parse_model(json.dumps(payload))
+        assert str(caught.value) == (
+            "script.py:5: block name 'A' is declared twice in the same scope"
+        )
+        p["ports"].append(dict(p["ports"][0]))  # a tree rule, line 2
+        with pytest.raises(MalformedModel) as caught:
+            parse_model(json.dumps(payload))
+        assert str(caught.value) == "script.py:2: block 'P' already declares in port 'x'"
+
+    def test_a_block_or_port_without_a_file_is_in_its_parents(self):
+        model = model_from_source(MALFORMED_SRC)
+        payload = json.loads(serialize_model(model))
+        p = payload["root"]["children"][0]
+        del p["file"], p["ports"][0]["file"]
+        assert parse_model(json.dumps(payload)) == model
 
     def test_not_json_rejected(self):
         with pytest.raises(MalformedModel):

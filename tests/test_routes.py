@@ -1,0 +1,90 @@
+"""Three routes, one answer: a script, its listing and its model file.
+
+For generated workflows, every ``graph`` view, with and without
+``--nested``, and every structural ``query`` print the same bytes whichever
+of the three inputs a command reads, and the model file re-serializes to
+itself. Two scripts under one implicit root have no single listing, so they
+are checked against their model file alone.
+"""
+
+import io
+import random
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from support import random_tree, script_from_tree
+from ywx import cli
+from ywx.model import iter_blocks, parse_model, serialize_model
+
+FIXTURES = Path(__file__).parent / "fixtures"
+VIEWS = [
+    ["--view", view, *nested]
+    for view in ("process", "data", "combined")
+    for nested in ([], ["--nested"])
+]
+BLOCK_QUERIES = ("nested", "containers", "downstream", "sources")
+NAME_QUERIES = ("affected-by", "upstream-inputs", "deriving-blocks", "derivation")
+
+
+def _call(argv):
+    """``cli.run(argv)``'s exit status, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _commands(model, rng):
+    """Every view, then every structural query, each asked about a block or
+    data name of ``model`` that ``rng`` picks: as (command, options) pairs,
+    the inputs going between them."""
+    blocks = [b.qualified_name for b in iter_blocks(model.root)]
+    names = sorted({p.name for b in iter_blocks(model.root) for p in b.ports})
+    found = [(["graph"], view) for view in VIEWS]
+    found.append((["query", "blocks"], []))
+    found += [(["query", sub], ["--block", rng.choice(blocks)]) for sub in BLOCK_QUERIES]
+    found += [(["query", sub], ["--name", rng.choice(names)]) for sub in NAME_QUERIES]
+    return found
+
+
+def _assert_routes_agree(routes, model_file, rng):
+    """Each command prints the same bytes and exits alike on every route."""
+    text = Path(model_file).read_text(encoding="utf-8")
+    assert serialize_model(parse_model(text)) == text
+    for command, options in _commands(parse_model(text), rng):
+        results = set()
+        for inputs in routes:
+            code, out, err = _call([*command, *inputs, *options])
+            assert code in (0, 2), err
+            results.add((code, out))
+        assert len(results) == 1, (command, options, results)
+
+
+@settings(max_examples=50, deadline=2000)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_script_listing_and_model_file_agree(seed):
+    rng = random.Random(seed)
+    tree = random_tree(rng, max_blocks=25)
+    with tempfile.TemporaryDirectory() as tmp:
+        script, listing, model_file = (str(Path(tmp) / n) for n in ("w.py", "w.json", "m.json"))
+        Path(script).write_text(script_from_tree(tree, rng), encoding="utf-8")
+        assert _call(["extract", script, "-o", listing])[0] == 0
+        code, _, err = _call(["model", script, "-o", model_file])
+        if code:
+            # An ambiguous writer: no model file, and the listing fails alike.
+            assert "several writers" in err
+            assert _call(["model", listing])[0] == 2
+            return
+        _assert_routes_agree([[script], [listing], [model_file]], model_file, rng)
+
+
+def test_two_scripts_and_their_model_file_agree(tmp_path):
+    scripts = [str(FIXTURES / "affymetrix.R"), str(FIXTURES / "paleoclimate.R")]
+    model_file = str(tmp_path / "m.json")
+    assert _call(["model", *scripts, "-o", model_file])[0] == 0
+    assert parse_model(Path(model_file).read_text()).root.span[0] == 0  # implicit
+    _assert_routes_agree([scripts, [model_file]], model_file, random.Random(7))
