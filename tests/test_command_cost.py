@@ -91,13 +91,32 @@ def walks(monkeypatch):
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=NAMES)
 def test_script_and_listing_loads_walk_no_tree(walks, tmp_path, script):
-    listing, model_file = tmp_path / "ann.json", tmp_path / "model.json"
+    listing = tmp_path / "ann.json"
     assert cli.run(["extract", script, "-o", str(listing)]) == 0
-    assert cli.run(["model", script, "-o", str(model_file)]) == 0
-    for path in (script, str(listing), str(model_file)):
+    for path in (script, str(listing)):
         walks.clear()
         assert cli._model_from_inputs([path], None).channels
         assert walks == Counter()
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=NAMES)
+def test_model_file_load_infers_channels_once(walks, monkeypatch, tmp_path, script):
+    # A model file's channels come from the one _bracket pass over the tags
+    # its tree describes, with no later walk over the tree.
+    model_file = tmp_path / "model.json"
+    assert cli.run(["model", script, "-o", str(model_file)]) == 0
+    bracket = model._bracket
+
+    def counting(*args, **kwargs):
+        walks["_bracket"] += 1
+        return bracket(*args, **kwargs)
+
+    monkeypatch.setattr(model, "_bracket", counting)
+    walks.clear()
+    loaded = cli._model_from_inputs([str(model_file)], None)
+    assert walks == Counter({"_bracket": 1})
+    assert loaded.channels
+    assert loaded == cli._model_from_inputs([script], None)
 
 
 # -- argument parsers ------------------------------------------------------------
