@@ -165,16 +165,18 @@ class AnnotationDocument:
 
 def serialize_annotations(doc: AnnotationDocument) -> str:
     """Render an annotation document as its JSON interchange form."""
-    return "".join(_document_chunks(doc))
+    tags = map(_FIELDS, doc.annotations)
+    return "".join(_listing_chunks(doc.source_file, doc.language, tags))
 
 
 # -- writing JSON -------------------------------------------------------------
 #
 # An interchange file holds the text the stdlib encoder writes for its
-# payload with ``indent=2``, plus a newline. It is written here straight from
-# the records, one template each, since the stdlib serves ``indent`` only from
-# its pure-Python encoder, which walks a payload built for it and recurses
-# once per nesting level.
+# payload with ``indent=2``, plus a newline. The stdlib serves ``indent`` only
+# from its pure-Python encoder, which walks a payload built for it and
+# recurses once per nesting level. So a listing is written here straight from
+# the tag-walk tuples, one f-string per annotation, and ``extract`` builds no
+# record on the way; a model file from its records, one template each.
 
 
 def _json_opt(text: str | None) -> str:
@@ -204,32 +206,39 @@ def _json_items(items: Iterable[str], indent: str) -> Iterator[str]:
     yield "[]" if lead == "[\n" else f"\n{indent}]"
 
 
-def _document_chunks(doc: AnnotationDocument) -> Iterator[str]:
-    """The JSON text of ``doc``, one chunk per annotation.
+# Each tag's JSON text.
+_TAG_JSON = {tag: _json_str(tag.value) for tag in Tag}
 
-    An annotation from another file raises before the first chunk.
+
+def _listing_chunks(source_file: str, language: str, tags: Iterable[_Tagged]) -> list[str]:
+    """The JSON text of the listing of ``source_file``, whose annotations are
+    given as tag-walk tuples, in four chunks or fewer.
+
+    The whole text is formatted before it is returned, so an annotation from
+    another file raises before any chunk is written. Each annotation is one
+    f-string; its line is written as ``_json_int`` writes it.
     """
-    for ann in doc.annotations:
-        if ann.file != doc.source_file:
+    tags = list(tags)
+    for _, _, _, file, line in tags:
+        if file != source_file:
             raise MalformedRecord(
-                f"annotation at line {ann.line} names file {ann.file!r}, "
-                f"but the document is for {doc.source_file!r}"
+                f"annotation at line {line} names file {file!r}, "
+                f"but the document is for {source_file!r}"
             )
-    yield (
-        f'{{\n  "source": {{\n    "file": {_json_str(doc.source_file)},\n'
-        f'    "language": {_json_str(doc.language)}\n  }},\n  "annotations": '
+    head = (
+        f'{{\n  "source": {{\n    "file": {_json_str(source_file)},\n'
+        f'    "language": {_json_str(language)}\n  }},\n  "annotations": '
     )
-    yield from _json_items(map(_annotation_json, doc.annotations), "  ")
-    yield "\n}\n"
-
-
-def _annotation_json(ann: Annotation) -> str:
-    return (
-        f'{{\n      "tag": "{ann.tag._value_}",\n'
-        f'      "value": {_json_str(ann.value)},\n'
-        f'      "description": {_json_opt(ann.description)},\n'
-        f'      "line": {_json_int(ann.line)}\n    }}'
-    )
+    if not tags:
+        return [head, "[]\n}\n"]
+    tag_json, quote, dumps = _TAG_JSON, _json_str, json.dumps
+    body = ",\n".join([
+        f'    {{\n      "tag": {tag_json[tag]},\n      "value": {quote(value)},\n'
+        f'      "description": {"null" if description is None else quote(description)},\n'
+        f'      "line": {line if line.__class__ is int else dumps(line)}\n    }}'
+        for tag, value, description, _, line in tags
+    ])
+    return [head, "[\n", body, "\n  ]\n}\n"]
 
 
 # A JSON escape that decodes to a UTF-16 surrogate code point.

@@ -21,19 +21,11 @@ import gc
 import json
 import os
 import sys
-from itertools import starmap
 from pathlib import Path
 from typing import Iterable
 
-from .annotations import (
-    Annotation,
-    AnnotationDocument,
-    _document_chunks,
-    _listing_from_json,
-    _Tagged,
-    _tags,
-)
-from .comments import _lines, _scan, detect_language
+from .annotations import _listing_chunks, _listing_from_json, _Tagged, _tags
+from .comments import CommentSyntax, _lines, _scan, detect_language
 from .errors import FormatMismatch, MalformedModel, UsageError, YwxError, _read_text
 from .model import (
     WorkflowModel,
@@ -197,7 +189,11 @@ def _is_intermediate(path: str) -> bool:
 def _read_script(path: str, language: str | None) -> list[_Tagged]:
     """``parse_annotations(extract_comments(...))`` of a script as tag-walk
     tuples, with no comment or annotation records built on the way."""
-    syntax = detect_language(path, language)
+    return _script_tags(path, detect_language(path, language))
+
+
+def _script_tags(path: str, syntax: CommentSyntax) -> list[_Tagged]:
+    """``_read_script`` with the script's comment syntax already known."""
     text = _read_text(path)
     return _tags(_lines(text, _scan(text, syntax, path), path), None)
 
@@ -277,10 +273,9 @@ def _cmd_extract(args: argparse.Namespace) -> int:
             "extract starts from a script, not an intermediate file",
             file=args.input,
         )
-    annotations = tuple(starmap(Annotation, _read_script(args.input, args.language)))
-    language = detect_language(args.input, args.language).language_name
-    doc = AnnotationDocument(args.input, language, annotations)
-    _write(_document_chunks(doc), args.output)
+    syntax = detect_language(args.input, args.language)
+    tags = _script_tags(args.input, syntax)
+    _write(_listing_chunks(args.input, syntax.language_name, tags), args.output)
     return 0
 
 

@@ -603,8 +603,7 @@ def serialize_model(model: WorkflowModel) -> str:
 
 def _model_chunks(model: WorkflowModel) -> Iterator[str]:
     """The JSON text of a model file, one chunk per record: a block's head
-    and tail (one chunk for a block without children) and a channel. See
-    ``annotations._document_chunks``."""
+    and tail (one chunk for a block without children) and a channel."""
     yield '{\n  "root": '
     yield from _block_chunks(model.root)
     yield ',\n  "channels": '
@@ -692,8 +691,8 @@ _PORT_WORDS = {(d._value_, r._value_): tag for tag, (d, r) in _PORT_TAGS.items()
 # tested with ``is``: that is cheaper than ``isinstance``, and it tells a bool,
 # which ``isinstance`` takes for an int, from a line number.
 def _port_tag(raw: object, owner: str, owner_file: str) -> _Tagged:
-    """The tag-walk tuple of one serialized port of block ``owner``; a port
-    with no file is in its block's."""
+    """The tag-walk tuple of one serialized port of block ``owner``. A port
+    is in its block's file; one with no file is too."""
     if raw.__class__ is not dict:
         raise MalformedModel(f"port of {owner!r} must be an object")
     name = raw.get("name")
@@ -713,16 +712,22 @@ def _port_tag(raw: object, owner: str, owner_file: str) -> _Tagged:
     if description is not None and description.__class__ is not str:
         raise MalformedModel(f"port {name!r} on {owner!r} has a non-string description")
     file = raw.get("file")
-    return tag, name, description, file if file.__class__ is str else owner_file, line
+    if file.__class__ is str and file != owner_file:
+        raise MalformedModel(
+            f"port {name!r} on {owner!r} is in file {file!r}, but its block is in {owner_file!r}"
+        )
+    return tag, name, description, owner_file, line
 
 
 def _block_tags(
-    raw: object, prefix: str, parent_file: str
+    raw: object, prefix: str, parent_file: str, in_parent_file: bool
 ) -> tuple[str, list[_Tagged], _Tagged, list]:
     """Check one serialized block, all but its children: its qualified name,
     its ``@begin`` and port tuples, its ``@end`` tuple and its children. A
     span starts at a ``@begin`` line, 1 or more, or at the implicit root's 0.
-    A block with no file is in its parent's.
+    A block with no file is in its parent's; with ``in_parent_file`` every
+    block is, as only the root and an implicit root's children may be in a
+    file of their own.
     """
     if raw.__class__ is not dict:
         raise MalformedModel("block must be an object")
@@ -749,6 +754,11 @@ def _block_tags(
     file = raw.get("file")
     if file.__class__ is not str:
         file = parent_file
+    elif in_parent_file and file != parent_file:
+        raise MalformedModel(
+            f"child {expected!r} is in file {file!r}, but its parent {prefix!r} "
+            f"is in {parent_file!r}"
+        )
     raw_ports = raw.get("ports")
     if raw_ports.__class__ is not list:
         raise MalformedModel(f"block {name!r} needs a port list")
@@ -769,7 +779,7 @@ def _tags_from_json(raw: object) -> tuple[list[_Tagged], list[_Tagged], _Tagged]
     nesting depth is too deep. A root whose span starts at 0 is implicit:
     its own tuples are left out, and its children are the top level.
     """
-    qualified, head, tail, children = _block_tags(raw, "", "<model>")
+    qualified, head, tail, children = _block_tags(raw, "", "<model>", False)
     if not children:
         raise MalformedModel("root block must be a workflow (have children)")
     implicit = head[0][4] == 0
@@ -778,7 +788,9 @@ def _tags_from_json(raw: object) -> tuple[list[_Tagged], list[_Tagged], _Tagged]
     while stack:
         prefix, end, pending, implicit = stack[-1]
         for child in pending:
-            qualified, tags, child_end, grandchildren = _block_tags(child, prefix, end[3])
+            qualified, tags, child_end, grandchildren = _block_tags(
+                child, prefix, end[3], not implicit
+            )
             stream += tags
             stack.append((qualified, child_end, iter(grandchildren), False))
             break

@@ -228,14 +228,16 @@ def _block_node(ctx: _Ctx, sheet: _Sheet, block: Block) -> str:
 
 
 def _terminal_node(ctx: _Ctx, sheet: _Sheet, owner_q: str, port: Port) -> str:
-    kind = port.direction.value
+    # The member's own value: ``Enum.value`` is a property, and reading an
+    # enum member such as ``Direction.IN`` is a slow class-attribute hook.
+    kind = port.direction._value_
     node_id = f"port:{kind}:{owner_q}:{port.name}"
-    shape_key = "shape.input" if port.direction is Direction.IN else "shape.output"
+    shape_key = "shape.input" if kind == "in" else "shape.output"
     attrs: list[tuple[str, str]] = [
         ("shape", ctx.style[shape_key]),
         ("label", port.name),
     ]
-    if port.role is Role.PARAMETER and ctx.de_emphasize_params:
+    if ctx.de_emphasize_params and port.role is Role.PARAMETER:
         attrs.append(("color", ctx.style["param.node.color"]))
         attrs.append(("fontcolor", ctx.style["param.node.fontcolor"]))
     cluster = None
@@ -276,13 +278,14 @@ def render_process_view(
     for port in ctx.focus.ports:
         _terminal_node(ctx, sheet, ctx.focus.qualified_name, port)
     index, focus_q = ctx.index, ctx.focus.qualified_name
+    parameter = Role.PARAMETER  # read once: see _terminal_node
     for ch in ctx.scoped_channels():
         if ctx.nested:
             writer, readers = index.writer(ch, focus_q), index.readers(ch, focus_q)
         else:
             writer, readers = ch.source, ch.sinks
         src = _end_node(ctx, sheet, ch, writer)
-        param = ch.role is Role.PARAMETER
+        param = ch.role is parameter
         for end in readers:
             sheet.add_edge(src, _end_node(ctx, sheet, ch, end), ch.data, param)
     return sheet.emit(options.rankdir)
@@ -314,20 +317,21 @@ def _data_groups(ctx: _Ctx) -> dict[tuple[str, str], _DataGroup]:
     and each group is named after its outermost key.
     """
     focus_q = ctx.focus.qualified_name
+    parameter = Role.PARAMETER  # read once: see _terminal_node
     groups: dict[tuple[str, str], _DataGroup] = {}
     for ch in ctx.scoped_channels():
         key = (ch.scope, ch.data)
         outer = ctx.index.outer(ch) if ctx.nested and ch.scope != focus_q else None
         group = _DataGroup(*key) if outer is None else groups[(outer.scope, outer.data)]
         group.keys.append(key)
-        group.param |= ch.role is Role.PARAMETER
+        group.param |= ch.role is parameter
         groups[key] = group
     for port in ctx.focus.ports:
         key = (focus_q, port.name)
         group = groups.get(key)
         if group is None:
             group = groups[key] = _DataGroup(*key, [key])
-        group.param |= port.role is Role.PARAMETER
+        group.param |= port.role is parameter
     return groups
 
 
@@ -366,10 +370,11 @@ def _block_flows(
     scope = ctx.index.parents[block.qualified_name]
     reads: dict[_DataGroup, None] = {}
     writes: dict[_DataGroup, None] = {}
+    into = Direction.IN  # read once: see _terminal_node
     for port in block.ports:
         key = (scope, port.name)
         if key in ctx.index.chan:
-            side = reads if port.direction is Direction.IN else writes
+            side = reads if port.direction is into else writes
             side[groups[key]] = None
     return list(reads), list(writes)
 

@@ -1,13 +1,16 @@
 """Annotation recognition and the JSON interchange round-trip."""
 
+import json
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from support import annotations_from_source, document_payload, stdlib_json
+from ywx import cli
 from ywx.annotations import (
     Annotation,
     AnnotationDocument,
@@ -339,3 +342,91 @@ def test_recognition_matches_regex_oracle(pieces, tail):
     assert ([(a.tag, a.value, a.description) for a in found], [type(p) for p in problems]) == (
         _oracle(text)
     )
+
+
+# -- the extract listing, written from the tag walk ----------------------------
+#
+# ``ywx extract`` writes its listing with no records. Its bytes must be the
+# stdlib encoder's text of their own payload, and equal the record path's:
+# ``serialize_annotations`` of the document the library parsers return.
+
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
+
+
+def _outcome(load):
+    """The value of ``load()``, or the type of the ywx error it raises."""
+    try:
+        return load()
+    except YwxError as exc:
+        return type(exc)
+
+
+def assert_extract_is_the_record_listing(path, listing):
+    """Run ``ywx extract path -o listing``; True if it wrote the listing,
+    False if it refused the script, as the record path must then do too."""
+    status = cli.run(["extract", str(path), "-o", str(listing)])
+
+    def record_listing():
+        syntax = detect_language(str(path), None)
+        text = path.read_text(encoding="utf-8")
+        annotations = parse_annotations(extract_comments(text, syntax, file=str(path)))
+        doc = AnnotationDocument(str(path), syntax.language_name, tuple(annotations))
+        return serialize_annotations(doc).encode("utf-8")
+
+    expected = _outcome(record_listing)
+    if status != 0:
+        assert status == 2 and isinstance(expected, type)
+        return False
+    written = listing.read_bytes()
+    assert written.decode("utf-8") == stdlib_json(json.loads(written))
+    assert written == expected
+    return True
+
+
+def test_extract_is_the_stdlib_text_on_fixtures(fixtures_dir, tmp_path):
+    scripts = sorted(p for p in fixtures_dir.rglob("*") if p.suffix.lower() in (".py", ".r", ".m"))
+    assert len(scripts) == 15
+    listing = tmp_path / "ann.json"
+    written = [assert_extract_is_the_record_listing(script, listing) for script in scripts]
+    assert written.count(True) >= 10
+
+
+def test_extract_is_the_stdlib_text_on_generated_scripts(corpus, tmp_path):
+    scripts = [case[1] for case in corpus[0]] + [case[1] for case in corpus[1]]
+    path, listing = tmp_path / "gen.py", tmp_path / "ann.json"
+    for text in scripts:
+        path.write_text(text, encoding="utf-8")
+        assert assert_extract_is_the_record_listing(path, listing)
+
+
+def test_extract_is_the_stdlib_text_on_the_scaled_script(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    case = workloads.scaled(7)
+    path, listing = tmp_path / case.name, tmp_path / "ann.json"
+    path.write_text(case.text, encoding="utf-8")
+    assert assert_extract_is_the_record_listing(path, listing)
+    assert len(json.loads(listing.read_text(encoding="utf-8"))["annotations"]) > 1000
+
+
+# Description text: quotes, backslashes, control characters (a carriage
+# return reads as a line break) and non-ASCII, but no "@", which could start
+# a tag and leave a generated script without a readable one.
+_DESCRIPTION_TEXT = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="@")
+    | st.sampled_from('"\'\\\x00\x01\x1f\x7f\t\r\n\u0085 é中\U0001F600'),
+    max_size=12,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_DESCRIPTION_TEXT, _DESCRIPTION_TEXT), min_size=1, max_size=4))
+def test_extract_is_the_stdlib_text_property(tmp_path_factory, descriptions):
+    folder = tmp_path_factory.mktemp("extract")
+    lines = []
+    for index, (block, port) in enumerate(descriptions):
+        lines += [f"# @begin B{index} {block}", f"# @in x{index} {port}", f"# @end B{index}"]
+    path = folder / "gen.py"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
+    assert assert_extract_is_the_record_listing(path, folder / "ann.json")

@@ -1,9 +1,10 @@
 """What a command costs, counted rather than timed.
 
 A script or listing load through the CLI goes to the block tree with no
-``Annotation`` records; only ``extract``, whose listing is made of them,
-builds one per tag. Every load, a model file's included, makes the model in
-the one walk that brackets the tags, with no later walk over the tree. A
+``Annotation`` records, and ``extract`` writes its listing straight from the
+tag walk with no ``Annotation`` or ``AnnotationDocument`` either. Every
+load, a model file's included, makes the model in the one walk that
+brackets the tags, with no later walk over the tree. A
 plain call, which every benchmark command is, builds no argparse parser;
 any other builds the full tree. ``cli.run`` suspends the cyclic garbage
 collector while a command runs and leaves it as it found it.
@@ -18,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from ywx import cli, model
-from ywx.annotations import Annotation
+from ywx.annotations import Annotation, AnnotationDocument
 from ywx.validate import validate_scripts
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -67,12 +68,20 @@ def test_listing_load_builds_no_annotation_records(built, tmp_path, script):
 
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=NAMES)
-def test_extract_builds_one_record_per_tag(built, tmp_path, script):
+def test_extract_builds_no_annotation_records(built, monkeypatch, tmp_path, script):
+    documents = [0]
+    init = AnnotationDocument.__init__
+
+    def counting(self, *args, **kwargs):
+        documents[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(AnnotationDocument, "__init__", counting)
     listing = tmp_path / "ann.json"
     assert cli.run(["extract", script, "-o", str(listing)]) == 0
     tags = json.loads(listing.read_text(encoding="utf-8"))["annotations"]
     assert len(tags) > 10
-    assert built[0] == len(tags)
+    assert (built[0], documents[0]) == (0, 0)
 
 
 @pytest.fixture

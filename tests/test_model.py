@@ -552,6 +552,11 @@ def _port_in_another_file(payload):
     payload["root"]["children"][0]["ports"][0]["file"] = "other.py"
 
 
+def _child_in_another_file(payload):
+    """Q is in a file other than its parent W's, so W would span two files."""
+    payload["root"]["children"][1]["file"] = "other.py"
+
+
 def _implicit_root_with_ports(payload):
     """W spans from line 0, so it is an implicit root, yet it has ports."""
     payload["root"]["span"][0] = 0
@@ -586,7 +591,14 @@ def _implicit_root_in_wrong_file(payload):
 TREE_RULE_MUTATIONS = [
     (_duplicate_port, "script.py:2: block 'P' already declares in port 'x'"),
     (_renamed_to_sibling, "script.py:4: block name 'P' is declared twice in the same scope"),
-    (_port_in_another_file, "script.py:2: block 'P' is never closed"),
+    (
+        _port_in_another_file,
+        "port 'x' on 'W.P' is in file 'other.py', but its block is in 'script.py'",
+    ),
+    (
+        _child_in_another_file,
+        "child 'W.Q' is in file 'other.py', but its parent 'W' is in 'script.py'",
+    ),
     (
         _implicit_root_with_ports,
         "root 'W' spans from line 0 but is not the implicit root its children make: "
