@@ -141,19 +141,6 @@ def parse_annotations(comments: Iterable[SourceComment]) -> list[Annotation]:
     return list(starmap(Annotation, _tags(map(_TEXT, comments), None)))
 
 
-def parse_annotations_lenient(
-    comments: Iterable[SourceComment],
-) -> tuple[list[Annotation], list[AnnotationError]]:
-    """Collect readable annotations and per-tag problems instead of raising.
-
-    An unreadable tag is skipped and scanning resumes at the next token, so
-    one bad annotation does not hide the rest of the comment.
-    """
-    problems: list[AnnotationError] = []
-    found = _tags(map(_TEXT, comments), problems)
-    return list(starmap(Annotation, found)), problems
-
-
 @record
 class AnnotationDocument:
     """An annotation stream for one source file, ready for interchange."""

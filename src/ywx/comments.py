@@ -94,23 +94,6 @@ class SourceComment:
     end_line: int
 
 
-@record
-class CommentSpan:
-    """Raw character span of one comment within the source string.
-
-    ``start``/``end`` cover the whole comment including its markers;
-    ``inner_start``/``inner_end`` cover just the text between them.
-    """
-
-    kind: str  # "line" | "block"
-    start: int
-    end: int
-    inner_start: int
-    inner_end: int
-    start_line: int
-    end_line: int
-
-
 class _Scanner:
     """The compiled patterns of one CommentSyntax, built on first use.
 
@@ -142,13 +125,14 @@ class _Scanner:
             self.string_body[quote] = re.compile(rf"{plain}(?:\\[^\n]{plain})*")
 
 
-# A comment as the scan finds it: the fields of a CommentSpan, in order.
+# A comment as the scan finds it: ``(kind, start, end, inner_start,
+# inner_end, start_line, end_line)``. ``kind`` is "line" or "block";
+# ``start``/``end`` cover the whole comment including its markers, and
+# ``inner_start``/``inner_end`` just the text between them.
 _Span = tuple[str, int, int, int, int, int, int]
 
 
-def scan_comment_spans(
-    source: str, syntax: CommentSyntax, file: str = "<source>"
-) -> list[CommentSpan]:
+def _scan(source: str, syntax: CommentSyntax, file: str) -> list[_Span]:
     """Locate every comment span in ``source``, in document order.
 
     The scan is in one of three states: plain code, inside a string, or
@@ -156,12 +140,6 @@ def scan_comment_spans(
     that a block opener sharing a prefix with a line marker (e.g. ``%{`` vs
     ``%``) wins. Each step jumps to the next token with a compiled pattern,
     and line numbers are counted between jumps.
-    """
-    return [CommentSpan(*span) for span in _scan(source, syntax, file)]
-
-
-def _scan(source: str, syntax: CommentSyntax, file: str) -> list[_Span]:
-    """The one comment scan, see ``scan_comment_spans``; plain tuples, not records.
 
     Every command reads a script through it, ``validate`` included: the
     spans give the comment lines (``_lines``) and the blanked code

@@ -37,7 +37,6 @@ from .errors import (
 from .model import (
     Block,
     Direction,
-    Endpoint,
     ModelIndex,
     Port,
     WorkflowModel,
@@ -60,13 +59,10 @@ class _Index(ModelIndex):
     def __init__(self, model: WorkflowModel) -> None:
         super().__init__(model)
         root_ports = model.root.ports
+        into, out_of = Direction.IN, Direction.OUT  # read once: see model._scope_channels
         self.root_port_names = {p.name for p in root_ports}
-        self.root_input_names = {
-            p.name for p in root_ports if p.direction is Direction.IN
-        }
-        self.root_output_names = {
-            p.name for p in root_ports if p.direction is Direction.OUT
-        }
+        self.root_input_names = {p.name for p in root_ports if p.direction is into}
+        self.root_output_names = {p.name for p in root_ports if p.direction is out_of}
         self.data_names_at_root = {
             ch.data for ch in model.channels if ch.scope == self.root_q
         } | self.root_port_names
@@ -77,12 +73,8 @@ class _Index(ModelIndex):
 
     def bound_inputs(self, block: Block) -> list[Port]:
         """The block's In/Param ports that a channel actually feeds."""
-        return [
-            port
-            for port in block.ports
-            if port.direction is Direction.IN
-            and self.is_bound(block.qualified_name, port)
-        ]
+        into, block_q = Direction.IN, block.qualified_name
+        return [p for p in block.ports if p.direction is into and self.is_bound(block_q, p)]
 
 
 @dataclass(frozen=True)
@@ -191,11 +183,12 @@ def containing_blocks(model: WorkflowModel, block_name: str) -> list[str]:
 
 def downstream_blocks(model: WorkflowModel, block_name: str) -> set[str]:
     graph = build_dependency_graph(model)
-    block = _resolve_block(graph.index, block_name)
+    block_q = _resolve_block(graph.index, block_name).qualified_name
+    out_of = Direction.OUT
     start = {
         ("data", ch.scope, ch.data)
         for ch in model.channels
-        if ch.source == Endpoint(block.qualified_name, Direction.OUT)
+        if ch.source.block == block_q and ch.source.direction is out_of
     }
     return {n[1] for n in graph.reachable(start) if n[0] == "block"}
 
@@ -253,11 +246,8 @@ def step_input_sources(model: WorkflowModel, block_name: str) -> list[PortSource
     """
     index = _Index(model)
     block = _resolve_block(index, block_name)
-    return [
-        _port_source(index, block, port)
-        for port in block.ports
-        if port.direction is Direction.IN
-    ]
+    into = Direction.IN
+    return [_port_source(index, block, port) for port in block.ports if port.direction is into]
 
 
 def _port_source(index: _Index, block: Block, port: Port) -> PortSource:
@@ -342,19 +332,10 @@ class UnboundRef:
     port: Port
 
 
-def chain_defects(model: WorkflowModel, output_name: str) -> tuple[UnboundRef, ...]:
-    """Ports that break the dependency chain behind one root output.
-
-    Walks backwards from the output's data node in the model's dependency
-    graph. A chain is intact when every backward path ends at a root input or
-    at a block with no (or only bound) inputs. Every unbound port or
-    one-sided workflow boundary that a path runs into is returned; an empty
-    result means the chain is complete.
-    """
-    return _chain_defects(build_dependency_graph(model), output_name)
-
-
 def _chain_defects(graph: DependencyGraph, output_name: str) -> tuple[UnboundRef, ...]:
+    """Every unbound port or one-sided boundary behind one root output; an
+    empty result means each backward path ends at a root input or at a block
+    with no unbound inputs, so the chain is complete."""
     target = ("data", graph.index.root_q, output_name)
     if target not in graph.nodes:
         raise UnknownName(f"{output_name!r} is not a data name of the top-level workflow")
@@ -384,6 +365,7 @@ def _broken_chains(
 def _defects(graph: DependencyGraph, involved: set[NodeKey]) -> tuple[UnboundRef, ...]:
     """The unbound ports and one-sided boundaries among the involved nodes."""
     index = graph.index
+    into, out_of = Direction.IN, Direction.OUT  # read once: see model._scope_channels
     defects: list[UnboundRef] = []
     seen: set[tuple[str, str, Direction]] = set()
 
@@ -398,8 +380,8 @@ def _defects(graph: DependencyGraph, involved: set[NodeKey]) -> tuple[UnboundRef
         if node[0] == "block":
             block_q = node[1]
             for port in index.blocks[block_q].ports:
-                if port.direction is Direction.IN and not index.is_bound(block_q, port):
-                    blame(block_q, port.name, Direction.IN)
+                if port.direction is into and not index.is_bound(block_q, port):
+                    blame(block_q, port.name, into)
             continue
         _, scope, name = node
         if graph.reverse.get(node):
@@ -408,7 +390,7 @@ def _defects(graph: DependencyGraph, involved: set[NodeKey]) -> tuple[UnboundRef
             continue  # a script input: the chain legitimately starts here
         ch = index.chan.get((scope, name))
         if ch is None:  # a root output that nothing writes
-            blame(scope, name, Direction.OUT)
+            blame(scope, name, out_of)
         else:  # a program would be an edge: a boundary with nothing beyond
             blame(ch.source.block, name, ch.source.direction)
     ordered = sorted(

@@ -3,7 +3,8 @@
 Structural problems in the annotation stream (the YW001 family) are the
 problems the model builder's own begin/end walk reports, so a script with
 no error-severity diagnostics is guaranteed to build, render, and answer
-queries without raising. Cross-checks against the host code (YW010) and the
+queries without raising; only ``derivation`` refuses a feedback loop, which
+has no order of steps. Cross-checks against the host code (YW010) and the
 channel-level checks (YW020/YW030/YW031) run only once the structure holds.
 
 Codes form a documented closed set:
@@ -37,7 +38,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import queries
-from .annotations import _FIELDS, Annotation, _Tagged, _tags
+from .annotations import _Tagged, _tags
 from .comments import CommentSyntax, _blanked, _lines, _scan, detect_language
 from .errors import (
     AnnotationError,
@@ -72,7 +73,6 @@ _STRUCTURE = {
     DuplicatePort: "YW006",
     DuplicateBlockName: "YW007",
 }
-STRUCTURE_CODES = tuple(_STRUCTURE.values())
 
 
 @dataclass(frozen=True)
@@ -114,23 +114,6 @@ def _structure_diagnostic(problem: ModelError) -> Diagnostic:
     return Diagnostic(
         ERROR, _STRUCTURE[type(problem)], problem.message, problem.file, problem.line
     )
-
-
-def check_structure(
-    annotations: Sequence[Annotation], root_name: str | None = None
-) -> list[Diagnostic]:
-    """Report every bracketing problem of an annotation stream, in document order.
-
-    The problems are those of the model builder's own walk, which recovers
-    from each one: an unmatched @end is skipped, a wrongly named @end still
-    closes the open block, and so on. Blocks never span files. When this
-    returns no diagnostics, building the block tree from the same stream
-    cannot fail, and otherwise the build raises the first of them.
-    ``root_name`` names an implicit root, as in ``build_blocks``; a clash of
-    dotted block names is reported under that root's qualified name.
-    """
-    problems, _, _ = _bracket(list(map(_FIELDS, annotations)), root_name)
-    return [_structure_diagnostic(p) for p in problems]
 
 
 # -- code cross-check ------------------------------------------------------------
@@ -233,7 +216,8 @@ def check_dependency_chains(model: WorkflowModel) -> list[Diagnostic]:
     at once clears a model whose chains are all complete.
     """
     graph = queries.build_dependency_graph(model)
-    outputs = [p.name for p in model.root.ports if p.direction is Direction.OUT]
+    out_of = Direction.OUT  # read once: see model._scope_channels
+    outputs = [p.name for p in model.root.ports if p.direction is out_of]
     return [
         Diagnostic(
             ERROR,

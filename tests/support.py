@@ -1,4 +1,5 @@
-"""Shared test helpers: model generators and independent oracles.
+"""Shared test helpers: model generators, independent oracles, and a
+command runner that calls ``cli.run`` in process.
 
 Everything here recomputes expected results from first principles, by direct
 search over the generated tree or over a model's channel list, so the tests
@@ -8,11 +9,14 @@ given a seeded random.Random instance.
 
 from __future__ import annotations
 
+import io
 import json
 import re
 import textwrap
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass, field
 
+from ywx import cli
 from ywx.annotations import Annotation, AnnotationDocument, parse_annotations
 from ywx.comments import LANGUAGES, extract_comments
 from ywx.model import Direction, Endpoint, WorkflowModel, build_model
@@ -31,6 +35,27 @@ def model_from_source(
     text: str, language: str = "python", file: str = "script.py"
 ) -> WorkflowModel:
     return build_model(annotations_from_source(text, language, file))
+
+
+# -- commands, run in process -----------------------------------------------
+
+# Every graph view, flat and nested, and the structural queries that take a
+# block or a data name.
+VIEWS = [
+    ["--view", view, *nested]
+    for view in ("process", "data", "combined")
+    for nested in ([], ["--nested"])
+]
+BLOCK_QUERIES = ("nested", "containers", "downstream", "sources")
+NAME_QUERIES = ("affected-by", "upstream-inputs", "deriving-blocks", "derivation")
+
+
+def call(argv):
+    """``cli.run(argv)``'s exit status, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.run(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 # C passes d through itself and writes it in W: the one place where a walk

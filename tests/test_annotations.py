@@ -15,9 +15,9 @@ from ywx.annotations import (
     Annotation,
     AnnotationDocument,
     Tag,
+    _tags,
     parse_annotation_file,
     parse_annotations,
-    parse_annotations_lenient,
     serialize_annotations,
 )
 from ywx.comments import SourceComment, detect_language, extract_comments
@@ -113,17 +113,20 @@ class TestRecognition:
     def test_tag_as_last_token_lacks_its_value(self):
         with pytest.raises(MissingValue):
             parse_annotations([comment("@begin Load @in")])
-        got, problems = parse_annotations_lenient([comment("@begin Load @in", line=7)])
-        assert [(a.tag, a.value) for a in got] == [(Tag.BEGIN, "Load")]
+        problems = []
+        got = _tags([("@begin Load @in", "s.py", 7)], problems)
+        assert [(tag, value) for tag, value, *_ in got] == [(Tag.BEGIN, "Load")]
         assert [(type(p), p.line) for p in problems] == [(MissingValue, 7)]
 
 
 class TestLenient:
+    """The tag walk given a list for its problems records each unreadable
+    tag there and resumes at the next token."""
+
     def test_problems_collected_and_rest_kept(self):
-        got, problems = parse_annotations_lenient(
-            [comment("@begin Work @in 9bad @out fine", line=3)]
-        )
-        assert [(a.tag, a.value) for a in got] == [
+        problems = []
+        got = _tags([("@begin Work @in 9bad @out fine", "s.py", 3)], problems)
+        assert [(tag, value) for tag, value, *_ in got] == [
             (Tag.BEGIN, "Work"),
             (Tag.OUT, "fine"),
         ]
@@ -132,17 +135,19 @@ class TestLenient:
         assert problems[0].line == 3
 
     def test_missing_value_then_next_tag_survives(self):
-        got, problems = parse_annotations_lenient([comment("@in @out result")])
-        assert [(a.tag, a.value) for a in got] == [(Tag.OUT, "result")]
+        problems = []
+        got = _tags([("@in @out result", "s.py", 1)], problems)
+        assert [(tag, value) for tag, value, *_ in got] == [(Tag.OUT, "result")]
         assert len(problems) == 1
         assert isinstance(problems[0], MissingValue)
 
     def test_clean_input_matches_strict(self):
         comments = [comment("@begin A @in x"), comment("@end A")]
         strict = parse_annotations(comments)
-        lenient, problems = parse_annotations_lenient(comments)
+        problems = []
+        lenient = _tags([(c.text, c.file, c.start_line) for c in comments], problems)
         assert problems == []
-        assert lenient == strict
+        assert [Annotation(*item) for item in lenient] == strict
 
 
 class TestInterchange:
@@ -338,10 +343,9 @@ _SPACES = st.sampled_from([" ", "  ", "\t", "\x0b", "\x1c", "\u00a0", "\u2003", 
 @given(st.lists(st.tuples(_SPACES, _WORDS), max_size=12), _SPACES)
 def test_recognition_matches_regex_oracle(pieces, tail):
     text = "".join(space + word for space, word in pieces) + tail
-    found, problems = parse_annotations_lenient([comment(text)])
-    assert ([(a.tag, a.value, a.description) for a in found], [type(p) for p in problems]) == (
-        _oracle(text)
-    )
+    problems = []
+    found = _tags([(text, "s.py", 1)], problems)
+    assert ([item[:3] for item in found], [type(p) for p in problems]) == _oracle(text)
 
 
 # -- the extract listing, written from the tag walk ----------------------------

@@ -13,12 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ywx import cli
-from ywx.annotations import parse_annotations
+from ywx.annotations import _FIELDS, parse_annotations
 from ywx.cli import run
 from ywx.comments import detect_language, extract_comments
 from ywx.errors import DuplicateBlockName
-from ywx.model import build_blocks, iter_blocks
-from ywx.validate import check_structure
+from ywx.model import _bracket, build_blocks, iter_blocks
+from ywx.validate import _structure_diagnostic
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).parent.parent / "src"
@@ -902,7 +902,8 @@ class TestImplicitRootName:
                 extract_comments(Path(path).read_text(), detect_language(path), path)
             )
         ]
-        [diagnostic] = check_structure(stream, root_name="a")
+        problems, _, _ = _bracket(list(map(_FIELDS, stream)), "a")
+        [diagnostic] = map(_structure_diagnostic, problems)
         with pytest.raises(DuplicateBlockName) as raised:
             build_blocks(stream, root_name="a")
         assert diagnostic.message == raised.value.message

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from ywx.comments import (
     LANGUAGES,
     CommentSyntax,
+    _scan,
     detect_language,
     extract_comments,
-    scan_comment_spans,
     strip_comments,
 )
 from ywx.errors import UnknownLanguage, UnterminatedBlockComment
@@ -156,16 +156,16 @@ def test_span_scan_is_a_partition(pieces):
     source = "".join(pieces)
     for syntax in (PY, M):
         try:
-            spans = scan_comment_spans(source, syntax)
+            spans = _scan(source, syntax, "<source>")
         except UnterminatedBlockComment:
             continue
         previous_end = 0
-        for span in spans:
-            assert previous_end <= span.start < span.end <= len(source)
-            assert span.start <= span.inner_start <= span.inner_end <= span.end
-            previous_end = span.end
-            assert span.start_line == source.count("\n", 0, span.start) + 1
-            assert span.end_line == source.count("\n", 0, span.inner_end) + 1
+        for _, start, end, inner_start, inner_end, start_line, end_line in spans:
+            assert previous_end <= start < end <= len(source)
+            assert start <= inner_start <= inner_end <= end
+            previous_end = end
+            assert start_line == source.count("\n", 0, start) + 1
+            assert end_line == source.count("\n", 0, inner_end) + 1
         stripped = strip_comments(source, syntax)
         assert len(stripped) == len(source)
         assert stripped.count("\n") == source.count("\n")
@@ -231,7 +231,7 @@ def test_strip_keeps_layout_and_leaves_no_comment(source):
             i for i, c in enumerate(source) if c == "\n"
         ]
         assert all(a == b or a == " " for a, b in zip(stripped, source))
-        assert scan_comment_spans(stripped, syntax) == []
-        for span in scan_comment_spans(source, syntax):
-            assert span.start_line == source.count("\n", 0, span.start) + 1
-            assert span.end_line == source.count("\n", 0, span.inner_end) + 1
+        assert _scan(stripped, syntax, "<source>") == []
+        for _, start, _, _, inner_end, start_line, end_line in _scan(source, syntax, "<source>"):
+            assert start_line == source.count("\n", 0, start) + 1
+            assert end_line == source.count("\n", 0, inner_end) + 1

@@ -109,12 +109,10 @@ def _module_level_names(node: ast.stmt) -> list[str]:
     ]
 
 
-def test_every_private_helper_is_used():
-    """A module-level ``_name`` in the package is read somewhere in it.
-
-    A private helper that outlives its last caller is dead code; imports
-    do not count as uses, so re-exporting a helper does not keep it alive.
-    """
+def _unread_definitions() -> list[tuple[str, str]]:
+    """Each module-level ``(module, name)`` of the package that no code in
+    the package reads. Imports do not count as reads, so re-exporting a
+    name does not keep it alive."""
     trees = {
         path.name: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted(Path(ywx.__file__).parent.glob("*.py"))
@@ -126,11 +124,38 @@ def test_every_private_helper_is_used():
                 loaded.add(node.id)
             elif isinstance(node, ast.Attribute):
                 loaded.add(node.attr)
-    unused = [
-        f"{module}:{name}"
+    return [
+        (module, name)
         for module, tree in trees.items()
         for node in tree.body
         for name in _module_level_names(node)
-        if name.startswith("_") and not name.startswith("__") and name not in loaded
+        if name not in loaded
+    ]
+
+
+def test_every_private_helper_is_used():
+    """A module-level ``_name`` in the package is read somewhere in it.
+
+    A private helper that outlives its last caller is dead code.
+    """
+    unused = [
+        f"{module}:{name}"
+        for module, name in _unread_definitions()
+        if name.startswith("_") and not name.startswith("__")
+    ]
+    assert unused == []
+
+
+def test_every_public_name_is_used():
+    """A module-level public name in the package is exported or read in it.
+
+    The library surface is ``__all__``; a public function, class or constant
+    that is neither exported nor read by the package is a second, unpinned
+    surface that only its tests hold up.
+    """
+    unused = [
+        f"{module}:{name}"
+        for module, name in _unread_definitions()
+        if not name.startswith("_") and name not in ywx.__all__
     ]
     assert unused == []

@@ -6,18 +6,39 @@ drawn from the commands, subqueries, options and their values, over clean
 scripts, a listing and a model file written from one of them, and a run
 manifest, each of which may be truncated, have one byte replaced or lose a
 line.
+
+The validate guarantee: a script with no error-severity diagnostic builds,
+renders every view and answers every structural query, all with exit 0,
+except that ``derivation`` refuses a name whose derivation passes through a
+feedback loop. Scripts are generated workflows whose annotation lines were
+edited.
 """
 
 import contextlib
 import io
 import json
+import random
+import re
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from support import (
+    BLOCK_QUERIES,
+    NAME_QUERIES,
+    VIEWS,
+    call,
+    closure,
+    oracle_edges,
+    random_tree,
+    script_from_tree,
+)
 from ywx import cli
+from ywx.comments import detect_language
+from ywx.model import Direction, iter_blocks, parse_model
+from ywx.validate import has_errors, validate_sources
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SCRIPTS = ("affymetrix.R", "mstmip_nee.m", "paleoclimate.R")
@@ -142,3 +163,87 @@ def test_exit_code_contract(sources, workdir, call, to_file):
             assert any(d["severity"] == "error" for d in json.loads(text)), argv
         else:
             assert ": error YW" in text, argv
+
+
+# -- the validate guarantee on edited annotation streams -----------------------
+
+_PORT_VALUE = re.compile(r"@(?:in|out|param) (\S+)")
+EDITS = st.tuples(
+    st.sampled_from(["drop", "duplicate", "swap", "rename"]),
+    st.integers(0, 1 << 16),
+    st.integers(0, 1 << 16),
+    st.integers(0, 1 << 16),
+)
+
+
+def edit(lines, how, a, b, c):
+    """``lines`` with one annotation line dropped, duplicated or swapped with
+    another, or with one port's name replaced by another the script uses. A
+    renamed block fails to match its ``@end``, so only ports are renamed."""
+    at = [i for i, line in enumerate(lines) if line.startswith("# @")]
+    ports = [i for i in at if _PORT_VALUE.search(lines[i])]
+    if how == "rename":
+        if not ports:
+            return lines
+        names = sorted({m[1] for line in lines for m in _PORT_VALUE.finditer(line)})
+        lines, i = list(lines), ports[a % len(ports)]
+        values = list(_PORT_VALUE.finditer(lines[i]))
+        value = values[b % len(values)]
+        lines[i] = lines[i][: value.start(1)] + names[c % len(names)] + lines[i][value.end(1) :]
+        return lines
+    if not at:
+        return lines
+    lines, i, j = list(lines), at[a % len(at)], at[b % len(at)]
+    if how == "drop":
+        del lines[i]
+    elif how == "duplicate":
+        lines.insert(i, lines[i])
+    else:
+        lines[i], lines[j] = lines[j], lines[i]
+    return lines
+
+
+@settings(max_examples=500, deadline=2000)
+@given(seed=st.integers(0, 2**32 - 1), edits=st.lists(EDITS, max_size=3), data=st.data())
+def test_no_error_diagnostic_means_every_command_succeeds(workdir, seed, edits, data):
+    rng = random.Random(seed)
+    lines = script_from_tree(random_tree(rng, max_blocks=10), rng).splitlines(keepends=True)
+    for how, a, b, c in edits:
+        lines = edit(lines, how, a, b, c)
+    text, path = "".join(lines), str(workdir / "edited.py")
+    Path(path).write_text(text, encoding="utf-8")
+    if has_errors(validate_sources([(path, text, detect_language(path))])):
+        return
+    code, out, err = call(["model", path])
+    assert code == 0, err
+    model = parse_model(out)
+    root = model.root
+    blocks = [b.qualified_name for b in iter_blocks(root)]
+    inputs = sorted(p.name for p in root.ports if p.direction is Direction.IN)
+    names = sorted(
+        {p.name for p in root.ports}
+        | {ch.data for ch in model.channels if ch.scope == root.qualified_name}
+    )
+    commands = [["graph", path, *view] for view in VIEWS] + [["query", "blocks", path]]
+    commands += [
+        ["query", sub, path, "--block", data.draw(st.sampled_from(blocks))]
+        for sub in BLOCK_QUERIES
+    ]
+    for sub in NAME_QUERIES:
+        pool = inputs if sub == "affected-by" else names
+        if pool:
+            commands.append(["query", sub, path, "--name", data.draw(st.sampled_from(pool))])
+    for argv in commands:
+        code, _, err = call(argv)
+        if code and argv[1] == "derivation":
+            assert err.endswith("passes through a feedback loop\n"), err
+            assert _loop_behind(model, argv[-1]), argv
+            continue
+        assert code == 0, (argv, err)
+
+
+def _loop_behind(model, name):
+    """Whether a dependency cycle lies behind the root-scope data ``name``."""
+    edges = oracle_edges(model)
+    involved = closure(edges, {("data", model.root.qualified_name, name)}, reverse=True)
+    return any(a in closure(edges, {b}) for a, b in edges if b in involved)

@@ -30,7 +30,6 @@ from ywx.queries import (
     RunManifest,
     build_dependency_graph,
     blocks_affected_by_input,
-    chain_defects,
     containing_blocks,
     derivation,
     deriving_blocks,
@@ -375,7 +374,7 @@ class TestStepSources:
 
 class TestChainDefects:
     def test_clean_fixture_has_none(self):
-        assert chain_defects(mstmip_model(), "NEE_std") == ()
+        assert queries._chain_defects(build_dependency_graph(mstmip_model()), "NEE_std") == ()
 
     def test_unbound_program_port_blamed(self):
         model = model_from_source(
@@ -387,7 +386,7 @@ class TestChainDefects:
             # @end W
             """
         )
-        refs = chain_defects(model, "y")
+        refs = queries._chain_defects(build_dependency_graph(model), "y")
         assert [(r.block, r.port.name) for r in refs] == [("W.P", "lost")]
 
     def test_subworkflow_without_inner_writer(self):
@@ -401,7 +400,7 @@ class TestChainDefects:
             # @end W
             """
         )
-        refs = chain_defects(model, "y")
+        refs = queries._chain_defects(build_dependency_graph(model), "y")
         assert [(r.block, r.port.name, r.port.direction.value) for r in refs] == [
             ("W.Sub", "y", "out")
         ]
@@ -417,7 +416,7 @@ class TestChainDefects:
             # @end W
             """
         )
-        refs = chain_defects(model, "y")
+        refs = queries._chain_defects(build_dependency_graph(model), "y")
         assert [(r.block, r.port.name, r.port.direction.value) for r in refs] == [
             ("W.Sub", "q", "in")
         ]
@@ -431,18 +430,18 @@ class TestChainDefects:
             # @end W
             """
         )
-        refs = chain_defects(model, "ghost")
+        refs = queries._chain_defects(build_dependency_graph(model), "ghost")
         assert [(r.block, r.port.name) for r in refs] == [("W", "ghost")]
 
     def test_root_inputs_are_legitimate_starts(self):
         model = model_from_source(
             "# @begin W @in x @out x\n# @begin P @in x @out other\n# @end P\n# @end W\n"
         )
-        assert chain_defects(model, "x") == ()
+        assert queries._chain_defects(build_dependency_graph(model), "x") == ()
 
     def test_unknown_output(self):
         with pytest.raises(UnknownName):
-            chain_defects(nested_model(), "nothing")
+            queries._chain_defects(build_dependency_graph(nested_model()), "nothing")
 
 
 class TestManifest:
@@ -557,7 +556,7 @@ def bind_every_root_port(model):
 class TestOnePassEquivalence:
     """Lineage and YW020 over all root outputs at once agree with the
     per-output definitions: oracle_upstream_inputs for reachability and
-    chain_defects, called once per output, for completeness."""
+    ``queries._chain_defects``, called once per output, for completeness."""
 
     def cases(self, count=120, seed=4242):
         rng = random.Random(seed)
@@ -585,7 +584,7 @@ class TestOnePassEquivalence:
         inputs = {p.name for p in model.root.ports if p.direction is Direction.IN}
         checked = sorted(names & set(outputs)) if direction == "upstream" else outputs
         for output in checked:
-            if chain_defects(model, output):
+            if queries._chain_defects(build_dependency_graph(model), output):
                 return f"dependency chain behind output {output!r} has unbound ports"
         if direction == "upstream":
             ports = set()
@@ -633,7 +632,7 @@ class TestOnePassEquivalence:
                 )
                 for port in model.root.ports
                 if port.direction is Direction.OUT
-                for ref in chain_defects(model, port.name)
+                for ref in queries._chain_defects(build_dependency_graph(model), port.name)
             )
             diagnostics = validate_sources(
                 [("script.py", script, detect_language("script.py"))]

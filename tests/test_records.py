@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from ywx import cli
 from ywx.annotations import Annotation, AnnotationDocument, Tag, parse_annotations
-from ywx.comments import CommentSpan, SourceComment, detect_language, extract_comments
+from ywx.comments import SourceComment, detect_language, extract_comments
 from ywx.errors import YwxError
 from ywx.model import (
     Block,
@@ -50,20 +50,6 @@ RECORDS = [
         [("text", MISSING), ("file", MISSING), ("start_line", MISSING), ("end_line", MISSING)],
         ("@in x", "s.py", 3, 3),
         "@out y",
-    ),
-    (
-        CommentSpan,
-        [
-            ("kind", MISSING),
-            ("start", MISSING),
-            ("end", MISSING),
-            ("inner_start", MISSING),
-            ("inner_end", MISSING),
-            ("start_line", MISSING),
-            ("end_line", MISSING),
-        ],
-        ("line", 10, 17, 11, 17, 3, 3),
-        "block",
     ),
     (
         Annotation,

@@ -7,35 +7,17 @@ itself. Two scripts under one implicit root have no single listing, so they
 are checked against their model file alone.
 """
 
-import io
 import random
 import tempfile
-from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import random_tree, script_from_tree
-from ywx import cli
+from support import BLOCK_QUERIES, NAME_QUERIES, VIEWS, call, random_tree, script_from_tree
 from ywx.model import iter_blocks, parse_model, serialize_model
 
 FIXTURES = Path(__file__).parent / "fixtures"
-VIEWS = [
-    ["--view", view, *nested]
-    for view in ("process", "data", "combined")
-    for nested in ([], ["--nested"])
-]
-BLOCK_QUERIES = ("nested", "containers", "downstream", "sources")
-NAME_QUERIES = ("affected-by", "upstream-inputs", "deriving-blocks", "derivation")
-
-
-def _call(argv):
-    """``cli.run(argv)``'s exit status, stdout and stderr."""
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = cli.run(argv)
-    return code, out.getvalue(), err.getvalue()
 
 
 def _commands(model, rng):
@@ -58,7 +40,7 @@ def _assert_routes_agree(routes, model_file, rng):
     for command, options in _commands(parse_model(text), rng):
         results = set()
         for inputs in routes:
-            code, out, err = _call([*command, *inputs, *options])
+            code, out, err = call([*command, *inputs, *options])
             assert code in (0, 2), err
             results.add((code, out))
         assert len(results) == 1, (command, options, results)
@@ -72,12 +54,12 @@ def test_script_listing_and_model_file_agree(seed):
     with tempfile.TemporaryDirectory() as tmp:
         script, listing, model_file = (str(Path(tmp) / n) for n in ("w.py", "w.json", "m.json"))
         Path(script).write_text(script_from_tree(tree, rng), encoding="utf-8")
-        assert _call(["extract", script, "-o", listing])[0] == 0
-        code, _, err = _call(["model", script, "-o", model_file])
+        assert call(["extract", script, "-o", listing])[0] == 0
+        code, _, err = call(["model", script, "-o", model_file])
         if code:
             # An ambiguous writer: no model file, and the listing fails alike.
             assert "several writers" in err
-            assert _call(["model", listing])[0] == 2
+            assert call(["model", listing])[0] == 2
             return
         _assert_routes_agree([[script], [listing], [model_file]], model_file, rng)
 
@@ -85,6 +67,6 @@ def test_script_listing_and_model_file_agree(seed):
 def test_two_scripts_and_their_model_file_agree(tmp_path):
     scripts = [str(FIXTURES / "affymetrix.R"), str(FIXTURES / "paleoclimate.R")]
     model_file = str(tmp_path / "m.json")
-    assert _call(["model", *scripts, "-o", model_file])[0] == 0
+    assert call(["model", *scripts, "-o", model_file])[0] == 0
     assert parse_model(Path(model_file).read_text()).root.span[0] == 0  # implicit
     _assert_routes_agree([scripts, [model_file]], model_file, random.Random(7))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import ywx.comments
 from support import model_from_source, random_tree, script_from_tree
-from ywx.annotations import Tag, parse_annotations
+from ywx.annotations import _FIELDS, Tag, parse_annotations
 from ywx.comments import LANGUAGES, detect_language, extract_comments, strip_comments
 from ywx.errors import (
     AmbiguousWriter,
@@ -25,14 +25,14 @@ from ywx.errors import (
     UnclosedBlock,
     YwxError,
 )
-from ywx.model import build_blocks, build_model, iter_blocks
+from ywx.model import _bracket, build_blocks, build_model, iter_blocks
 from ywx.queries import list_blocks
 from ywx.render import RenderOptions, render
 from ywx.validate import (
-    STRUCTURE_CODES,
+    _STRUCTURE,
     Diagnostic,
+    _structure_diagnostic,
     check_port_names_in_code,
-    check_structure,
     diagnostics_as_dicts,
     format_diagnostics,
     has_errors,
@@ -367,7 +367,7 @@ class TestBuildGuarantee:
         buildable, rejected = corpus
         for tree, script, model, expected, ambiguous in buildable[:60]:
             diags = validate_text(script)
-            assert not any(d.code in STRUCTURE_CODES for d in diags)
+            assert not any(d.code in _STRUCTURE.values() for d in diags)
             if has_errors(diags):
                 continue
             rebuilt = model_from_source(script)
@@ -537,7 +537,8 @@ def test_structure_diagnostics_match_the_build(files):
         for path, text, _ in sources
         for ann in parse_annotations(extract_comments(text, syntax, file=path))
     ]
-    structure = check_structure(merged, root_name="f0")
+    problems, _, _ = _bracket(list(map(_FIELDS, merged)), "f0")
+    structure = [_structure_diagnostic(p) for p in problems]
     try:
         build_blocks(merged, root_name="f0")
     except NoBlocks:
@@ -555,7 +556,7 @@ def test_structure_diagnostics_match_the_build(files):
         assert structure == []
 
     diags = validate_sources(sources)
-    structural = [d for d in diags if d.code in STRUCTURE_CODES]
+    structural = [d for d in diags if d.code in _STRUCTURE.values()]
     assert sorted(structural, key=lambda d: (d.file, d.line, d.code, d.message)) == (
         sorted(structure, key=lambda d: (d.file, d.line, d.code, d.message))
     )
