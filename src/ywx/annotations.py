@@ -16,7 +16,7 @@ from enum import Enum
 from itertools import starmap
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import attrgetter
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from ._record import record
 from .comments import SourceComment
@@ -182,15 +182,6 @@ def _json_list(items: list[str], indent: str) -> str:
         return "[]"
     inner = f",\n{indent}  "
     return f"[\n{indent}  {inner.join(items)}\n{indent}]"
-
-
-def _json_items(items: Iterable[str], indent: str) -> Iterator[str]:
-    """``_json_list`` of items written on demand, one chunk per item."""
-    lead = "[\n"
-    for item in items:
-        yield f"{lead}{indent}  {item}"
-        lead = ",\n"
-    yield "[]" if lead == "[\n" else f"\n{indent}]"
 
 
 # Each tag's JSON text.

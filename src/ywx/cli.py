@@ -24,6 +24,7 @@ import sys
 from pathlib import Path
 from typing import Iterable
 
+from . import queries
 from .annotations import _listing_chunks, _listing_from_json, _Tagged, _tags
 from .comments import CommentSyntax, _lines, _scan, detect_language
 from .errors import FormatMismatch, MalformedModel, UsageError, YwxError, _read_text
@@ -34,17 +35,11 @@ from .model import (
     _model_from_json,
 )
 from .queries import (
-    blocks_affected_by_input,
-    containing_blocks,
     derivation,
-    deriving_blocks,
-    downstream_blocks,
     infer_file_lineage,
     list_blocks,
-    nested_blocks,
     parse_manifest,
     step_input_sources,
-    upstream_inputs,
 )
 from .render import (
     DEFAULT_STYLE,
@@ -308,6 +303,20 @@ def _require(value: str | None, flag: str, subquery: str) -> str:
     return value
 
 
+# Each subquery answered by a list of names: the ``queries`` function that
+# finds them, the option that names its argument, and whether its answer, a
+# set, is sorted. The function is looked up by name at each call, so a
+# wrapper bound in its place, as the benchmark's tracer binds one, is run.
+_NAME_LISTS = {
+    "nested": ("nested_blocks", "block", False),
+    "containers": ("containing_blocks", "block", False),
+    "downstream": ("downstream_blocks", "block", True),
+    "affected-by": ("blocks_affected_by_input", "name", True),
+    "upstream-inputs": ("upstream_inputs", "name", True),
+    "deriving-blocks": ("deriving_blocks", "name", True),
+}
+
+
 def _cmd_query(args: argparse.Namespace) -> int:
     sub = args.subquery
     if sub == "invoking-blocks":
@@ -325,26 +334,11 @@ def _cmd_query(args: argparse.Namespace) -> int:
             f"{name}: {description}" if description else name
             for name, description in rows
         ]
-    elif sub == "nested":
-        names = nested_blocks(model, _require(args.block, "--block", sub))
-        payload, lines = names, names
-    elif sub == "containers":
-        names = containing_blocks(model, _require(args.block, "--block", sub))
-        payload, lines = names, names
-    elif sub == "downstream":
-        names = sorted(downstream_blocks(model, _require(args.block, "--block", sub)))
-        payload, lines = names, names
-    elif sub == "affected-by":
-        names = sorted(
-            blocks_affected_by_input(model, _require(args.name, "--name", sub))
-        )
-        payload, lines = names, names
-    elif sub == "upstream-inputs":
-        names = sorted(upstream_inputs(model, _require(args.name, "--name", sub)))
-        payload, lines = names, names
-    elif sub == "deriving-blocks":
-        names = sorted(deriving_blocks(model, _require(args.name, "--name", sub)))
-        payload, lines = names, names
+    elif sub in _NAME_LISTS:
+        function, option, unordered = _NAME_LISTS[sub]
+        value = _require(getattr(args, option), f"--{option}", sub)
+        names = getattr(queries, function)(model, value)
+        payload = lines = sorted(names) if unordered else names
     elif sub == "derivation":
         result = derivation(model, _require(args.name, "--name", sub))
         payload = {
@@ -453,7 +447,3 @@ def _run(argv: list[str] | None) -> int:
         # problem, not a crash.
         print("ywx: error: the input nests too deeply to process", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(run())

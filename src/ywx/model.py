@@ -32,7 +32,6 @@ from .annotations import (
     _check_unicode,
     _decode_json,
     _json_int,
-    _json_items,
     _json_list,
     _json_opt,
     _json_str,
@@ -602,14 +601,13 @@ def serialize_model(model: WorkflowModel) -> str:
 
 
 def _model_chunks(model: WorkflowModel) -> Iterator[str]:
-    """The JSON text of a model file, one chunk per record: a block's head
-    and tail (one chunk for a block without children) and a channel."""
+    """The JSON text of a model file, one chunk per block record (a block's
+    head and tail, one chunk for a block without children), then the rest."""
     yield '{\n  "root": '
     yield from _block_chunks(model.root)
-    yield ',\n  "channels": '
-    yield from _json_items(map(_channel_json, model.channels), "  ")
+    channels = _json_list([_channel_json(ch) for ch in model.channels], "  ")
     files = _json_list([_json_str(f) for f in model.source_files], "  ")
-    yield f',\n  "source_files": {files}\n}}\n'
+    yield f',\n  "channels": {channels},\n  "source_files": {files}\n}}\n'
 
 
 def _block_chunks(root: Block) -> Iterator[str]:
@@ -849,36 +847,21 @@ def _model_from_json(text: str, payload: object) -> WorkflowModel:
     except AmbiguousWriter as exc:
         raise MalformedModel(f"block tree is ambiguous: {exc}") from exc
     # The file's records must be exactly those a model file is written with.
-    if len(raw_channels) != len(channels) or not all(
-        map(_same_channel, raw_channels, channels)
-    ):
+    # Every field is a string, so a value of another type differs, and so
+    # does a record with a key more or less. The loops are plain: before
+    # Python 3.12 a comprehension per channel would cost a call.
+    derived = []
+    for ch in channels:
+        source, sinks = ch.source, []
+        for end in ch.sinks:
+            sinks.append({"block": end.block, "port_direction": end.direction._value_})
+        derived.append({
+            "data": ch.data,
+            "scope": ch.scope,
+            "role": ch.role._value_,
+            "source": {"block": source.block, "port_direction": source.direction._value_},
+            "sinks": sinks,
+        })
+    if raw_channels != derived:
         raise MalformedModel("'channels' differs from the channels inferred from 'root'")
     return WorkflowModel(root, channels, tuple(raw_files))
-
-
-def _same_channel(raw: object, ch: Channel) -> bool:
-    """Whether ``raw`` equals the record a model file is written with for ``ch``."""
-    if not (
-        raw.__class__ is dict
-        and len(raw) == 5
-        and raw.get("data") == ch.data
-        and raw.get("scope") == ch.scope
-        and raw.get("role") == ch.role._value_
-        and _same_end(raw.get("source"), ch.source)
-    ):
-        return False
-    sinks = raw.get("sinks")
-    return (
-        sinks.__class__ is list
-        and len(sinks) == len(ch.sinks)
-        and all(map(_same_end, sinks, ch.sinks))
-    )
-
-
-def _same_end(raw: object, end: Endpoint) -> bool:
-    return (
-        raw.__class__ is dict
-        and len(raw) == 2
-        and raw.get("block") == end.block
-        and raw.get("port_direction") == end.direction._value_
-    )

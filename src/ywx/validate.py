@@ -146,13 +146,12 @@ def check_port_names_in_code(
     it occurs on, so an identifier-shaped name is looked up by bisection; a
     word cannot cross a newline, so this equals a whole-word search of the
     span. Other names (``results.csv``) are searched for in the span text.
+    ``stripped_sources`` holds the blanked text of every file a block is in.
     """
     found: list[Diagnostic] = []
     files: dict[str, tuple[list[str], dict[str, list[int]]]] = {}
     for block in iter_blocks(tree):
         if block.file not in files:
-            if block.file not in stripped_sources:
-                continue
             lines = stripped_sources[block.file].split("\n")
             files[block.file] = (lines, _word_lines(lines))
         lines, index = files[block.file]

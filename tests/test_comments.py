@@ -235,3 +235,9 @@ def test_strip_keeps_layout_and_leaves_no_comment(source):
         for _, start, _, _, inner_end, start_line, end_line in _scan(source, syntax, "<source>"):
             assert start_line == source.count("\n", 0, start) + 1
             assert end_line == source.count("\n", 0, inner_end) + 1
+
+
+@pytest.mark.parametrize("delimiters", [("", "*/"), ("/*", "")])
+def test_empty_block_delimiter_rejected(delimiters):
+    with pytest.raises(ValueError, match="block delimiters must be non-empty"):
+        CommentSyntax("bad", ("#",), (delimiters,))

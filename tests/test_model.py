@@ -828,3 +828,17 @@ class TestWriter:
         assert len(models) > len(corpus_models) + 3
         for model in models:
             assert serialize_model(model) == stdlib_json(model_payload(model))
+
+
+def test_infer_channels_gives_the_built_models_channels(corpus):
+    """``infer_channels`` of a tree built on its own gives the channels
+    ``build_model`` derives while it builds, and raises ``AmbiguousWriter``
+    on a tree with two writers of one data name in a scope."""
+    buildable, rejected = corpus
+    for _, script, model, _, _ in buildable:
+        assert infer_channels(build_blocks(annotations_from_source(script))) == model.channels
+    assert rejected
+    for _, script, _ in rejected:
+        tree = build_blocks(annotations_from_source(script))
+        with pytest.raises(AmbiguousWriter):
+            infer_channels(tree)

@@ -317,3 +317,13 @@ def test_routes_agree_on_any_comment_text(
     path = tmp_path_factory.mktemp("routes") / f"s{suffix}"
     path.write_text(script, encoding="utf-8")
     assert_routes_agree(path)
+
+
+def test_record_refuses_a_default_factory():
+    from ywx._record import record
+
+    with pytest.raises(TypeError, match="a record field takes a plain default"):
+
+        @record
+        class Listed:
+            items: list = dataclasses.field(default_factory=list)
