@@ -262,13 +262,16 @@ def _encodes(text: str) -> bool:
     return True
 
 
-def _require(condition: bool, message: str, line: int | None = None) -> None:
+def _require(condition: bool, message: str) -> None:
     if not condition:
-        raise MalformedRecord(message, line=line)
+        raise MalformedRecord(message)
 
 
 def _bad_record(index: int, problem: str, line: int | None = None) -> MalformedRecord:
-    return MalformedRecord(f"annotation record {index}: {problem}", line=line)
+    """The refusal of one record, naming the script line it is about, if
+    known, in its text: a reader that names the listing file prefixes it."""
+    where = "" if line is None else f" (script line {line})"
+    return MalformedRecord(f"annotation record {index}{where}: {problem}")
 
 
 def parse_annotation_file(text: str) -> AnnotationDocument:

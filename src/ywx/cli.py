@@ -27,19 +27,12 @@ from typing import Iterable
 from . import queries
 from .annotations import _listing_chunks, _listing_from_json, _Tagged, _tags
 from .comments import CommentSyntax, _lines, _scan, detect_language
-from .errors import FormatMismatch, MalformedModel, UsageError, YwxError, _read_text
+from .errors import FormatMismatch, UsageError, YwxError, _read_text
 from .model import (
     WorkflowModel,
     _build_model,
     _model_chunks,
     _model_from_json,
-)
-from .queries import (
-    derivation,
-    infer_file_lineage,
-    list_blocks,
-    parse_manifest,
-    step_input_sources,
 )
 from .render import (
     DEFAULT_STYLE,
@@ -56,19 +49,75 @@ from .validate import (
     validate_scripts,
 )
 
-QUERY_NAMES = (
-    "blocks",
-    "nested",
-    "containers",
-    "downstream",
-    "affected-by",
-    "upstream-inputs",
-    "deriving-blocks",
-    "derivation",
-    "sources",
-    "lineage",
-    "invoking-blocks",
-)
+
+# -- query answers -------------------------------------------------------------
+# Each returns the payload ``--json`` writes and the lines the text form
+# writes. It looks its ``queries`` function up when it runs, so a wrapper
+# bound in its place, as the benchmark's tracer binds one, is run.
+
+def _names(function: str):
+    """The answer of a subquery that finds a list of names, or a set, sorted."""
+    def answer(model: WorkflowModel, value: str) -> tuple[list[str], list[str]]:
+        names = getattr(queries, function)(model, value)
+        names = sorted(names) if isinstance(names, set) else names
+        return names, names
+    return answer
+
+
+def _blocks(model: WorkflowModel) -> tuple[list, list[str]]:
+    rows = queries.list_blocks(model)
+    payload = [{"qualified_name": name, "description": text} for name, text in rows]
+    return payload, [f"{name}: {text}" if text else name for name, text in rows]
+
+
+def _derivation(model: WorkflowModel, name: str) -> tuple[dict, list[str]]:
+    result = queries.derivation(model, name)
+    steps = [
+        {"block": step.block, "consumed": list(step.consumed), "produced": step.produced}
+        for step in result.steps
+    ]
+    lines = [
+        f"{i}. {step.block} ({', '.join(step.consumed)}) -> {step.produced}"
+        for i, step in enumerate(result.steps, start=1)
+    ]
+    return {"target": result.target, "steps": steps}, lines
+
+
+def _sources(model: WorkflowModel, block: str) -> tuple[list, list[str]]:
+    found = queries.step_input_sources(model, block)
+    payload = [{"port": s.port, "kind": s.kind, "block": s.block} for s in found]
+    return payload, [f"{s.port}: {s.kind}" + (f" {s.block}" if s.block else "") for s in found]
+
+
+def _lineage(
+    model: WorkflowModel, manifest_path: str, name: str, direction: str
+) -> tuple[list, list[str]]:
+    try:
+        manifest = queries.parse_manifest(_read_text(manifest_path), model)
+    except YwxError as exc:
+        exc.file = exc.file or manifest_path
+        raise
+    records = queries.infer_file_lineage(model, manifest, direction, name)
+    payload = [{"file": r.file, "port": r.port, "role": r.role} for r in records]
+    return payload, [f"{r.file} (via {r.port}, {r.role})" for r in records]
+
+
+# Each subquery, in the order ``QUERY_NAMES`` pins: its answer, and the
+# options the answer takes after the model, in the order a missing one is
+# reported (``--direction`` has a default).
+_ANSWERS = {
+    "blocks": (_blocks, ()),
+    "nested": (_names("nested_blocks"), ("block",)),
+    "containers": (_names("containing_blocks"), ("block",)),
+    "downstream": (_names("downstream_blocks"), ("block",)),
+    "affected-by": (_names("blocks_affected_by_input"), ("name",)),
+    "upstream-inputs": (_names("upstream_inputs"), ("name",)),
+    "deriving-blocks": (_names("deriving_blocks"), ("name",)),
+    "derivation": (_derivation, ("name",)),
+    "sources": (_sources, ("block",)),
+    "lineage": (_lineage, ("manifest", "name", "direction")),
+}
+QUERY_NAMES = (*_ANSWERS, "invoking-blocks")
 
 
 # Each command's arguments as (flags, ``add_argument`` keywords), in the
@@ -181,14 +230,9 @@ def _is_intermediate(path: str) -> bool:
     return Path(path).suffix.lower() == ".json"
 
 
-def _read_script(path: str, language: str | None) -> list[_Tagged]:
+def _script_tags(path: str, syntax: CommentSyntax) -> list[_Tagged]:
     """``parse_annotations(extract_comments(...))`` of a script as tag-walk
     tuples, with no comment or annotation records built on the way."""
-    return _script_tags(path, detect_language(path, language))
-
-
-def _script_tags(path: str, syntax: CommentSyntax) -> list[_Tagged]:
-    """``_read_script`` with the script's comment syntax already known."""
     text = _read_text(path)
     return _tags(_lines(text, _scan(text, syntax, path), path), None)
 
@@ -200,22 +244,22 @@ def _load_intermediate(path: str) -> tuple[str, str, list[_Tagged]] | WorkflowMo
     payload is then checked as ``parse_annotation_file`` or ``parse_model``
     would do from the text. A listing comes back as its source file, its
     language and its annotations as tag-walk tuples, with no records built.
-    Each problem names the file once; a listing record's names the script
-    line the record is about.
+    Each format problem names the file once; a listing record's text names
+    the script line the record is about.
     """
     text = _read_text(path)
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatMismatch(f"not valid JSON: {exc.msg}", file=path, line=exc.lineno) from exc
-    if isinstance(payload, dict) and "annotations" in payload:
-        return _listing_from_json(text, payload)
-    if isinstance(payload, dict) and "root" in payload and "channels" in payload:
-        try:
+    try:
+        if isinstance(payload, dict) and "annotations" in payload:
+            return _listing_from_json(text, payload)
+        if isinstance(payload, dict) and "root" in payload and "channels" in payload:
             return _model_from_json(text, payload)
-        except MalformedModel as exc:
-            exc.file = path
-            raise
+    except YwxError as exc:  # a format refusal names no file, a build error its script
+        exc.file = exc.file or path
+        raise
     raise FormatMismatch("neither an annotation listing nor a model file", file=path)
 
 
@@ -239,7 +283,9 @@ def _model_from_inputs(
             return loaded
         source_file, _, annotations = loaded
         return _build_model(annotations, Path(source_file).stem, [source_file])
-    merged = [ann for path in paths for ann in _read_script(path, language)]
+    merged = [
+        ann for path in paths for ann in _script_tags(path, detect_language(path, language))
+    ]
     return _build_model(merged, Path(paths[0]).stem, paths)
 
 
@@ -297,26 +343,6 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     return 0
 
 
-def _require(value: str | None, flag: str, subquery: str) -> str:
-    if value is None:
-        raise UsageError(f"query {subquery} requires {flag}")
-    return value
-
-
-# Each subquery answered by a list of names: the ``queries`` function that
-# finds them, the option that names its argument, and whether its answer, a
-# set, is sorted. The function is looked up by name at each call, so a
-# wrapper bound in its place, as the benchmark's tracer binds one, is run.
-_NAME_LISTS = {
-    "nested": ("nested_blocks", "block", False),
-    "containers": ("containing_blocks", "block", False),
-    "downstream": ("downstream_blocks", "block", True),
-    "affected-by": ("blocks_affected_by_input", "name", True),
-    "upstream-inputs": ("upstream_inputs", "name", True),
-    "deriving-blocks": ("deriving_blocks", "name", True),
-}
-
-
 def _cmd_query(args: argparse.Namespace) -> int:
     sub = args.subquery
     if sub == "invoking-blocks":
@@ -324,57 +350,11 @@ def _cmd_query(args: argparse.Namespace) -> int:
             "query invoking-blocks is unsupported: requires function annotations"
         )
     model = _model_from_inputs(args.inputs, args.language)
-    if sub == "blocks":
-        rows = list_blocks(model)
-        payload = [
-            {"qualified_name": name, "description": description}
-            for name, description in rows
-        ]
-        lines = [
-            f"{name}: {description}" if description else name
-            for name, description in rows
-        ]
-    elif sub in _NAME_LISTS:
-        function, option, unordered = _NAME_LISTS[sub]
-        value = _require(getattr(args, option), f"--{option}", sub)
-        names = getattr(queries, function)(model, value)
-        payload = lines = sorted(names) if unordered else names
-    elif sub == "derivation":
-        result = derivation(model, _require(args.name, "--name", sub))
-        payload = {
-            "target": result.target,
-            "steps": [
-                {
-                    "block": step.block,
-                    "consumed": list(step.consumed),
-                    "produced": step.produced,
-                }
-                for step in result.steps
-            ],
-        }
-        lines = [
-            f"{i}. {step.block} ({', '.join(step.consumed)}) -> {step.produced}"
-            for i, step in enumerate(result.steps, start=1)
-        ]
-    elif sub == "sources":
-        found = step_input_sources(model, _require(args.block, "--block", sub))
-        payload = [
-            {"port": s.port, "kind": s.kind, "block": s.block} for s in found
-        ]
-        lines = []
-        for s in found:
-            suffix = f" {s.block}" if s.block else ""
-            lines.append(f"{s.port}: {s.kind}{suffix}")
-    else:  # lineage
-        manifest_path = _require(args.manifest, "--manifest", sub)
-        manifest = parse_manifest(_read_text(manifest_path), model)
-        records = infer_file_lineage(
-            model, manifest, args.direction, _require(args.name, "--name", sub)
-        )
-        payload = [
-            {"file": r.file, "port": r.port, "role": r.role} for r in records
-        ]
-        lines = [f"{r.file} (via {r.port}, {r.role})" for r in records]
+    answer, options = _ANSWERS[sub]
+    values = [getattr(args, option) for option in options]
+    if None in values:
+        raise UsageError(f"query {sub} requires --{options[values.index(None)]}")
+    payload, lines = answer(model, *values)
     _write((_as_json(payload) if args.json else _as_lines(lines),), args.output)
     return 0
 

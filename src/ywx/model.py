@@ -136,6 +136,9 @@ class ModelIndex:
     ``blocks`` and ``parents`` are keyed by qualified name, ``chan`` by
     ``(scope, data)`` and ``ports`` by ``(block, name, direction)``;
     ``programs`` holds the qualified names of the blocks without children.
+    The ``root_*`` sets name the root's ports, all, in and out, and
+    ``data_names_at_root`` adds the root scope's channels: the names a
+    query resolves.
 
     It is also the one boundary resolver. ``writer`` and ``readers`` follow
     a channel through workflow boundaries, up to a stopping scope, to the
@@ -162,8 +165,25 @@ class ModelIndex:
         self.chan: dict[tuple[str, str], Channel] = {
             (ch.scope, ch.data): ch for ch in model.channels
         }
+        root_ports = model.root.ports
+        into, out_of = Direction.IN, Direction.OUT  # read once: see _scope_channels
+        self.root_port_names = {p.name for p in root_ports}
+        self.root_input_names = {p.name for p in root_ports if p.direction is into}
+        self.root_output_names = {p.name for p in root_ports if p.direction is out_of}
+        self.data_names_at_root = {
+            ch.data for ch in model.channels if ch.scope == self.root_q
+        } | self.root_port_names
         self._links: dict[tuple[str, str, bool], list | None] = {}
         self._ends: dict[tuple, tuple[Endpoint, ...]] = {}
+
+    def is_bound(self, block_q: str, port: Port) -> bool:
+        """Whether a channel feeds this In/Param port of the block."""
+        return (self.parents[block_q], port.name) in self.chan
+
+    def bound_inputs(self, block: Block) -> list[Port]:
+        """The block's In/Param ports that a channel actually feeds."""
+        into, block_q = Direction.IN, block.qualified_name
+        return [p for p in block.ports if p.direction is into and self.is_bound(block_q, p)]
 
     def across(self, ch: Channel, end: Endpoint) -> Channel | None:
         """The channel on the far side of ``end``, an endpoint of ``ch``.
@@ -588,8 +608,13 @@ def build_model(
 def _build_model(
     annotations: Sequence[_Tagged], root_name: str | None, source_files: Sequence[str]
 ) -> WorkflowModel:
-    """``build_model`` of a stream of tag-walk tuples, as the CLI reads a script."""
-    root, slots = _blocks(annotations, root_name)
+    """``build_model`` of a stream of tag-walk tuples, as the CLI reads a script.
+    A stream with no block is refused naming the source files, if any."""
+    try:
+        root, slots = _blocks(annotations, root_name)
+    except NoBlocks as exc:
+        exc.file = ", ".join(source_files) or None
+        raise
     return WorkflowModel(root, _joined(slots), tuple(source_files))
 
 

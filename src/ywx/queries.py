@@ -8,9 +8,9 @@ Names in query arguments resolve at the root scope: data names must name a
 root-scope channel or a root port, block names may be qualified or, when
 unambiguous, simple.
 
-Each query call builds one lookup index, the shared ``ModelIndex`` plus the
-root-scope names, and one dependency graph, which the graph carries, and
-every step of the call shares them. The graph's pass-through edges take one
+Each query call builds one lookup index, the shared ``ModelIndex``, and one
+dependency graph, which carries the index, and every step of the call
+shares them. The graph's pass-through edges take one
 ``ModelIndex.across`` lookup per channel end, and a step's input sources
 read the writer ``ModelIndex.writer`` resolves through the boundaries.
 Questions asked about many root outputs at once walk the graph once for all
@@ -48,41 +48,12 @@ from .model import (
 NodeKey = tuple
 
 
-class _Index(ModelIndex):
-    """The shared model index plus the root-scope names queries resolve.
-
-    Built once per query call. A query that needs the dependency graph takes
-    the index the graph was built with, ``DependencyGraph.index``, instead
-    of building another.
-    """
-
-    def __init__(self, model: WorkflowModel) -> None:
-        super().__init__(model)
-        root_ports = model.root.ports
-        into, out_of = Direction.IN, Direction.OUT  # read once: see model._scope_channels
-        self.root_port_names = {p.name for p in root_ports}
-        self.root_input_names = {p.name for p in root_ports if p.direction is into}
-        self.root_output_names = {p.name for p in root_ports if p.direction is out_of}
-        self.data_names_at_root = {
-            ch.data for ch in model.channels if ch.scope == self.root_q
-        } | self.root_port_names
-
-    def is_bound(self, block_q: str, port: Port) -> bool:
-        """Whether a channel feeds this In/Param port of the block."""
-        return (self.parents[block_q], port.name) in self.chan
-
-    def bound_inputs(self, block: Block) -> list[Port]:
-        """The block's In/Param ports that a channel actually feeds."""
-        into, block_q = Direction.IN, block.qualified_name
-        return [p for p in block.ports if p.direction is into and self.is_bound(block_q, p)]
-
-
 @dataclass(frozen=True)
 class DependencyGraph:
     nodes: frozenset
     forward: dict
     reverse: dict
-    index: _Index = field(repr=False, compare=False)
+    index: ModelIndex = field(repr=False, compare=False)
 
     def reachable(self, start: set, direction: str = "forward") -> set:
         adjacency = self.forward if direction == "forward" else self.reverse
@@ -98,14 +69,14 @@ class DependencyGraph:
 
 
 def build_dependency_graph(model: WorkflowModel) -> DependencyGraph:
-    """The dependency graph of ``model``, with its ``_Index``.
+    """The dependency graph of ``model``, with its ``ModelIndex``.
 
     Each edge is added to ``forward`` and ``reverse`` once, in channel
     order, where it is first met: a boundary's pass-through edge is met from
     the channels on both of its sides. No reader depends on the order of
     an adjacency list; ``derivation`` orders its steps by node key.
     """
-    index = _Index(model)
+    index = ModelIndex(model)
     nodes: set[NodeKey] = {("block", q) for q in index.programs}
     for port in model.root.ports:
         nodes.add(("data", index.root_q, port.name))
@@ -133,7 +104,7 @@ def build_dependency_graph(model: WorkflowModel) -> DependencyGraph:
 
 # -- name resolution ----------------------------------------------------------
 
-def _resolve_block(index: _Index, name: str) -> Block:
+def _resolve_block(index: ModelIndex, name: str) -> Block:
     block = index.blocks.get(name)
     if block is not None:
         return block
@@ -146,7 +117,7 @@ def _resolve_block(index: _Index, name: str) -> Block:
     raise UnknownName(f"no block named {name!r}")
 
 
-def _require_root_data(index: _Index, name: str) -> NodeKey:
+def _require_root_data(index: ModelIndex, name: str) -> NodeKey:
     if name not in index.data_names_at_root:
         raise UnknownName(f"{name!r} is not a data name of the top-level workflow")
     return ("data", index.root_q, name)
@@ -164,12 +135,12 @@ def list_blocks(model: WorkflowModel) -> list[tuple[str, str | None]]:
 
 
 def nested_blocks(model: WorkflowModel, block_name: str) -> list[str]:
-    block = _resolve_block(_Index(model), block_name)
+    block = _resolve_block(ModelIndex(model), block_name)
     return [b.qualified_name for b in iter_blocks(block) if b is not block]
 
 
 def containing_blocks(model: WorkflowModel, block_name: str) -> list[str]:
-    index = _Index(model)
+    index = ModelIndex(model)
     block = _resolve_block(index, block_name)
     chain = []
     current = index.parents[block.qualified_name]
@@ -244,13 +215,13 @@ def step_input_sources(model: WorkflowModel, block_name: str) -> list[PortSource
     no channel supplies it, which covers values the surrounding code computes
     without annotation.
     """
-    index = _Index(model)
+    index = ModelIndex(model)
     block = _resolve_block(index, block_name)
     into = Direction.IN
     return [_port_source(index, block, port) for port in block.ports if port.direction is into]
 
 
-def _port_source(index: _Index, block: Block, port: Port) -> PortSource:
+def _port_source(index: ModelIndex, block: Block, port: Port) -> PortSource:
     """Classify one in port by the end that really writes its channel."""
     if block.qualified_name == index.root_q:
         return PortSource(port.name, "script-input")

@@ -23,7 +23,7 @@ boundary itself or recurses, so a nest of any depth renders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import StyleError, UnknownFocus, _read_text
@@ -105,23 +105,65 @@ class _ClusterDef:
 
 
 class _Sheet:
-    """Accumulates nodes, clusters, and edges before text emission."""
+    """One drawing: the model, options and style it is drawn with, the shared
+    ``ModelIndex`` and the focus, and the nodes, clusters and edges gathered
+    before text emission. ``options`` defaults to ``RenderOptions()`` and
+    ``style`` to ``DEFAULT_STYLE``. Each view function draws its own view,
+    so ``options.view`` is not read."""
 
-    def __init__(self, ctx: "_Ctx") -> None:
-        self.ctx = ctx
+    def __init__(
+        self, model: WorkflowModel, options: RenderOptions | None, style: dict[str, str] | None
+    ) -> None:
+        options = options or RenderOptions()
+        if options.rankdir not in RANKDIRS:
+            raise ValueError(f"rankdir must be one of {RANKDIRS}, got {options.rankdir!r}")
+        self.model = model
+        self.style = style or DEFAULT_STYLE
+        self.rankdir = options.rankdir
+        self.nested = options.nested
+        self.de_emphasize_params = options.de_emphasize_params
+        self.index = ModelIndex(model)
+        focus_q = options.focus or model.root.qualified_name
+        focus = self.index.blocks.get(focus_q)
+        if focus is None or not focus.is_workflow:
+            raise UnknownFocus(f"{focus_q!r} does not name a workflow")
+        self.focus = focus
+        self.file_idx = {path: i for i, path in enumerate(model.source_files)}
         self.nodes: dict[str, _Node] = {}
         self.clusters: dict[str, _ClusterDef] = {}
         self.edges: dict[tuple[str, str, str], bool] = {}
         # In a nested view each sub-workflow of the focus is a cluster.
-        for wf in iter_blocks(ctx.focus) if ctx.nested else ():
-            if wf.is_workflow and wf is not ctx.focus:
-                parent = ctx.index.parents[wf.qualified_name]
+        for wf in iter_blocks(focus) if self.nested else ():
+            if wf.is_workflow and wf is not focus:
+                parent = self.index.parents[wf.qualified_name]
                 self.clusters[wf.qualified_name] = _ClusterDef(
                     wf.qualified_name,
                     wf.name,
-                    None if parent == ctx.focus.qualified_name else parent,
-                    ctx.anchor(wf.file, wf.span[0], "cluster_" + wf.qualified_name),
+                    None if parent == focus_q else parent,
+                    self.anchor(wf.file, wf.span[0], "cluster_" + wf.qualified_name),
                 )
+
+    def anchor(self, file: str, line: int, node_id: str) -> tuple:
+        return (self.file_idx.get(file, len(self.file_idx)), line, node_id)
+
+    def scoped_channels(self) -> list[Channel]:
+        """Channels drawn by the current options: focus scope, or its subtree."""
+        scopes = {self.focus.qualified_name}
+        if self.nested:
+            scopes = {b.qualified_name for b in iter_blocks(self.focus)}
+        return [ch for ch in self.model.channels if ch.scope in scopes]
+
+    def drawn_blocks(self) -> list[Block]:
+        """Blocks that appear as boxes: children of focus, or subtree programs."""
+        if self.nested:
+            return [b for b in iter_blocks(self.focus) if not b.is_workflow]
+        return list(self.focus.children)
+
+    def cluster_of(self, block_q: str) -> str | None:
+        if not self.nested:
+            return None
+        parent = self.index.parents[block_q]
+        return None if parent == self.focus.qualified_name or parent is None else parent
 
     def add_node(self, node: _Node) -> None:
         self.nodes.setdefault(node.id, node)
@@ -130,10 +172,10 @@ class _Sheet:
         key = (src, dst, label)
         self.edges[key] = self.edges.get(key, False) or param
 
-    def emit(self, rankdir: str) -> str:
+    def emit(self) -> str:
         lines = [
-            f"digraph {_q(self.ctx.focus.qualified_name)} {{",
-            f"  rankdir={_q(rankdir)}",
+            f"digraph {_q(self.focus.qualified_name)} {{",
+            f"  rankdir={_q(self.rankdir)}",
         ]
         by_cluster: dict[str | None, list] = {}
         for node in self.nodes.values():
@@ -160,12 +202,12 @@ class _Sheet:
             else:
                 rendered = ", ".join(f"{k}={_q(v)}" for k, v in item.attrs)
                 lines.append(f"{indent}{_q(item.id)} [{rendered}]")
-        style = self.ctx.style
+        style = self.style
         for (src, dst, label), param in sorted(self.edges.items()):
             attrs: list[tuple[str, str]] = []
             if label:
                 attrs.append(("label", label))
-            if param and self.ctx.de_emphasize_params:
+            if param and self.de_emphasize_params:
                 attrs.append(("style", style["param.edge.style"]))
                 attrs.append(("color", style["param.edge.color"]))
             if attrs:
@@ -177,91 +219,54 @@ class _Sheet:
         return "\n".join(lines) + "\n"
 
 
-class _Ctx:
-    def __init__(self, model: WorkflowModel, options: RenderOptions, style: dict) -> None:
-        self.model = model
-        self.style = style
-        self.nested = options.nested
-        self.de_emphasize_params = options.de_emphasize_params
-        self.index = ModelIndex(model)
-        focus_q = options.focus or model.root.qualified_name
-        focus = self.index.blocks.get(focus_q)
-        if focus is None or not focus.is_workflow:
-            raise UnknownFocus(f"{focus_q!r} does not name a workflow")
-        self.focus = focus
-        self.file_idx = {path: i for i, path in enumerate(model.source_files)}
-
-    def anchor(self, file: str, line: int, node_id: str) -> tuple:
-        return (self.file_idx.get(file, len(self.file_idx)), line, node_id)
-
-    def scoped_channels(self) -> list[Channel]:
-        """Channels drawn by the current options: focus scope, or its subtree."""
-        scopes = {self.focus.qualified_name}
-        if self.nested:
-            scopes = {b.qualified_name for b in iter_blocks(self.focus)}
-        return [ch for ch in self.model.channels if ch.scope in scopes]
-
-    def drawn_blocks(self) -> list[Block]:
-        """Blocks that appear as boxes: children of focus, or subtree programs."""
-        if self.nested:
-            return [b for b in iter_blocks(self.focus) if not b.is_workflow]
-        return list(self.focus.children)
-
-    def cluster_of(self, block_q: str) -> str | None:
-        if not self.nested:
-            return None
-        parent = self.index.parents[block_q]
-        return None if parent == self.focus.qualified_name or parent is None else parent
-
-
-def _block_node(ctx: _Ctx, sheet: _Sheet, block: Block) -> str:
+def _block_node(sheet: _Sheet, block: Block) -> str:
     node_id = block.qualified_name
     sheet.add_node(
         _Node(
             node_id,
-            (("shape", ctx.style["shape.program"]), ("label", block.name)),
-            ctx.anchor(block.file, block.span[0], node_id),
-            ctx.cluster_of(block.qualified_name),
+            (("shape", sheet.style["shape.program"]), ("label", block.name)),
+            sheet.anchor(block.file, block.span[0], node_id),
+            sheet.cluster_of(block.qualified_name),
         )
     )
     return node_id
 
 
-def _terminal_node(ctx: _Ctx, sheet: _Sheet, owner_q: str, port: Port) -> str:
+def _terminal_node(sheet: _Sheet, owner_q: str, port: Port) -> str:
     # The member's own value: ``Enum.value`` is a property, and reading an
     # enum member such as ``Direction.IN`` is a slow class-attribute hook.
     kind = port.direction._value_
     node_id = f"port:{kind}:{owner_q}:{port.name}"
     shape_key = "shape.input" if kind == "in" else "shape.output"
     attrs: list[tuple[str, str]] = [
-        ("shape", ctx.style[shape_key]),
+        ("shape", sheet.style[shape_key]),
         ("label", port.name),
     ]
-    if ctx.de_emphasize_params and port.role is Role.PARAMETER:
-        attrs.append(("color", ctx.style["param.node.color"]))
-        attrs.append(("fontcolor", ctx.style["param.node.fontcolor"]))
+    if sheet.de_emphasize_params and port.role is Role.PARAMETER:
+        attrs.append(("color", sheet.style["param.node.color"]))
+        attrs.append(("fontcolor", sheet.style["param.node.fontcolor"]))
     cluster = None
-    if ctx.nested and owner_q != ctx.focus.qualified_name:
+    if sheet.nested and owner_q != sheet.focus.qualified_name:
         cluster = owner_q
     sheet.add_node(
-        _Node(node_id, tuple(attrs), ctx.anchor(port.file, port.line, node_id), cluster)
+        _Node(node_id, tuple(attrs), sheet.anchor(port.file, port.line, node_id), cluster)
     )
     return node_id
 
 
 # -- process view -----------------------------------------------------------
 
-def _end_node(ctx: _Ctx, sheet: _Sheet, ch: Channel, end: Endpoint) -> str:
+def _end_node(sheet: _Sheet, ch: Channel, end: Endpoint) -> str:
     """The node of a drawn channel end: its block's box, or a port terminal.
 
     A port of the focus is a terminal; so, in a nested view, is a resolved
     end on a sub-workflow, which is a boundary port with nothing beyond it.
     """
-    if end.block == ctx.focus.qualified_name or (
-        ctx.nested and end.block not in ctx.index.programs
+    if end.block == sheet.focus.qualified_name or (
+        sheet.nested and end.block not in sheet.index.programs
     ):
-        port = ctx.index.ports[(end.block, ch.data, end.direction)]
-        return _terminal_node(ctx, sheet, end.block, port)
+        port = sheet.index.ports[(end.block, ch.data, end.direction)]
+        return _terminal_node(sheet, end.block, port)
     return end.block
 
 
@@ -270,25 +275,23 @@ def render_process_view(
     options: RenderOptions | None = None,
     style: dict[str, str] | None = None,
 ) -> str:
-    options = _with_view(options, "process")
-    ctx = _Ctx(model, options, style or DEFAULT_STYLE)
-    sheet = _Sheet(ctx)
-    for block in ctx.drawn_blocks():
-        _block_node(ctx, sheet, block)
-    for port in ctx.focus.ports:
-        _terminal_node(ctx, sheet, ctx.focus.qualified_name, port)
-    index, focus_q = ctx.index, ctx.focus.qualified_name
+    sheet = _Sheet(model, options, style)
+    for block in sheet.drawn_blocks():
+        _block_node(sheet, block)
+    for port in sheet.focus.ports:
+        _terminal_node(sheet, sheet.focus.qualified_name, port)
+    index, focus_q = sheet.index, sheet.focus.qualified_name
     parameter = Role.PARAMETER  # read once: see _terminal_node
-    for ch in ctx.scoped_channels():
-        if ctx.nested:
+    for ch in sheet.scoped_channels():
+        if sheet.nested:
             writer, readers = index.writer(ch, focus_q), index.readers(ch, focus_q)
         else:
             writer, readers = ch.source, ch.sinks
-        src = _end_node(ctx, sheet, ch, writer)
+        src = _end_node(sheet, ch, writer)
         param = ch.role is parameter
         for end in readers:
-            sheet.add_edge(src, _end_node(ctx, sheet, ch, end), ch.data, param)
-    return sheet.emit(options.rankdir)
+            sheet.add_edge(src, _end_node(sheet, ch, end), ch.data, param)
+    return sheet.emit()
 
 
 # -- data grouping (shared by data and combined views) ------------------------
@@ -307,7 +310,7 @@ class _DataGroup:
         return f"data:{self.scope}:{self.name}"
 
 
-def _data_groups(ctx: _Ctx) -> dict[tuple[str, str], _DataGroup]:
+def _data_groups(sheet: _Sheet) -> dict[tuple[str, str], _DataGroup]:
     """Map every in-scope (scope, data-name) key to its display group.
 
     Non-nested: one group per focus-scope name. Nested: a channel that
@@ -316,17 +319,17 @@ def _data_groups(ctx: _Ctx) -> dict[tuple[str, str], _DataGroup]:
     focus. Channels come in scope pre-order, so that group is made first,
     and each group is named after its outermost key.
     """
-    focus_q = ctx.focus.qualified_name
+    focus_q = sheet.focus.qualified_name
     parameter = Role.PARAMETER  # read once: see _terminal_node
     groups: dict[tuple[str, str], _DataGroup] = {}
-    for ch in ctx.scoped_channels():
+    for ch in sheet.scoped_channels():
         key = (ch.scope, ch.data)
-        outer = ctx.index.outer(ch) if ctx.nested and ch.scope != focus_q else None
+        outer = sheet.index.outer(ch) if sheet.nested and ch.scope != focus_q else None
         group = _DataGroup(*key) if outer is None else groups[(outer.scope, outer.data)]
         group.keys.append(key)
         group.param |= ch.role is parameter
         groups[key] = group
-    for port in ctx.focus.ports:
+    for port in sheet.focus.ports:
         key = (focus_q, port.name)
         group = groups.get(key)
         if group is None:
@@ -335,45 +338,45 @@ def _data_groups(ctx: _Ctx) -> dict[tuple[str, str], _DataGroup]:
     return groups
 
 
-def _data_nodes(ctx: _Ctx, sheet: _Sheet) -> dict[tuple[str, str], _DataGroup]:
+def _data_nodes(sheet: _Sheet) -> dict[tuple[str, str], _DataGroup]:
     """Add one node per data group, anchored at its earliest port; return
     ``_data_groups``."""
-    groups = _data_groups(ctx)
+    groups = _data_groups(sheet)
     for group in dict.fromkeys(groups.values()):
         attrs: list[tuple[str, str]] = [
-            ("shape", ctx.style["shape.data"]),
+            ("shape", sheet.style["shape.data"]),
             ("label", group.name),
         ]
-        if group.param and ctx.de_emphasize_params:
-            attrs.append(("color", ctx.style["param.node.color"]))
-            attrs.append(("fontcolor", ctx.style["param.node.fontcolor"]))
+        if group.param and sheet.de_emphasize_params:
+            attrs.append(("color", sheet.style["param.node.color"]))
+            attrs.append(("fontcolor", sheet.style["param.node.fontcolor"]))
         ports: list[Port] = []
         for scope, name in group.keys:
-            ch = ctx.index.chan.get((scope, name))
+            ch = sheet.index.chan.get((scope, name))
             if ch is None:  # a port of the focus that no channel joins
-                ports += [p for p in ctx.focus.ports if p.name == name]
+                ports += [p for p in sheet.focus.ports if p.name == name]
             else:
                 ends = (ch.source, *ch.sinks)
-                ports += [ctx.index.ports[(e.block, name, e.direction)] for e in ends]
-        anchor = min(ctx.anchor(p.file, p.line, group.node_id) for p in ports)
+                ports += [sheet.index.ports[(e.block, name, e.direction)] for e in ends]
+        anchor = min(sheet.anchor(p.file, p.line, group.node_id) for p in ports)
         cluster = None
-        if ctx.nested and group.scope != ctx.focus.qualified_name:
+        if sheet.nested and group.scope != sheet.focus.qualified_name:
             cluster = group.scope
         sheet.add_node(_Node(group.node_id, tuple(attrs), anchor, cluster))
     return groups
 
 
 def _block_flows(
-    ctx: _Ctx, groups: dict[tuple[str, str], _DataGroup], block: Block
+    sheet: _Sheet, groups: dict[tuple[str, str], _DataGroup], block: Block
 ) -> tuple[list[_DataGroup], list[_DataGroup]]:
     """The data groups a drawn block reads and writes, per its scope channels."""
-    scope = ctx.index.parents[block.qualified_name]
+    scope = sheet.index.parents[block.qualified_name]
     reads: dict[_DataGroup, None] = {}
     writes: dict[_DataGroup, None] = {}
     into = Direction.IN  # read once: see _terminal_node
     for port in block.ports:
         key = (scope, port.name)
-        if key in ctx.index.chan:
+        if key in sheet.index.chan:
             side = reads if port.direction is into else writes
             side[groups[key]] = None
     return list(reads), list(writes)
@@ -384,16 +387,14 @@ def render_data_view(
     options: RenderOptions | None = None,
     style: dict[str, str] | None = None,
 ) -> str:
-    options = _with_view(options, "data")
-    ctx = _Ctx(model, options, style or DEFAULT_STYLE)
-    sheet = _Sheet(ctx)
-    groups = _data_nodes(ctx, sheet)
-    for block in ctx.drawn_blocks():
-        reads, writes = _block_flows(ctx, groups, block)
+    sheet = _Sheet(model, options, style)
+    groups = _data_nodes(sheet)
+    for block in sheet.drawn_blocks():
+        reads, writes = _block_flows(sheet, groups, block)
         for read in reads:
             for write in writes:
                 sheet.add_edge(read.node_id, write.node_id, block.name, read.param)
-    return sheet.emit(options.rankdir)
+    return sheet.emit()
 
 
 def render_combined_view(
@@ -401,18 +402,16 @@ def render_combined_view(
     options: RenderOptions | None = None,
     style: dict[str, str] | None = None,
 ) -> str:
-    options = _with_view(options, "combined")
-    ctx = _Ctx(model, options, style or DEFAULT_STYLE)
-    sheet = _Sheet(ctx)
-    groups = _data_nodes(ctx, sheet)
-    for block in ctx.drawn_blocks():
-        node_id = _block_node(ctx, sheet, block)
-        reads, writes = _block_flows(ctx, groups, block)
+    sheet = _Sheet(model, options, style)
+    groups = _data_nodes(sheet)
+    for block in sheet.drawn_blocks():
+        node_id = _block_node(sheet, block)
+        reads, writes = _block_flows(sheet, groups, block)
         for read in reads:
             sheet.add_edge(read.node_id, node_id, "", read.param)
         for write in writes:
             sheet.add_edge(node_id, write.node_id, "", write.param)
-    return sheet.emit(options.rankdir)
+    return sheet.emit()
 
 
 _VIEW_RENDERERS = {
@@ -420,13 +419,6 @@ _VIEW_RENDERERS = {
     "data": render_data_view,
     "combined": render_combined_view,
 }
-
-
-def _with_view(options: RenderOptions | None, view: str) -> RenderOptions:
-    options = replace(options or RenderOptions(), view=view)
-    if options.rankdir not in RANKDIRS:
-        raise ValueError(f"rankdir must be one of {RANKDIRS}, got {options.rankdir!r}")
-    return options
 
 
 def render(

@@ -77,6 +77,30 @@ class TestExitCodes:
         assert code == 2
         assert "--manifest" in err
 
+    # The options each subquery needs on mstmip_nee.m, in the order a
+    # missing one is named, with a value it answers.
+    NEEDED = {
+        "blocks": (),
+        "nested": (("--block", "QualityControl"),),
+        "containers": (("--block", "GapFill"),),
+        "downstream": (("--block", "LoadData"),),
+        "affected-by": (("--name", "NEE_data"),),
+        "upstream-inputs": (("--name", "NEE_std"),),
+        "deriving-blocks": (("--name", "NEE_std"),),
+        "derivation": (("--name", "NEE_std"),),
+        "sources": (("--block", "Standardize"),),
+        "lineage": (("--manifest", MANIFEST), ("--name", "NEE_std")),
+    }
+
+    @pytest.mark.parametrize("sub", [s for s in cli.QUERY_NAMES if s != "invoking-blocks"])
+    def test_each_missing_option_is_named(self, capsys, sub):
+        given = []
+        for option, value in self.NEEDED[sub]:
+            code, err = run_err(capsys, "query", sub, MSTMIP, *given)
+            assert (code, err) == (2, f"ywx: error: query {sub} requires {option}\n")
+            given += [option, value]
+        assert run_ok(capsys, "query", sub, MSTMIP, *given)
+
     def test_unknown_language(self, capsys):
         code, err = run_err(capsys, "model", AFFY, "-l", "fortran")
         assert code == 2
@@ -209,6 +233,22 @@ class TestIntermediateHandling:
         code, err = run_err(capsys, "graph", MANIFEST)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("{", "not valid JSON"),
+            ("[]", "manifest must be a JSON object"),
+            ('{"bindings": {"x": []}}', "binding 'x' does not name a top-level workflow port"),
+        ],
+    )
+    def test_manifest_refusal_names_the_manifest(self, tmp_path, capsys, text, message):
+        manifest = tmp_path / "run.json"
+        manifest.write_text(text)
+        argv = ["query", "lineage", MSTMIP, "--manifest", str(manifest), "--name", "NEE_std"]
+        code, err = run_err(capsys, *argv)
+        assert code == 2 and err.startswith(f"ywx: error: {manifest}"), err
+        assert message in err
+
     @staticmethod
     def rename_data(channel):
         channel["data"] = "renamed_data"
@@ -329,7 +369,7 @@ class TestIntermediateLoad:
         payload = json.loads(doc.read_text())
         payload["annotations"][0]["line"] = True
         doc.write_text(json.dumps(payload))
-        return doc, "annotation record 0: 'line' must be a positive int"
+        return doc, f"{doc}: annotation record 0: 'line' must be a positive int"
 
     @staticmethod
     def bool_port_line(doc, model_file):

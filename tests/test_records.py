@@ -210,7 +210,7 @@ def assert_routes_agree(path: Path, language=None):
         return build_model(library(), root_name=path.stem, source_files=[name])
 
     annotations = _outcome(library)
-    read = _outcome(lambda: list(starmap(Annotation, cli._read_script(name, language))))
+    read = _outcome(lambda: list(starmap(Annotation, cli._script_tags(name, syntax))))
     assert read == annotations
     model = _outcome(library_model)
     assert _outcome(lambda: cli._model_from_inputs([name], language)) == model

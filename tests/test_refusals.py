@@ -6,10 +6,10 @@ sinks included: the value there is replaced by another JSON value, its key
 is removed, or a key is added to the object there. Reading the edited file
 exits 0 or 2, never 1 and never with a traceback, and a refusal is one
 ``ywx: error:`` line. The public parser raises nothing but ``YwxError`` on
-the text. A model file's refusal names the file. A listing's names the
-listing or its script, except where the listing's own format checks refuse
-it: those messages name no file. Each refusal of the readers' format
-checks is also reached by one fixed edit below.
+the text. A model file's refusal names the file, and so does a listing's
+format refusal; a listing whose annotations do not build is refused naming
+its script. Each refusal of the readers' format checks is also reached by
+one fixed edit below.
 
 A style file read through ``YWX_STYLE`` with an unknown key, a line with no
 ``=``, an empty value or bytes that are not UTF-8 exits 2, naming the file.
@@ -146,13 +146,10 @@ def test_edited_intermediate_exits_0_or_2(intermediates, workdir, data):
         assert err == "" and refusal is None
         return
     assert err.startswith("ywx: error: ") and err.count("\n") == 1, err
-    if not listing:
+    if listing and refusal is None:  # the annotations do not build
+        assert f"{payload['source']['file']}:" in err, err
+    else:
         assert file in err, err
-    elif refusal is None:  # the annotations do not build
-        script = payload["source"]["file"]
-        assert f"{script}:" in err or "defines no blocks" in err, err
-    else:  # the listing's own format checks name no file
-        assert isinstance(refusal, MalformedRecord) or file in err, err
 
 
 # -- one fixed edit per refusal of the format checks ---------------------------
@@ -239,7 +236,9 @@ def test_listing_record_refusal(tmp_path, field, value, message):
     else:
         payload["annotations"][1][field] = value
     file = _write(tmp_path, "edited.json", json.dumps(payload))
-    assert call(["model", file])[:3:2] == (2, f"ywx: error: annotation record 1: {message}\n")
+    where = "" if field is None else f" (script line {payload['annotations'][1]['line']})"
+    expected = f"ywx: error: {file}: annotation record 1{where}: {message}\n"
+    assert call(["model", file])[:3:2] == (2, expected)
     with pytest.raises(MalformedRecord, match=re.escape(message)):
         parse_annotation_file(json.dumps(payload))
 

@@ -13,7 +13,15 @@ from support import (
 )
 from ywx.errors import StyleError, UnknownFocus
 from ywx.model import ModelIndex
-from ywx.render import RenderOptions, load_style_file, render
+from ywx.render import (
+    VIEWS,
+    RenderOptions,
+    load_style_file,
+    render,
+    render_combined_view,
+    render_data_view,
+    render_process_view,
+)
 
 NESTED_SRC = """\
 # @begin outer @in x @out z
@@ -431,6 +439,23 @@ class TestOptionsAndStyle:
             render_text(model, view="sideways")
         with pytest.raises(ValueError):
             render_text(model, rankdir="RL")
+
+    @pytest.mark.parametrize("nested", [False, True])
+    @pytest.mark.parametrize("view", VIEWS)
+    def test_view_functions_draw_their_own_view(self, view, nested):
+        model = nested_model()
+        draw = {
+            "process": render_process_view,
+            "data": render_data_view,
+            "combined": render_combined_view,
+        }[view]
+        expected = render(model, RenderOptions(view=view, nested=nested))
+        for asked in VIEWS:
+            assert draw(model, RenderOptions(view=asked, nested=nested)) == expected
+        if not nested:
+            assert draw(model) == draw(model, None) == expected
+        with pytest.raises(ValueError):
+            draw(model, RenderOptions(view=view, nested=nested, rankdir="RL"))
 
     def test_param_edges_plain_by_default(self):
         model = model_from_source(PARAM_SRC)
