@@ -111,6 +111,19 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("ywx: error:")
 
+    def test_no_blocks_names_the_scripts(self, tmp_path, capsys):
+        a, b = tmp_path / "a.py", tmp_path / "b.py"
+        a.write_text("x = 1\n")
+        b.write_text("# no tags here\n")
+        listing = tmp_path / "ann.json"
+        assert run(["extract", str(a), "-o", str(listing)]) == 0
+        for argv, named in (
+            (["model", str(a), str(b)], f"{a}, {b}"),
+            (["graph", str(listing)], str(a)),  # a listing names the script it lists
+        ):
+            message = f"ywx: error: {named}: the annotation stream defines no blocks\n"
+            assert run_err(capsys, *argv) == (2, message)
+
     def test_validate_clean_is_zero(self, capsys):
         assert run(["validate", AFFY]) == 0
 
