@@ -282,11 +282,11 @@ def _model_from_inputs(
                 )
             return loaded
         source_file, _, annotations = loaded
-        return _build_model(annotations, Path(source_file).stem, [source_file])
+        return _build_model(annotations, None, [source_file])
     merged = [
         ann for path in paths for ann in _script_tags(path, detect_language(path, language))
     ]
-    return _build_model(merged, Path(paths[0]).stem, paths)
+    return _build_model(merged, None, paths)
 
 
 def _write(chunks: Iterable[str], output: str | None) -> None:
@@ -349,11 +349,11 @@ def _cmd_query(args: argparse.Namespace) -> int:
         raise UsageError(
             "query invoking-blocks is unsupported: requires function annotations"
         )
-    model = _model_from_inputs(args.inputs, args.language)
     answer, options = _ANSWERS[sub]
     values = [getattr(args, option) for option in options]
     if None in values:
         raise UsageError(f"query {sub} requires --{options[values.index(None)]}")
+    model = _model_from_inputs(args.inputs, args.language)
     payload, lines = answer(model, *values)
     _write((_as_json(payload) if args.json else _as_lines(lines),), args.output)
     return 0

@@ -28,15 +28,11 @@ class YwxError(Exception):
 
 # -- comment scanning ------------------------------------------------------
 
-class LexerError(YwxError):
+class UnknownLanguage(YwxError):
     pass
 
 
-class UnknownLanguage(LexerError):
-    pass
-
-
-class UnterminatedBlockComment(LexerError):
+class UnterminatedBlockComment(YwxError):
     pass
 
 
@@ -102,37 +98,29 @@ class MalformedModel(ModelError):
 
 # -- rendering -------------------------------------------------------------
 
-class RenderError(YwxError):
+class UnknownFocus(YwxError):
     pass
 
 
-class UnknownFocus(RenderError):
-    pass
-
-
-class StyleError(RenderError):
+class StyleError(YwxError):
     pass
 
 
 # -- queries ---------------------------------------------------------------
 
-class QueryError(YwxError):
+class UnknownName(YwxError):
     pass
 
 
-class UnknownName(QueryError):
+class CyclicDerivation(YwxError):
     pass
 
 
-class CyclicDerivation(QueryError):
+class AmbiguousLineage(YwxError):
     pass
 
 
-class AmbiguousLineage(QueryError):
-    pass
-
-
-class MalformedManifest(QueryError):
+class MalformedManifest(YwxError):
     pass
 
 

@@ -598,7 +598,10 @@ def build_model(
     root_name: str | None = None,
     source_files: Sequence[str] | None = None,
 ) -> WorkflowModel:
-    """Build the complete model (block tree plus channels) in one step."""
+    """Build the complete model (block tree plus channels) in one step.
+
+    ``source_files`` defaults to the stream's files in order; an implicit
+    root is named ``root_name`` or after the first of them."""
     stream = list(map(_FIELDS, annotations))
     if source_files is None:
         source_files = list(dict.fromkeys(item[3] for item in stream))
@@ -609,7 +612,11 @@ def _build_model(
     annotations: Sequence[_Tagged], root_name: str | None, source_files: Sequence[str]
 ) -> WorkflowModel:
     """``build_model`` of a stream of tag-walk tuples, as the CLI reads a script.
-    A stream with no block is refused naming the source files, if any."""
+    The first source file names an implicit root whether or not it holds
+    any annotations. A stream with no block is refused naming the source
+    files, if any."""
+    if not root_name and source_files:
+        root_name = Path(source_files[0]).stem
     try:
         root, slots = _blocks(annotations, root_name)
     except NoBlocks as exc:

@@ -88,28 +88,13 @@ def _q(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-@dataclass
-class _Node:
-    id: str
-    attrs: tuple[tuple[str, str], ...]
-    anchor: tuple
-    cluster: str | None
-
-
-@dataclass
-class _ClusterDef:
-    qname: str
-    label: str
-    parent: str | None
-    anchor: tuple
-
-
 class _Sheet:
     """One drawing: the model, options and style it is drawn with, the shared
-    ``ModelIndex`` and the focus, and the nodes, clusters and edges gathered
-    before text emission. ``options`` defaults to ``RenderOptions()`` and
-    ``style`` to ``DEFAULT_STYLE``. Each view function draws its own view,
-    so ``options.view`` is not read."""
+    ``ModelIndex`` and the focus, and what is gathered before text emission:
+    each node as ``(anchor, cluster, DOT text)`` and each cluster as
+    ``(anchor, parent, label)``, both by id, and the edges. ``options``
+    defaults to ``RenderOptions()`` and ``style`` to ``DEFAULT_STYLE``. Each
+    view function draws its own view, so ``options.view`` is not read."""
 
     def __init__(
         self, model: WorkflowModel, options: RenderOptions | None, style: dict[str, str] | None
@@ -129,18 +114,18 @@ class _Sheet:
             raise UnknownFocus(f"{focus_q!r} does not name a workflow")
         self.focus = focus
         self.file_idx = {path: i for i, path in enumerate(model.source_files)}
-        self.nodes: dict[str, _Node] = {}
-        self.clusters: dict[str, _ClusterDef] = {}
+        self.nodes: dict[str, tuple[tuple, str | None, str]] = {}
+        self.clusters: dict[str, tuple[tuple, str | None, str]] = {}
         self.edges: dict[tuple[str, str, str], bool] = {}
         # In a nested view each sub-workflow of the focus is a cluster.
         for wf in iter_blocks(focus) if self.nested else ():
             if wf.is_workflow and wf is not focus:
-                parent = self.index.parents[wf.qualified_name]
-                self.clusters[wf.qualified_name] = _ClusterDef(
-                    wf.qualified_name,
-                    wf.name,
+                qname = wf.qualified_name
+                parent = self.index.parents[qname]
+                self.clusters[qname] = (
+                    self.anchor(wf.file, wf.span[0], "cluster_" + qname),
                     None if parent == focus_q else parent,
-                    self.anchor(wf.file, wf.span[0], "cluster_" + wf.qualified_name),
+                    wf.name,
                 )
 
     def anchor(self, file: str, line: int, node_id: str) -> tuple:
@@ -165,8 +150,13 @@ class _Sheet:
         parent = self.index.parents[block_q]
         return None if parent == self.focus.qualified_name or parent is None else parent
 
-    def add_node(self, node: _Node) -> None:
-        self.nodes.setdefault(node.id, node)
+    def add_node(
+        self, node_id: str, attrs: list[tuple[str, str]], anchor: tuple, cluster: str | None
+    ) -> None:
+        """Format a node's DOT text at its first add; the first add wins."""
+        if node_id not in self.nodes:
+            rendered = ", ".join(f"{k}={_q(v)}" for k, v in attrs)
+            self.nodes[node_id] = (anchor, cluster, f"{_q(node_id)} [{rendered}]")
 
     def add_edge(self, src: str, dst: str, label: str, param: bool) -> None:
         key = (src, dst, label)
@@ -177,14 +167,15 @@ class _Sheet:
             f"digraph {_q(self.focus.qualified_name)} {{",
             f"  rankdir={_q(self.rankdir)}",
         ]
-        by_cluster: dict[str | None, list] = {}
-        for node in self.nodes.values():
-            by_cluster.setdefault(node.cluster, []).append(node)
-        for cluster in self.clusters.values():
-            by_cluster.setdefault(cluster.parent, []).append(cluster)
+        # Each owner's members as (anchor, cluster name or None, node text).
+        by_owner: dict[str | None, list] = {}
+        for anchor, owner, text in self.nodes.values():
+            by_owner.setdefault(owner, []).append((anchor, None, text))
+        for qname, (anchor, parent, label) in self.clusters.items():
+            by_owner.setdefault(parent, []).append((anchor, qname, label))
 
         def level(owner: str | None, indent: str) -> tuple:
-            return iter(sorted(by_cluster.get(owner, []), key=lambda x: x.anchor)), indent
+            return iter(sorted(by_owner.get(owner, []), key=lambda x: x[0])), indent
 
         # Each cluster's members in anchor order, nested with an explicit stack.
         stack = [level(None, "  ")]
@@ -195,13 +186,12 @@ class _Sheet:
                 stack.pop()
                 if stack:
                     lines.append(f"{stack[-1][1]}}}")
-            elif isinstance(item, _ClusterDef):
-                lines.append(f"{indent}subgraph {_q('cluster_' + item.qname)} {{")
-                lines.append(f"{indent}  label={_q(item.label)}")
-                stack.append(level(item.qname, indent + "  "))
-            else:
-                rendered = ", ".join(f"{k}={_q(v)}" for k, v in item.attrs)
-                lines.append(f"{indent}{_q(item.id)} [{rendered}]")
+            elif item[1] is None:  # a node: its text
+                lines.append(indent + item[2])
+            else:  # a cluster: its name and label
+                lines.append(f"{indent}subgraph {_q('cluster_' + item[1])} {{")
+                lines.append(f"{indent}  label={_q(item[2])}")
+                stack.append(level(item[1], indent + "  "))
         style = self.style
         for (src, dst, label), param in sorted(self.edges.items()):
             attrs: list[tuple[str, str]] = []
@@ -222,12 +212,10 @@ class _Sheet:
 def _block_node(sheet: _Sheet, block: Block) -> str:
     node_id = block.qualified_name
     sheet.add_node(
-        _Node(
-            node_id,
-            (("shape", sheet.style["shape.program"]), ("label", block.name)),
-            sheet.anchor(block.file, block.span[0], node_id),
-            sheet.cluster_of(block.qualified_name),
-        )
+        node_id,
+        [("shape", sheet.style["shape.program"]), ("label", block.name)],
+        sheet.anchor(block.file, block.span[0], node_id),
+        sheet.cluster_of(node_id),
     )
     return node_id
 
@@ -248,9 +236,7 @@ def _terminal_node(sheet: _Sheet, owner_q: str, port: Port) -> str:
     cluster = None
     if sheet.nested and owner_q != sheet.focus.qualified_name:
         cluster = owner_q
-    sheet.add_node(
-        _Node(node_id, tuple(attrs), sheet.anchor(port.file, port.line, node_id), cluster)
-    )
+    sheet.add_node(node_id, attrs, sheet.anchor(port.file, port.line, node_id), cluster)
     return node_id
 
 
@@ -362,7 +348,7 @@ def _data_nodes(sheet: _Sheet) -> dict[tuple[str, str], _DataGroup]:
         cluster = None
         if sheet.nested and group.scope != sheet.focus.qualified_name:
             cluster = group.scope
-        sheet.add_node(_Node(group.node_id, tuple(attrs), anchor, cluster))
+        sheet.add_node(group.node_id, attrs, anchor, cluster)
     return groups
 
 

@@ -19,6 +19,7 @@ YW004  error     port annotation outside any block
 YW005  error     unreadable annotation or unterminated block comment
 YW006  error     duplicate port name/direction on one block
 YW007  error     duplicate qualified block name
+YW008  error     the annotation stream defines no blocks
 YW010  warning   port name absent from the block's code
 YW020  error     no dependency chain from an output back to inputs
 YW030  error     one data name written by several blocks in a scope
@@ -275,6 +276,12 @@ def validate_sources(
     checks: list[_Group] = []
     structure, tree, slots = _bracket(merged, root_name, checks)
     diagnostics.extend(_structure_diagnostic(p) for p in structure)
+    if tree is None and not diagnostics and sources:  # nothing else explains it
+        files = ", ".join(path for path, _, _ in sources)
+        diagnostics.append(Diagnostic(
+            ERROR, "YW008", f"the annotation stream of {files} defines no blocks",
+            sources[0][0], 1,
+        ))
     if tree is not None:
         sanity = check_channel_sanity(checks)
         diagnostics.extend(sanity)

@@ -94,10 +94,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("sub", [s for s in cli.QUERY_NAMES if s != "invoking-blocks"])
     def test_each_missing_option_is_named(self, capsys, sub):
+        """Options are checked before any input is read, so a missing
+        option is named even when the input file is missing too."""
         given = []
         for option, value in self.NEEDED[sub]:
-            code, err = run_err(capsys, "query", sub, MSTMIP, *given)
-            assert (code, err) == (2, f"ywx: error: query {sub} requires {option}\n")
+            for inp in (MSTMIP, "no_such_script.py"):
+                code, err = run_err(capsys, "query", sub, inp, *given)
+                assert (code, err) == (2, f"ywx: error: query {sub} requires {option}\n")
             given += [option, value]
         assert run_ok(capsys, "query", sub, MSTMIP, *given)
 
@@ -123,6 +126,19 @@ class TestExitCodes:
         ):
             message = f"ywx: error: {named}: the annotation stream defines no blocks\n"
             assert run_err(capsys, *argv) == (2, message)
+
+    def test_validate_flags_no_blocks(self, tmp_path, capsys):
+        """A stream that defines no block fails validate (YW008), as it
+        fails every command that builds a model."""
+        a, b = tmp_path / "a.py", tmp_path / "b.py"
+        a.write_text("x = 1\n")
+        b.write_text("# no tags here\n")
+        code = run(["validate", str(a), str(b)])
+        out = capsys.readouterr().out
+        assert (code, out) == (
+            1, f"{a}:1: error YW008 the annotation stream of {a}, {b} defines no blocks\n"
+        )
+        assert run_err(capsys, "model", str(a))[0] == 2
 
     def test_validate_clean_is_zero(self, capsys):
         assert run(["validate", AFFY]) == 0

@@ -88,6 +88,17 @@ class TestTreeBuilding:
         assert root.span[0] == 0
         assert root.span[1] > root.children[-1].span[1]
 
+    def test_implicit_root_is_named_after_the_first_source_file(self):
+        """As ``ywx model empty.py a.py`` names it: the first file names the
+        root whether or not it holds any annotations."""
+        anns = annotations_from_source(
+            "# @begin A\n# @end A\n# @begin B\n# @end B\n", file="a.py"
+        )
+        model = build_model(anns, source_files=["empty.py", "a.py"])
+        assert model.root.name == "empty"
+        assert model.source_files == ("empty.py", "a.py")
+        assert build_model(anns, root_name="W", source_files=["empty.py"]).root.name == "W"
+
     def test_single_childless_block_is_wrapped(self):
         model = model_from_source("# @begin Only\n# @end Only\n", file="run.py")
         assert model.root.name == "run"

@@ -1,5 +1,7 @@
 """DOT rendering: the three views, nesting, styles, and determinism."""
 
+from pathlib import Path
+
 import pytest
 
 from support import (
@@ -118,6 +120,10 @@ digraph "W" {
 
 def nested_model():
     return model_from_source(NESTED_SRC)
+
+
+TESTS = Path(__file__).parent
+GOLDEN = TESTS / "golden"
 
 
 def render_text(model, **kwargs):
@@ -518,3 +524,17 @@ class TestDeterminismAndFormulas:
         assert len(data_graph.nodes) == expected_data_nodes(model, focus)
         nested_graph = dot(model, view="process", nested=True)
         assert len(nested_graph.clusters) == len(descendant_workflows(model, focus))
+
+    @pytest.mark.parametrize("nested", [False, True], ids=["flat", "nested"])
+    @pytest.mark.parametrize("view", VIEWS)
+    @pytest.mark.parametrize("source", ["mstmip_nee", "nested"])
+    def test_views_match_pinned_text(self, source, view, nested):
+        """Every view, flat and nested, of the MsTMIP fixture and of
+        ``NESTED_SRC`` is byte for byte the text in ``tests/golden``."""
+        if source == "nested":
+            model = nested_model()
+        else:
+            text = (TESTS / "fixtures" / "mstmip_nee.m").read_text()
+            model = model_from_source(text, language="matlab", file="mstmip_nee.m")
+        golden = GOLDEN / f"{source}.{view}{'.nested' if nested else ''}.dot"
+        assert render_text(model, view=view, nested=nested) == golden.read_text()
