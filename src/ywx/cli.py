@@ -11,7 +11,7 @@ Any other goes to argparse's full tree of all five commands, so only
 argparse prints help, usage and errors, in the text it always did.
 
 Exit status: 0 on success, 1 when validate reports errors, 2 for usage or
-input problems.
+input problems and for a result standard output cannot encode.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Iterable
 
 from . import queries
-from .annotations import _listing_chunks, _listing_from_json, _Tagged, _tags
+from .annotations import _decode_json, _listing_chunks, _listing_from_json, _Tagged, _tags
 from .comments import CommentSyntax, _lines, _scan, detect_language
 from .errors import FormatMismatch, UsageError, YwxError, _read_text
 from .model import (
@@ -249,10 +249,7 @@ def _load_intermediate(path: str) -> tuple[str, str, list[_Tagged]] | WorkflowMo
     """
     text = _read_text(path)
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatMismatch(f"not valid JSON: {exc.msg}", file=path, line=exc.lineno) from exc
-    try:
+        payload = _decode_json(text, FormatMismatch)
         if isinstance(payload, dict) and "annotations" in payload:
             return _listing_from_json(text, payload)
         if isinstance(payload, dict) and "root" in payload and "channels" in payload:
@@ -415,11 +412,17 @@ def _run(argv: list[str] | None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return _COMMANDS[args.command][0](args)
-    except YwxError as exc:
+    except (YwxError, OSError) as exc:
         print(f"ywx: error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"ywx: error: {exc}", file=sys.stderr)
+    except UnicodeEncodeError:
+        # Output files are written as UTF-8 and inputs holding a lone
+        # surrogate are refused, so only stdout's own encoding can fail.
+        print(
+            f"ywx: error: standard output cannot encode the result ({sys.stdout.encoding}); "
+            "write it to a file with -o",
+            file=sys.stderr,
+        )
         return 2
     except RecursionError:
         # JSON decoding recurses once per nesting level, so a model file

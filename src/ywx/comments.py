@@ -43,6 +43,8 @@ class CommentSyntax:
             raise ValueError("line markers must be non-empty")
         if any(not o or not c for o, c in self.block_delimiters):
             raise ValueError("block delimiters must be non-empty")
+        if any(len(q) != 1 for q in self.string_quotes):
+            raise ValueError("string quotes must be single characters")
 
     @cached_property
     def _scanner(self) -> _Scanner:
@@ -109,7 +111,7 @@ class _Scanner:
     def __init__(self, syntax: CommentSyntax) -> None:
         opens = sorted(syntax.block_delimiters, key=lambda pair: -len(pair[0]))
         markers = sorted(syntax.line_markers, key=len, reverse=True)
-        quotes = [q for q in syntax.string_quotes if len(q) == 1]
+        quotes = list(syntax.string_quotes)
         self.kinds: dict[str, tuple[str, str]] = {}
         for opener, closer in opens:
             self.kinds.setdefault(opener, ("block", closer))

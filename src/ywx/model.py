@@ -348,6 +348,8 @@ def _bracket(
     annotations: Sequence[_Tagged],
     root_name: str | None = None,
     checks: list[_Group] | None = None,
+    *,
+    files: Sequence[str] = (),
 ) -> tuple[list[ModelError], Block | None, list[_Scope]]:
     """Match a document-ordered stream's ``@begin``/``@end`` pairs into blocks.
 
@@ -369,14 +371,16 @@ def _bracket(
     reported innermost first, and closed. Two blocks may not share a dotted
     path from the top level; the message names it below the root the whole
     stream gives: its one top-level block if it alone was closed and has
-    children, else the implicit one, ``root_name`` or the first file's stem.
+    children, else the implicit one. Only this names that root: ``root_name``,
+    else the first of ``files``' stem (the inputs, in order), else the first
+    annotated file's.
     """
     begin_tag, end_tag = Tag.BEGIN, Tag.END  # read once: see _scope_channels
     problems: list[ModelError] = []
     stack: list[_Skeleton] = []
     top_level: list[Block] = []
     first_file = annotations[0][3] if annotations else ""
-    implicit = sanitize_name(root_name or Path(first_file).stem)
+    implicit = sanitize_name(root_name or Path(files[0] if files else first_file).stem)
     explicit = _explicit_root(annotations)
     prefix = "" if explicit else f"{implicit}."
     slots: list[_Scope] = [] if explicit else [None]
@@ -482,17 +486,12 @@ def build_blocks(annotations: Sequence[Annotation], root_name: str | None = None
     A stream with structural problems raises the first in document order;
     a block that opens in one file and ends in another is one of them.
     """
-    return _blocks(list(map(_FIELDS, annotations)), root_name)[0]
-
-
-def _blocks(annotations: Sequence[_Tagged], root_name: str | None) -> tuple[Block, list[_Scope]]:
-    """``build_blocks`` of a stream of tag-walk tuples, with ``_bracket``'s slots."""
-    problems, root, slots = _bracket(annotations, root_name)
+    problems, root, _ = _bracket(list(map(_FIELDS, annotations)), root_name)
     if problems:
         raise problems[0]
     if root is None:
         raise NoBlocks("the annotation stream defines no blocks")
-    return root, slots
+    return root
 
 
 # -- channel inference ------------------------------------------------------
@@ -611,17 +610,15 @@ def build_model(
 def _build_model(
     annotations: Sequence[_Tagged], root_name: str | None, source_files: Sequence[str]
 ) -> WorkflowModel:
-    """``build_model`` of a stream of tag-walk tuples, as the CLI reads a script.
-    The first source file names an implicit root whether or not it holds
-    any annotations. A stream with no block is refused naming the source
-    files, if any."""
-    if not root_name and source_files:
-        root_name = Path(source_files[0]).stem
-    try:
-        root, slots = _blocks(annotations, root_name)
-    except NoBlocks as exc:
-        exc.file = ", ".join(source_files) or None
-        raise
+    """``build_model`` of a stream of tag-walk tuples, the one builder of a
+    script, a listing and a model file. It raises the first structural
+    problem, and refuses a stream with no block naming the source files."""
+    problems, root, slots = _bracket(annotations, root_name, files=source_files)
+    if problems:
+        raise problems[0]
+    if root is None:
+        files = ", ".join(source_files) or None
+        raise NoBlocks("the annotation stream defines no blocks", file=files)
     return WorkflowModel(root, _joined(slots), tuple(source_files))
 
 
@@ -722,7 +719,7 @@ _PORT_WORDS = {(d._value_, r._value_): tag for tag, (d, r) in _PORT_TAGS.items()
 # which ``isinstance`` takes for an int, from a line number.
 def _port_tag(raw: object, owner: str, owner_file: str) -> _Tagged:
     """The tag-walk tuple of one serialized port of block ``owner``. A port
-    is in its block's file; one with no file is too."""
+    is on a line of its block's file, 1 or more; one with no file is in it too."""
     if raw.__class__ is not dict:
         raise MalformedModel(f"port of {owner!r} must be an object")
     name = raw.get("name")
@@ -738,6 +735,8 @@ def _port_tag(raw: object, owner: str, owner_file: str) -> _Tagged:
     line = raw.get("line")
     if line.__class__ is not int:
         raise MalformedModel(f"port {name!r} on {owner!r} needs an integer line")
+    if line < 1:
+        raise MalformedModel(f"port {name!r} on {owner!r} needs a line of 1 or more")
     description = raw.get("description")
     if description is not None and description.__class__ is not str:
         raise MalformedModel(f"port {name!r} on {owner!r} has a non-string description")
@@ -754,7 +753,8 @@ def _block_tags(
 ) -> tuple[str, list[_Tagged], _Tagged, list]:
     """Check one serialized block, all but its children: its qualified name,
     its ``@begin`` and port tuples, its ``@end`` tuple and its children. A
-    span starts at a ``@begin`` line, 1 or more, or at the implicit root's 0.
+    span starts at a ``@begin`` line, 1 or more, or at the implicit root's 0,
+    and ends at or after it.
     A block with no file is in its parent's; with ``in_parent_file`` every
     block is, as only the root and an implicit root's children may be in a
     file of their own.
@@ -781,6 +781,8 @@ def _block_tags(
         raise MalformedModel(f"block {name!r} needs a [begin, end] span")
     if span[0] < 1 and (prefix or span[0]):
         raise MalformedModel(f"block {name!r} needs a span starting at line 1 or later")
+    if span[1] < span[0]:
+        raise MalformedModel(f"block {name!r} needs a span that ends at or after its start")
     file = raw.get("file")
     if file.__class__ is not str:
         file = parent_file
@@ -844,8 +846,8 @@ def parse_model(text: str) -> WorkflowModel:
 def _model_from_json(text: str, payload: object) -> WorkflowModel:
     """Check and convert a model file's payload, already decoded from ``text``.
 
-    ``_bracket`` builds the model from the tag stream the file's tree
-    describes, by the rules of a script load, so only the file's format is
+    The listing route's builder, ``_build_model``, builds the model from the
+    tag stream the file's tree describes, so only the file's format is
     checked here. An implicit root must be the one its children make, and
     the file's channels must equal the derived ones, so every later walk
     can rely on them matching the ports.
@@ -862,9 +864,13 @@ def _model_from_json(text: str, payload: object) -> WorkflowModel:
         raise MalformedModel("'channels' must be a list")
 
     name = head[0][1]
-    problems, root, slots = _bracket(stream, name)
-    if problems:
-        raise MalformedModel(str(problems[0])) from problems[0]
+    try:
+        model = _build_model(stream, name, raw_files)
+    except AmbiguousWriter as exc:
+        raise MalformedModel(f"block tree is ambiguous: {exc}") from exc
+    except ModelError as exc:
+        raise MalformedModel(str(exc)) from exc
+    root = model.root
     # An implicit root's own tags are those of the root its children make.
     made = root.name, None, root.file
     implicit = [(Tag.BEGIN, *made, 0), (Tag.END, *made, root.span[1])]
@@ -874,16 +880,12 @@ def _model_from_json(text: str, payload: object) -> WorkflowModel:
             f"children make: {root.name!r}, span {list(root.span)}, file {root.file!r}, "
             "no description and no ports"
         )
-    try:
-        channels = _joined(slots)
-    except AmbiguousWriter as exc:
-        raise MalformedModel(f"block tree is ambiguous: {exc}") from exc
     # The file's records must be exactly those a model file is written with.
     # Every field is a string, so a value of another type differs, and so
     # does a record with a key more or less. The loops are plain: before
     # Python 3.12 a comprehension per channel would cost a call.
     derived = []
-    for ch in channels:
+    for ch in model.channels:
         source, sinks = ch.source, []
         for end in ch.sinks:
             sinks.append({"block": end.block, "port_direction": end.direction._value_})
@@ -896,4 +898,4 @@ def _model_from_json(text: str, payload: object) -> WorkflowModel:
         })
     if raw_channels != derived:
         raise MalformedModel("'channels' differs from the channels inferred from 'root'")
-    return WorkflowModel(root, channels, tuple(raw_files))
+    return model

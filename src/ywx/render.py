@@ -121,10 +121,9 @@ class _Sheet:
         for wf in iter_blocks(focus) if self.nested else ():
             if wf.is_workflow and wf is not focus:
                 qname = wf.qualified_name
-                parent = self.index.parents[qname]
                 self.clusters[qname] = (
                     self.anchor(wf.file, wf.span[0], "cluster_" + qname),
-                    None if parent == focus_q else parent,
+                    self.cluster(self.index.parents[qname]),
                     wf.name,
                 )
 
@@ -144,11 +143,10 @@ class _Sheet:
             return [b for b in iter_blocks(self.focus) if not b.is_workflow]
         return list(self.focus.children)
 
-    def cluster_of(self, block_q: str) -> str | None:
-        if not self.nested:
-            return None
-        parent = self.index.parents[block_q]
-        return None if parent == self.focus.qualified_name or parent is None else parent
+    def cluster(self, workflow_q: str | None) -> str | None:
+        """The cluster that draws the members of workflow ``workflow_q``: None
+        unless the view is nested, and None for the focus."""
+        return workflow_q if self.nested and workflow_q != self.focus.qualified_name else None
 
     def add_node(
         self, node_id: str, attrs: list[tuple[str, str]], anchor: tuple, cluster: str | None
@@ -215,7 +213,7 @@ def _block_node(sheet: _Sheet, block: Block) -> str:
         node_id,
         [("shape", sheet.style["shape.program"]), ("label", block.name)],
         sheet.anchor(block.file, block.span[0], node_id),
-        sheet.cluster_of(node_id),
+        sheet.cluster(sheet.index.parents[node_id]),
     )
     return node_id
 
@@ -233,10 +231,8 @@ def _terminal_node(sheet: _Sheet, owner_q: str, port: Port) -> str:
     if sheet.de_emphasize_params and port.role is Role.PARAMETER:
         attrs.append(("color", sheet.style["param.node.color"]))
         attrs.append(("fontcolor", sheet.style["param.node.fontcolor"]))
-    cluster = None
-    if sheet.nested and owner_q != sheet.focus.qualified_name:
-        cluster = owner_q
-    sheet.add_node(node_id, attrs, sheet.anchor(port.file, port.line, node_id), cluster)
+    anchor = sheet.anchor(port.file, port.line, node_id)
+    sheet.add_node(node_id, attrs, anchor, sheet.cluster(owner_q))
     return node_id
 
 
@@ -345,10 +341,7 @@ def _data_nodes(sheet: _Sheet) -> dict[tuple[str, str], _DataGroup]:
                 ends = (ch.source, *ch.sinks)
                 ports += [sheet.index.ports[(e.block, name, e.direction)] for e in ends]
         anchor = min(sheet.anchor(p.file, p.line, group.node_id) for p in ports)
-        cluster = None
-        if sheet.nested and group.scope != sheet.focus.qualified_name:
-            cluster = group.scope
-        sheet.add_node(group.node_id, attrs, anchor, cluster)
+        sheet.add_node(group.node_id, attrs, anchor, sheet.cluster(group.scope))
     return groups
 
 

@@ -243,9 +243,9 @@ def validate_sources(
     blocks completely: block stacks do not span files. Each file is scanned
     once, and its comment spans give both its annotations and the blanked
     code YW010 searches. The files' merged annotation stream is bracketed
-    once, under an implicit root named after the first file as the model's
-    is. That one pass gives the structural diagnostics, the block tree, its
-    channels, and the data names YW030 and YW031 flag.
+    once, with the files named as a model load names them, so the implicit
+    root is the model's. That one pass gives the structural diagnostics,
+    the block tree, its channels, and the data names YW030 and YW031 flag.
     """
     diagnostics: list[Diagnostic] = []
     merged: list[_Tagged] = []
@@ -272,27 +272,24 @@ def validate_sources(
                 )
             )
 
-    root_name = Path(sources[0][0]).stem if sources else None
+    paths = [path for path, _, _ in sources]
     checks: list[_Group] = []
-    structure, tree, slots = _bracket(merged, root_name, checks)
+    structure, tree, slots = _bracket(merged, None, checks, files=paths)
     diagnostics.extend(_structure_diagnostic(p) for p in structure)
     if tree is None and not diagnostics and sources:  # nothing else explains it
-        files = ", ".join(path for path, _, _ in sources)
         diagnostics.append(Diagnostic(
-            ERROR, "YW008", f"the annotation stream of {files} defines no blocks",
-            sources[0][0], 1,
+            ERROR, "YW008", f"the annotation stream of {', '.join(paths)} defines no blocks",
+            paths[0], 1,
         ))
     if tree is not None:
         sanity = check_channel_sanity(checks)
         diagnostics.extend(sanity)
         diagnostics.extend(check_port_names_in_code(tree, stripped))
         if not any(d.code == "YW030" for d in sanity):
-            model = WorkflowModel(
-                tree, _joined(slots), tuple(path for path, _, _ in sources)
-            )
+            model = WorkflowModel(tree, _joined(slots), tuple(paths))
             diagnostics.extend(check_dependency_chains(model))
 
-    file_order = {path: i for i, (path, _, _) in enumerate(sources)}
+    file_order = {path: i for i, path in enumerate(paths)}
     diagnostics.sort(
         key=lambda d: (
             file_order.get(d.file, len(file_order)),

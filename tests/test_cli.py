@@ -41,9 +41,10 @@ def run_err(capsys, *argv):
     return code, captured.err
 
 
-def run_child(*argv):
-    """Run ``python -m ywx`` in a child process that imports this checkout."""
-    env = dict(os.environ)
+def run_child(*argv, **environ):
+    """Run ``python -m ywx`` in a child process that imports this checkout,
+    with ``environ`` added to its environment."""
+    env = {**os.environ, **environ}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "ywx", *argv], capture_output=True, text=True, env=env
@@ -214,6 +215,36 @@ class TestUndecodableInput:
         code, err = run_err(capsys, "graph", AFFY)
         assert code == 2
         self.assert_names(err, bad / "bad.style")
+
+
+class TestUnencodableOutput:
+    """A result standard output cannot encode is refused, not a traceback."""
+
+    REFUSAL = (
+        "ywx: error: standard output cannot encode the result (ascii); "
+        "write it to a file with -o\n"
+    )
+
+    @pytest.mark.parametrize("command", [["query", "blocks"], ["validate"]])
+    def test_ascii_stdout(self, tmp_path, command):
+        script = tmp_path / "café.py"
+        script.write_text(
+            "# @begin W @in x @out y\n# @begin P étape @in x @out y\n# @end P\n# @end W\n",
+            encoding="utf-8",
+        )
+        proc = run_child(*command, str(script), PYTHONIOENCODING="ascii")
+        assert proc.returncode == 2
+        assert proc.stderr == self.REFUSAL
+
+    def test_lineage_in_process(self, tmp_path, capsys, monkeypatch):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"bindings": {"NEE_data": ["données.csv"]}}))
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BytesIO(), encoding="ascii"))
+        argv = ["query", "lineage", MSTMIP, "--manifest", str(manifest), "--name", "NEE_std"]
+        code, err = run_err(capsys, *argv)
+        assert (code, err) == (2, self.REFUSAL)
+        assert run_ok(capsys, *argv, "-o", str(tmp_path / "out.txt")) == ""
+        assert "données.csv" in (tmp_path / "out.txt").read_text(encoding="utf-8")
 
 
 class TestIntermediateHandling:

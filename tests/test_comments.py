@@ -241,3 +241,11 @@ def test_strip_keeps_layout_and_leaves_no_comment(source):
 def test_empty_block_delimiter_rejected(delimiters):
     with pytest.raises(ValueError, match="block delimiters must be non-empty"):
         CommentSyntax("bad", ("#",), (delimiters,))
+
+
+@pytest.mark.parametrize("quote", ['"""', ""])
+def test_string_quote_not_one_character_rejected(quote):
+    # A longer or empty quote would never open a string, so the scanner
+    # would read a comment marker inside it as a comment.
+    with pytest.raises(ValueError, match="string quotes must be single characters"):
+        CommentSyntax("bad", ("#",), string_quotes=(quote,))

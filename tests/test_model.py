@@ -628,6 +628,26 @@ TREE_RULE_MUTATIONS = [
 ]
 
 
+def _port_line_0(payload):
+    payload["root"]["children"][0]["ports"][0]["line"] = 0
+
+
+def _port_line_negative(payload):
+    payload["root"]["children"][0]["ports"][0]["line"] = -7
+
+
+def _span_ends_before_start(payload):
+    payload["root"]["children"][0]["span"] = [4, 2]
+
+
+# Each line a script could not give, and its message.
+LINE_RULE_MUTATIONS = [
+    (_port_line_0, "port 'x' on 'W.P' needs a line of 1 or more"),
+    (_port_line_negative, "port 'x' on 'W.P' needs a line of 1 or more"),
+    (_span_ends_before_start, "block 'P' needs a span that ends at or after its start"),
+]
+
+
 class TestInterchange:
     def test_round_trip_structural_equality(self):
         model = model_from_source(
@@ -696,6 +716,7 @@ class TestInterchange:
             _dotted_name_collision,
             _child_span_from_line_0,
             *(mutate for mutate, _ in TREE_RULE_MUTATIONS),
+            *(mutate for mutate, _ in LINE_RULE_MUTATIONS),
         ],
     )
     def test_malformed_models_rejected(self, tmp_path, capsys, mutate):
@@ -712,11 +733,14 @@ class TestInterchange:
         assert err.count("\n") == 1  # one line, no traceback
 
     @pytest.mark.parametrize(
-        "mutate, message", TREE_RULE_MUTATIONS, ids=[m.__name__ for m, _ in TREE_RULE_MUTATIONS]
+        "mutate, message",
+        TREE_RULE_MUTATIONS + LINE_RULE_MUTATIONS,
+        ids=[m.__name__ for m, _ in TREE_RULE_MUTATIONS + LINE_RULE_MUTATIONS],
     )
     def test_tree_rule_messages(self, mutate, message):
         # A model file breaking a tree rule fails with the first problem the
-        # annotation stream it describes has, in that problem's words.
+        # annotation stream it describes has, in that problem's words; one
+        # with a line no script could give fails with its own message.
         payload = json.loads(serialize_model(model_from_source(MALFORMED_SRC)))
         mutate(payload)
         with pytest.raises(MalformedModel) as caught:
