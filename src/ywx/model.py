@@ -136,9 +136,8 @@ class ModelIndex:
     ``blocks`` and ``parents`` are keyed by qualified name, ``chan`` by
     ``(scope, data)`` and ``ports`` by ``(block, name, direction)``;
     ``programs`` holds the qualified names of the blocks without children.
-    The ``root_*`` sets name the root's ports, all, in and out, and
-    ``data_names_at_root`` adds the root scope's channels: the names a
-    query resolves.
+    It keeps no set of root names: a query resolves a data name against
+    the dependency graph's nodes, and a root port by its ``ports`` key.
 
     It is also the one boundary resolver. ``writer`` and ``readers`` follow
     a channel through workflow boundaries, up to a stopping scope, to the
@@ -165,25 +164,12 @@ class ModelIndex:
         self.chan: dict[tuple[str, str], Channel] = {
             (ch.scope, ch.data): ch for ch in model.channels
         }
-        root_ports = model.root.ports
-        into, out_of = Direction.IN, Direction.OUT  # read once: see _scope_channels
-        self.root_port_names = {p.name for p in root_ports}
-        self.root_input_names = {p.name for p in root_ports if p.direction is into}
-        self.root_output_names = {p.name for p in root_ports if p.direction is out_of}
-        self.data_names_at_root = {
-            ch.data for ch in model.channels if ch.scope == self.root_q
-        } | self.root_port_names
         self._links: dict[tuple[str, str, bool], list | None] = {}
         self._ends: dict[tuple, tuple[Endpoint, ...]] = {}
 
     def is_bound(self, block_q: str, port: Port) -> bool:
         """Whether a channel feeds this In/Param port of the block."""
         return (self.parents[block_q], port.name) in self.chan
-
-    def bound_inputs(self, block: Block) -> list[Port]:
-        """The block's In/Param ports that a channel actually feeds."""
-        into, block_q = Direction.IN, block.qualified_name
-        return [p for p in block.ports if p.direction is into and self.is_bound(block_q, p)]
 
     def across(self, ch: Channel, end: Endpoint) -> Channel | None:
         """The channel on the far side of ``end``, an endpoint of ``ch``.
@@ -486,12 +472,20 @@ def build_blocks(annotations: Sequence[Annotation], root_name: str | None = None
     A stream with structural problems raises the first in document order;
     a block that opens in one file and ends in another is one of them.
     """
-    problems, root, _ = _bracket(list(map(_FIELDS, annotations)), root_name)
+    return _tree(list(map(_FIELDS, annotations)), root_name, ())[0]
+
+
+def _tree(
+    annotations: Sequence[_Tagged], root_name: str | None, files: Sequence[str]
+) -> tuple[Block, list[_Scope]]:
+    """``_bracket``'s block tree and slots. It raises the first structural
+    problem, and refuses a stream with no block naming ``files``."""
+    problems, root, slots = _bracket(annotations, root_name, files=files)
     if problems:
         raise problems[0]
     if root is None:
-        raise NoBlocks("the annotation stream defines no blocks")
-    return root
+        raise NoBlocks("the annotation stream defines no blocks", file=", ".join(files) or None)
+    return root, slots
 
 
 # -- channel inference ------------------------------------------------------
@@ -611,14 +605,8 @@ def _build_model(
     annotations: Sequence[_Tagged], root_name: str | None, source_files: Sequence[str]
 ) -> WorkflowModel:
     """``build_model`` of a stream of tag-walk tuples, the one builder of a
-    script, a listing and a model file. It raises the first structural
-    problem, and refuses a stream with no block naming the source files."""
-    problems, root, slots = _bracket(annotations, root_name, files=source_files)
-    if problems:
-        raise problems[0]
-    if root is None:
-        files = ", ".join(source_files) or None
-        raise NoBlocks("the annotation stream defines no blocks", file=files)
+    script, a listing and a model file; see ``_tree`` for its refusals."""
+    root, slots = _tree(annotations, root_name, source_files)
     return WorkflowModel(root, _joined(slots), tuple(source_files))
 
 

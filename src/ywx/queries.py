@@ -10,9 +10,10 @@ unambiguous, simple.
 
 Each query call builds one lookup index, the shared ``ModelIndex``, and one
 dependency graph, which carries the index, and every step of the call
-shares them. The graph's pass-through edges take one
-``ModelIndex.across`` lookup per channel end, and a step's input sources
-read the writer ``ModelIndex.writer`` resolves through the boundaries.
+shares them. The graph's nodes are the root data names a query resolves;
+its pass-through edges take one ``ModelIndex.across`` lookup per crossing,
+not per channel end. A step's input sources read the writer
+``ModelIndex.writer`` resolves through the boundaries.
 Questions asked about many root outputs at once walk the graph once for all
 of them: downstream lineage is a single forward pass from the resolved
 inputs, and the completeness check behind lineage and YW020 scans the union
@@ -72,15 +73,15 @@ def build_dependency_graph(model: WorkflowModel) -> DependencyGraph:
     """The dependency graph of ``model``, with its ``ModelIndex``.
 
     Each edge is added to ``forward`` and ``reverse`` once, in channel
-    order, where it is first met: a boundary's pass-through edge is met from
-    the channels on both of its sides. No reader depends on the order of
-    an adjacency list; ``derivation`` orders its steps by node key.
+    order. A boundary's pass-through edge is added from its inner side only,
+    at an end on the channel's own scope, as ``across`` makes it the far
+    channel's matching end. No reader depends on the order of an adjacency
+    list; ``derivation`` orders its steps by node key.
     """
     index = ModelIndex(model)
     nodes: set[NodeKey] = {("block", q) for q in index.programs}
     for port in model.root.ports:
         nodes.add(("data", index.root_q, port.name))
-    seen: set[tuple[NodeKey, NodeKey]] = set()
     forward: dict[NodeKey, list[NodeKey]] = {}
     reverse: dict[NodeKey, list[NodeKey]] = {}
     for ch in model.channels:
@@ -89,16 +90,13 @@ def build_dependency_graph(model: WorkflowModel) -> DependencyGraph:
         for end in (ch.source, *ch.sinks):
             if end.block in index.programs:
                 other = ("block", end.block)
+            elif end.block != ch.scope or (far := index.across(ch, end)) is None:
+                continue  # a child workflow's crossing is added from inside it
             else:
-                far = index.across(ch, end)
-                if far is None:
-                    continue
                 other = ("data", far.scope, far.data)
             edge = (other, dnode) if end is ch.source else (dnode, other)
-            if edge not in seen:
-                seen.add(edge)
-                forward.setdefault(edge[0], []).append(edge[1])
-                reverse.setdefault(edge[1], []).append(edge[0])
+            forward.setdefault(edge[0], []).append(edge[1])
+            reverse.setdefault(edge[1], []).append(edge[0])
     return DependencyGraph(frozenset(nodes), forward, reverse, index)
 
 
@@ -117,10 +115,16 @@ def _resolve_block(index: ModelIndex, name: str) -> Block:
     raise UnknownName(f"no block named {name!r}")
 
 
-def _require_root_data(index: ModelIndex, name: str) -> NodeKey:
-    if name not in index.data_names_at_root:
+def _require_root_data(graph: DependencyGraph, name: str) -> NodeKey:
+    node = ("data", graph.index.root_q, name)
+    if node not in graph.nodes:
         raise UnknownName(f"{name!r} is not a data name of the top-level workflow")
-    return ("data", index.root_q, name)
+    return node
+
+
+def _root_ports(index: ModelIndex, direction: Direction) -> list[str]:
+    """The names of the root block's ports in one direction, in order."""
+    return [p.name for p in index.blocks[index.root_q].ports if p.direction is direction]
 
 
 # -- structure queries --------------------------------------------------------
@@ -166,34 +170,27 @@ def downstream_blocks(model: WorkflowModel, block_name: str) -> set[str]:
 
 def blocks_affected_by_input(model: WorkflowModel, input_name: str) -> set[str]:
     graph = build_dependency_graph(model)
-    index = graph.index
-    if input_name not in index.root_input_names:
-        raise UnknownName(
-            f"{input_name!r} is not an input of the top-level workflow"
-        )
-    start = {("data", index.root_q, input_name)}
+    root_q = graph.index.root_q
+    if (root_q, input_name, Direction.IN) not in graph.index.ports:
+        raise UnknownName(f"{input_name!r} is not an input of the top-level workflow")
+    start = {("data", root_q, input_name)}
     return {n[1] for n in graph.reachable(start) if n[0] == "block"}
 
 
 def upstream_inputs(model: WorkflowModel, output_name: str) -> set[str]:
     graph = build_dependency_graph(model)
-    return _upstream_inputs(graph, {_require_root_data(graph.index, output_name)})
+    return _upstream_inputs(graph, {_require_root_data(graph, output_name)})
 
 
 def _upstream_inputs(graph: DependencyGraph, targets: set[NodeKey]) -> set[str]:
     """The root inputs that any of the target nodes depends on."""
-    index = graph.index
-    seen = graph.reachable(targets, "reverse")
-    return {
-        name
-        for name in index.root_input_names
-        if ("data", index.root_q, name) in seen
-    }
+    root_q, seen = graph.index.root_q, graph.reachable(targets, "reverse")
+    return {n for n in _root_ports(graph.index, Direction.IN) if ("data", root_q, n) in seen}
 
 
 def deriving_blocks(model: WorkflowModel, data_name: str) -> set[str]:
     graph = build_dependency_graph(model)
-    target = _require_root_data(graph.index, data_name)
+    target = _require_root_data(graph, data_name)
     return {n[1] for n in graph.reachable({target}, "reverse") if n[0] == "block"}
 
 
@@ -253,7 +250,7 @@ def derivation(model: WorkflowModel, output_name: str) -> Derivation:
     """Topologically ordered producing steps behind one root-scope data name."""
     graph = build_dependency_graph(model)
     index = graph.index
-    target = _require_root_data(index, output_name)
+    target = _require_root_data(graph, output_name)
     involved = graph.reachable({target}, "reverse")
 
     indegree = {node: 0 for node in involved}
@@ -279,19 +276,15 @@ def derivation(model: WorkflowModel, output_name: str) -> Derivation:
             f"derivation of {output_name!r} passes through a feedback loop"
         )
 
+    into = Direction.IN
     steps: list[Step] = []
-    for node in order:
-        if node[0] != "data":
-            continue
-        producer = None
+    for node in order:  # a data node's one predecessor is its writer
         for prev in graph.reverse.get(node, ()):
-            if prev[0] == "block" and prev in involved:
-                producer = index.blocks[prev[1]]
-                break
-        if producer is None:
-            continue
-        consumed = tuple(sorted(p.name for p in index.bound_inputs(producer)))
-        steps.append(Step(producer.qualified_name, consumed, node[2]))
+            if prev[0] == "block":  # a program's predecessors are all data
+                block_q = prev[1]
+                inputs = [p for p in index.blocks[block_q].ports if p.direction is into]
+                consumed = sorted(p.name for p in inputs if index.is_bound(block_q, p))
+                steps.append(Step(block_q, tuple(consumed), node[2]))
     return Derivation(output_name, tuple(steps))
 
 
@@ -307,9 +300,7 @@ def _chain_defects(graph: DependencyGraph, output_name: str) -> tuple[UnboundRef
     """Every unbound port or one-sided boundary behind one root output; an
     empty result means each backward path ends at a root input or at a block
     with no unbound inputs, so the chain is complete."""
-    target = ("data", graph.index.root_q, output_name)
-    if target not in graph.nodes:
-        raise UnknownName(f"{output_name!r} is not a data name of the top-level workflow")
+    target = _require_root_data(graph, output_name)
     return _defects(graph, graph.reachable({target}, "reverse"))
 
 
@@ -357,7 +348,7 @@ def _defects(graph: DependencyGraph, involved: set[NodeKey]) -> tuple[UnboundRef
         _, scope, name = node
         if graph.reverse.get(node):
             continue
-        if scope == index.root_q and name in index.root_input_names:
+        if scope == index.root_q and (scope, name, into) in index.ports:
             continue  # a script input: the chain legitimately starts here
         ch = index.chan.get((scope, name))
         if ch is None:  # a root output that nothing writes
@@ -435,34 +426,30 @@ def infer_file_lineage(
     index = graph.index
     role_of = {p.name: p.role.value for p in model.root.ports}
 
-    if name in index.root_port_names:
+    if name in role_of:
         port_names = {name}
     else:
-        port_names = {
-            bound: None for bound, files in manifest.bindings.items() if name in files
-        }.keys()
+        port_names = {bound for bound, files in manifest.bindings.items() if name in files}
         if not port_names:
             raise UnknownName(
                 f"{name!r} is neither a top-level port nor a file in the manifest"
             )
 
+    root_q, out_of = index.root_q, Direction.OUT
     if direction == "upstream":
-        outputs = {n for n in port_names if n in index.root_output_names}
+        outputs = {n for n in port_names if (root_q, n, out_of) in index.ports}
         if not outputs:
             raise UnknownName(f"{name!r} does not resolve to a workflow output")
         _require_complete_chains(graph, sorted(outputs))
-        reached = _upstream_inputs(graph, {("data", index.root_q, n) for n in outputs})
+        reached = _upstream_inputs(graph, {("data", root_q, n) for n in outputs})
     else:
-        inputs = {n for n in port_names if n in index.root_input_names}
+        inputs = {n for n in port_names if (root_q, n, Direction.IN) in index.ports}
         if not inputs:
             raise UnknownName(f"{name!r} does not resolve to a workflow input")
-        _require_complete_chains(graph, sorted(index.root_output_names))
-        downstream = graph.reachable({("data", index.root_q, n) for n in inputs})
-        reached = {
-            output
-            for output in index.root_output_names
-            if ("data", index.root_q, output) in downstream
-        }
+        outputs = _root_ports(index, out_of)
+        _require_complete_chains(graph, sorted(outputs))
+        downstream = graph.reachable({("data", root_q, n) for n in inputs})
+        reached = {n for n in outputs if ("data", root_q, n) in downstream}
     records = {
         LineageRecord(path, port, role_of[port])
         for port in reached

@@ -216,8 +216,7 @@ def check_dependency_chains(model: WorkflowModel) -> list[Diagnostic]:
     at once clears a model whose chains are all complete.
     """
     graph = queries.build_dependency_graph(model)
-    out_of = Direction.OUT  # read once: see model._scope_channels
-    outputs = [p.name for p in model.root.ports if p.direction is out_of]
+    outputs = queries._root_ports(graph.index, Direction.OUT)
     return [
         Diagnostic(
             ERROR,

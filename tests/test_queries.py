@@ -41,7 +41,7 @@ from ywx.queries import (
     step_input_sources,
     upstream_inputs,
 )
-from ywx.model import Direction
+from ywx.model import Direction, ModelIndex
 from ywx.validate import validate_sources
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -247,6 +247,43 @@ class TestDependencyGraph:
         start = {("data", "outer", "x")}
         assert ("block", "outer.Post") in graph.reachable(start, "forward")
         assert graph.reachable(start, "reverse") == start
+
+    def test_each_crossing_looked_up_once(self, monkeypatch):
+        """A deep pass-through nest's crossings are each looked up once, from
+        the inner side: at most one ``across`` call per channel end on the
+        channel's own scope, none for an end on a child workflow."""
+        depth = 300
+        lines = [f"# @begin b{i} @in x @out y" for i in range(depth)]
+        lines += ["y = x"] + [f"# @end b{i}" for i in reversed(range(depth))]
+        model = model_from_source("\n".join(lines) + "\n")
+        inner_ends = sum(
+            end.block == ch.scope for ch in model.channels for end in (ch.source, *ch.sinks)
+        )
+        calls = []
+        across = ModelIndex.across
+        monkeypatch.setattr(
+            ModelIndex, "across", lambda *args: calls.append(1) or across(*args)
+        )
+        graph = build_dependency_graph(model)
+        assert 0 < len(calls) <= inner_ends
+        assert {(a, b) for a, ns in graph.forward.items() for b in ns} == oracle_edges(model)
+
+    def test_data_node_has_at_most_one_writer(self, corpus_models):
+        """``derivation`` takes a data node's one reverse entry as its writer."""
+        loops = [
+            model_from_source(SELF_FEEDING_SRC),
+            model_from_source(
+                "# @begin W @out report\n"
+                "# @begin A @in fed_back @out report\n# @end A\n"
+                "# @begin B @in report @out fed_back\n# @end B\n"
+                "# @end W\n"
+            ),
+        ]
+        for model in [*corpus_models, *loops]:
+            graph = build_dependency_graph(model)
+            for node in graph.nodes:
+                if node[0] == "data":
+                    assert len(graph.reverse.get(node, ())) <= 1, node
 
 
 class TestDerivation:
