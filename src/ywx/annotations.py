@@ -19,12 +19,13 @@ from operator import attrgetter
 from typing import Iterable
 
 from ._record import record
-from .comments import SourceComment
+from .comments import CommentSyntax, SourceComment, _lines, _scan, _Span
 from .errors import (
     AnnotationError,
     InvalidValue,
     MalformedRecord,
     MissingValue,
+    UnterminatedBlockComment,
     YwxError,
 )
 
@@ -65,7 +66,7 @@ _FIELDS = attrgetter("tag", "value", "description", "file", "line")
 
 
 def _tags(
-    comments: Iterable[tuple[str, str, int]], problems: list[AnnotationError] | None
+    comments: Iterable[tuple[str, str, int]], problems: list[YwxError] | None
 ) -> list[_Tagged]:
     """The annotations in comments given as ``(text, file, line)``, in order,
     as ``(tag, value, description, file, line)`` tuples.
@@ -124,6 +125,31 @@ def _tags(
             stop += 1
             start = stop
     return found
+
+
+def _script_tags(
+    sources: Iterable[tuple[str, str, CommentSyntax]], problems: list[YwxError] | None
+) -> tuple[list[_Tagged], list[list[_Span]]]:
+    """The one script reader of every command: the merged tag-walk tuples of
+    scripts given as ``(path, text, syntax)``, and each one's comment spans.
+
+    Each script is scanned whole before its first tag is read. With
+    ``problems`` None an unterminated block comment or an unreadable tag
+    raises; otherwise it is recorded there, and the unterminated comment
+    leaves its script no spans."""
+    tags: list[_Tagged] = []
+    spans: list[list[_Span]] = []
+    for path, text, syntax in sources:
+        try:
+            found = _scan(text, syntax, path)
+        except UnterminatedBlockComment as exc:
+            if problems is None:
+                raise
+            problems.append(exc.with_traceback(None))  # no frame kept alive
+            found = []
+        spans.append(found)
+        tags += _tags(_lines(text, found, path), problems)
+    return tags, spans
 
 
 # What the tag walk reads of a SourceComment.

@@ -25,8 +25,8 @@ from pathlib import Path
 from typing import Iterable
 
 from . import queries
-from .annotations import _decode_json, _listing_chunks, _listing_from_json, _Tagged, _tags
-from .comments import CommentSyntax, _lines, _scan, detect_language
+from .annotations import _decode_json, _listing_chunks, _listing_from_json, _script_tags, _Tagged
+from .comments import _read_scripts
 from .errors import FormatMismatch, UsageError, YwxError, _read_text
 from .model import (
     WorkflowModel,
@@ -230,13 +230,6 @@ def _is_intermediate(path: str) -> bool:
     return Path(path).suffix.lower() == ".json"
 
 
-def _script_tags(path: str, syntax: CommentSyntax) -> list[_Tagged]:
-    """``parse_annotations(extract_comments(...))`` of a script as tag-walk
-    tuples, with no comment or annotation records built on the way."""
-    text = _read_text(path)
-    return _tags(_lines(text, _scan(text, syntax, path), path), None)
-
-
 def _load_intermediate(path: str) -> tuple[str, str, list[_Tagged]] | WorkflowModel:
     """Read an annotation listing or a model file, decoding its JSON once.
 
@@ -280,9 +273,7 @@ def _model_from_inputs(
             return loaded
         source_file, _, annotations = loaded
         return _build_model(annotations, None, [source_file])
-    merged = [
-        ann for path in paths for ann in _script_tags(path, detect_language(path, language))
-    ]
+    merged, _ = _script_tags(_read_scripts(paths, language), None)
     return _build_model(merged, None, paths)
 
 
@@ -311,9 +302,9 @@ def _cmd_extract(args: argparse.Namespace) -> int:
             "extract starts from a script, not an intermediate file",
             file=args.input,
         )
-    syntax = detect_language(args.input, args.language)
-    tags = _script_tags(args.input, syntax)
-    _write(_listing_chunks(args.input, syntax.language_name, tags), args.output)
+    [(path, text, syntax)] = _read_scripts([args.input], args.language)
+    tags, _ = _script_tags([(path, text, syntax)], None)
+    _write(_listing_chunks(path, syntax.language_name, tags), args.output)
     return 0
 
 

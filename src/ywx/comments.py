@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from ._record import record
-from .errors import UnknownLanguage, UnterminatedBlockComment
+from .errors import UnknownLanguage, UnterminatedBlockComment, _read_text
 
 
 @dataclass(frozen=True)
@@ -143,9 +143,9 @@ def _scan(source: str, syntax: CommentSyntax, file: str) -> list[_Span]:
     ``%``) wins. Each step jumps to the next token with a compiled pattern,
     and line numbers are counted between jumps.
 
-    Every command reads a script through it, ``validate`` included: the
-    spans give the comment lines (``_lines``) and the blanked code
-    (``_blanked``), and the public functions here wrap it.
+    Every command reads a script through it, in ``annotations._script_tags``:
+    the spans give the comment lines (``_lines``) and, for ``validate``, the
+    blanked code (``_blanked``). The public functions here wrap it.
     """
     scanner = syntax._scanner
     spans: list[_Span] = []
@@ -186,6 +186,16 @@ def _scan(source: str, syntax: CommentSyntax, file: str) -> list[_Span]:
         spans.append(("block", start, end, token.end(), close_at, line, end_line))
         line = end_line + source.count("\n", close_at, end)
         counted = i = end
+
+
+def _read_scripts(
+    paths: Iterable[str | Path], language: str | None
+) -> Iterator[tuple[str, str, CommentSyntax]]:
+    """Each script as ``(path, text, syntax)``, read when it is reached: its
+    language is detected, by ``language`` if given, and then its text read."""
+    for path in paths:
+        syntax = detect_language(path, language)
+        yield str(path), _read_text(path), syntax
 
 
 def _lines(source: str, spans: Iterable[_Span], file: str) -> Iterator[tuple[str, str, int]]:

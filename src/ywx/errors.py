@@ -140,10 +140,12 @@ class UnreadableInput(YwxError):
 
 def _read_text(path: str | Path) -> str:
     """The UTF-8 text of an input file: a script, a listing, a model file, a
-    manifest or a style file. Bytes that do not decode raise
-    ``UnreadableInput``, which names the file."""
+    manifest or a style file. Line endings are kept as written, so a file
+    reads as the same text, and the same lines, as that text in memory.
+    Bytes that do not decode raise ``UnreadableInput``, which names the file."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline="") as file:
+            return file.read()
     except UnicodeDecodeError as exc:
         raise UnreadableInput(
             f"not UTF-8 text: byte 0x{exc.object[exc.start]:02x} at offset "

@@ -47,6 +47,7 @@ from .errors import (
     PortOutsideBlock,
     UnbalancedEnd,
     UnclosedBlock,
+    YwxError,
 )
 
 
@@ -476,15 +477,25 @@ def build_blocks(annotations: Sequence[Annotation], root_name: str | None = None
 
 
 def _tree(
-    annotations: Sequence[_Tagged], root_name: str | None, files: Sequence[str]
-) -> tuple[Block, list[_Scope]]:
-    """``_bracket``'s block tree and slots. It raises the first structural
-    problem, and refuses a stream with no block naming ``files``."""
-    problems, root, slots = _bracket(annotations, root_name, files=files)
-    if problems:
-        raise problems[0]
-    if root is None:
-        raise NoBlocks("the annotation stream defines no blocks", file=", ".join(files) or None)
+    annotations: Sequence[_Tagged], root_name: str | None, files: Sequence[str],
+    problems: list[YwxError] | None = None, checks: list[_Group] | None = None,
+) -> tuple[Block | None, list[_Scope]]:
+    """``_bracket``'s block tree and slots. With ``problems`` None it raises
+    the first structural problem, then refuses a stream with no block naming
+    ``files``. Otherwise it appends them there, the no-block one at the first
+    of ``files`` and only if nothing else explains it; the tree is then None
+    if there is one."""
+    found, root, slots = _bracket(annotations, root_name, checks, files=files)
+    names = ", ".join(files)
+    if problems is not None:
+        problems += found
+        if root is None and files and not problems:
+            text = f"the annotation stream of {names} defines no blocks"
+            problems.append(NoBlocks(text, file=files[0], line=1))
+    elif found:
+        raise found[0]
+    elif root is None:
+        raise NoBlocks("the annotation stream defines no blocks", file=names or None)
     return root, slots
 
 

@@ -1,10 +1,10 @@
 """Consistency checks over annotated scripts, with stable diagnostic codes.
 
-Structural problems in the annotation stream (the YW001 family) are the
-problems the model builder's own begin/end walk reports, so a script with
+Scripts are read, scanned, tagged and bracketed by the code every command
+uses, each problem it would raise reported (YW001-YW008), so a script with
 no error-severity diagnostics is guaranteed to build, render, and answer
 queries without raising; only ``derivation`` refuses a feedback loop, which
-has no order of steps. Cross-checks against the host code (YW010) and the
+has no order of steps. Cross-checks against the code (YW010) and the
 channel-level checks (YW020/YW030/YW031) run only once the structure holds.
 
 Codes form a documented closed set:
@@ -39,40 +39,38 @@ from pathlib import Path
 from typing import Sequence
 
 from . import queries
-from .annotations import _Tagged, _tags
-from .comments import CommentSyntax, _blanked, _lines, _scan, detect_language
+from .annotations import _script_tags
+from .comments import CommentSyntax, _blanked, _read_scripts
 from .errors import (
-    AnnotationError,
     DuplicateBlockName,
     DuplicatePort,
+    InvalidValue,
     MismatchedEndName,
-    ModelError,
+    MissingValue,
+    NoBlocks,
     PortOutsideBlock,
     UnbalancedEnd,
     UnclosedBlock,
     UnterminatedBlockComment,
-    _read_text,
+    YwxError,
 )
-from .model import (
-    Block,
-    Direction,
-    WorkflowModel,
-    _bracket,
-    _Group,
-    _joined,
-    iter_blocks,
-)
+from .model import Block, Direction, WorkflowModel, _Group, _joined, _tree, iter_blocks
 
 ERROR = "error"
 WARNING = "warning"
 
-_STRUCTURE = {
+# The code of each problem the script reader and the tree step collect.
+_CODES = {
     UnbalancedEnd: "YW001",
     MismatchedEndName: "YW002",
     UnclosedBlock: "YW003",
     PortOutsideBlock: "YW004",
+    MissingValue: "YW005",
+    InvalidValue: "YW005",
+    UnterminatedBlockComment: "YW005",
     DuplicatePort: "YW006",
     DuplicateBlockName: "YW007",
+    NoBlocks: "YW008",
 }
 
 
@@ -109,12 +107,9 @@ def diagnostics_as_dicts(diagnostics: Sequence[Diagnostic]) -> list[dict]:
     ]
 
 
-# -- structural checks ---------------------------------------------------------
-
-def _structure_diagnostic(problem: ModelError) -> Diagnostic:
-    return Diagnostic(
-        ERROR, _STRUCTURE[type(problem)], problem.message, problem.file, problem.line
-    )
+def _diagnostic(problem: YwxError) -> Diagnostic:
+    """The error diagnostic of a problem the load collected, at its place."""
+    return Diagnostic(ERROR, _CODES[type(problem)], problem.message, problem.file, problem.line)
 
 
 # -- code cross-check ------------------------------------------------------------
@@ -239,50 +234,24 @@ def validate_sources(
     """Run every check over (path, text, syntax) triples, in document order.
 
     Several files are read as one workflow, but each file must bracket its
-    blocks completely: block stacks do not span files. Each file is scanned
-    once, and its comment spans give both its annotations and the blanked
-    code YW010 searches. The files' merged annotation stream is bracketed
-    once, with the files named as a model load names them, so the implicit
-    root is the model's. That one pass gives the structural diagnostics,
-    the block tree, its channels, and the data names YW030 and YW031 flag.
+    blocks completely: block stacks do not span files. The files are read as
+    every command reads them, by ``_script_tags`` and ``model._tree``, which
+    here collect each problem a command would refuse them for instead of
+    raising it. Each file is scanned once: its spans give its annotations and
+    the blanked code YW010 searches. The one bracketing pass names the root
+    as a model load does, and gives the tree, its channels, and the data
+    names YW030 and YW031 flag.
     """
-    diagnostics: list[Diagnostic] = []
-    merged: list[_Tagged] = []
-    stripped: dict[str, str] = {}
-    for path, text, syntax in sources:
-        try:
-            spans = _scan(text, syntax, path)
-        except UnterminatedBlockComment as exc:
-            diagnostics.append(
-                Diagnostic(ERROR, "YW005", exc.message, path, exc.line or 1)
-            )
-            spans = []
-        problems: list[AnnotationError] = []
-        merged.extend(_tags(_lines(text, spans, path), problems))
-        stripped[path] = _blanked(text, spans)
-        for problem in problems:
-            diagnostics.append(
-                Diagnostic(
-                    ERROR,
-                    "YW005",
-                    problem.message,
-                    problem.file or path,
-                    problem.line or 1,
-                )
-            )
-
     paths = [path for path, _, _ in sources]
+    problems: list[YwxError] = []
+    merged, spans = _script_tags(sources, problems)
     checks: list[_Group] = []
-    structure, tree, slots = _bracket(merged, None, checks, files=paths)
-    diagnostics.extend(_structure_diagnostic(p) for p in structure)
-    if tree is None and not diagnostics and sources:  # nothing else explains it
-        diagnostics.append(Diagnostic(
-            ERROR, "YW008", f"the annotation stream of {', '.join(paths)} defines no blocks",
-            paths[0], 1,
-        ))
+    tree, slots = _tree(merged, None, paths, problems, checks)
+    diagnostics = [_diagnostic(problem) for problem in problems]
     if tree is not None:
         sanity = check_channel_sanity(checks)
         diagnostics.extend(sanity)
+        stripped = {path: _blanked(text, at) for (path, text, _), at in zip(sources, spans)}
         diagnostics.extend(check_port_names_in_code(tree, stripped))
         if not any(d.code == "YW030" for d in sanity):
             model = WorkflowModel(tree, _joined(slots), tuple(paths))
@@ -290,12 +259,7 @@ def validate_sources(
 
     file_order = {path: i for i, path in enumerate(paths)}
     diagnostics.sort(
-        key=lambda d: (
-            file_order.get(d.file, len(file_order)),
-            d.line,
-            d.code,
-            d.message,
-        )
+        key=lambda d: (file_order.get(d.file, len(file_order)), d.line, d.code, d.message)
     )
     return diagnostics
 
@@ -304,8 +268,4 @@ def validate_scripts(
     paths: Sequence[str | Path], language: str | None = None
 ) -> list[Diagnostic]:
     """Validate script files from disk; language may override detection."""
-    sources = []
-    for path in paths:
-        syntax = detect_language(path, language)
-        sources.append((str(path), _read_text(path), syntax))
-    return validate_sources(sources)
+    return validate_sources(list(_read_scripts(paths, language)))

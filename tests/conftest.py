@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from support import (
     random_tree,
     script_from_tree,
 )
+import ywx.comments
 from ywx.errors import AmbiguousWriter
 
 CORPUS_SEED = 20260819
@@ -57,6 +59,22 @@ def corpus_models(corpus):
 @pytest.fixture
 def fixtures_dir() -> Path:
     return FIXTURES
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """The files ``comments._scan`` is called on in the test, in order."""
+    scanned = []
+    original = ywx.comments._scan
+
+    def counting(source, syntax, file):
+        scanned.append(file)
+        return original(source, syntax, file)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ywx") and getattr(module, "_scan", None) is original:
+            monkeypatch.setattr(module, "_scan", counting)
+    return scanned
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

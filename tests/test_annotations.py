@@ -372,7 +372,7 @@ def assert_extract_is_the_record_listing(path, listing):
 
     def record_listing():
         syntax = detect_language(str(path), None)
-        text = path.read_text(encoding="utf-8")
+        text = path.read_bytes().decode("utf-8")  # line endings kept, as ywx reads
         annotations = parse_annotations(extract_comments(text, syntax, file=str(path)))
         doc = AnnotationDocument(str(path), syntax.language_name, tuple(annotations))
         return serialize_annotations(doc).encode("utf-8")
@@ -414,9 +414,10 @@ def test_extract_is_the_stdlib_text_on_the_scaled_script(monkeypatch, tmp_path):
     assert len(json.loads(listing.read_text(encoding="utf-8"))["annotations"]) > 1000
 
 
-# Description text: quotes, backslashes, control characters (a carriage
-# return reads as a line break) and non-ASCII, but no "@", which could start
-# a tag and leave a generated script without a readable one.
+# Description text: quotes, backslashes, control characters (a lone carriage
+# return is whitespace inside its line, on disk as in memory) and non-ASCII,
+# but no "@", which could start a tag and leave a generated script without a
+# readable one.
 _DESCRIPTION_TEXT = st.text(
     st.characters(blacklist_categories=("Cs",), blacklist_characters="@")
     | st.sampled_from('"\'\\\x00\x01\x1f\x7f\t\r\n\u0085 é中\U0001F600'),

@@ -18,7 +18,7 @@ from ywx.cli import run
 from ywx.comments import detect_language, extract_comments
 from ywx.errors import DuplicateBlockName
 from ywx.model import _bracket, build_blocks, iter_blocks
-from ywx.validate import _structure_diagnostic
+from ywx.validate import _diagnostic
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).parent.parent / "src"
@@ -1003,7 +1003,7 @@ class TestImplicitRootName:
             )
         ]
         problems, _, _ = _bracket(list(map(_FIELDS, stream)), "a")
-        [diagnostic] = map(_structure_diagnostic, problems)
+        [diagnostic] = map(_diagnostic, problems)
         with pytest.raises(DuplicateBlockName) as raised:
             build_blocks(stream, root_name="a")
         assert diagnostic.message == raised.value.message

@@ -3,11 +3,11 @@
 A script or listing load through the CLI goes to the block tree with no
 ``Annotation`` records, and ``extract`` writes its listing straight from the
 tag walk with no ``Annotation`` or ``AnnotationDocument`` either. Every
-load, a model file's included, makes the model in the one walk that
-brackets the tags, with no later walk over the tree. A
-plain call, which every benchmark command is, builds no argparse parser;
-any other builds the full tree. ``cli.run`` suspends the cyclic garbage
-collector while a command runs and leaves it as it found it.
+command scans each input script once. Every load, a model file's included,
+makes the model in the one walk that brackets the tags, with no later walk
+over the tree. A plain call, which every benchmark command is, builds no
+argparse parser; any other builds the full tree. ``cli.run`` suspends the
+cyclic garbage collector while a command runs and leaves it as it found it.
 """
 
 import argparse
@@ -126,6 +126,21 @@ def test_model_file_load_infers_channels_once(walks, monkeypatch, tmp_path, scri
     assert walks == Counter({"_bracket": 1})
     assert loaded.channels
     assert loaded == cli._model_from_inputs([script], None)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["extract"], ["model"], ["graph"], ["query", "blocks"], ["validate"]],
+    ids=lambda command: command[0],
+)
+def test_every_command_scans_each_file_once(scans, built, tmp_path, command):
+    # Every command reads scripts through the one reader, which scans each
+    # file once and builds no Annotation record.
+    scripts = SCRIPTS[:1] if command == ["extract"] else SCRIPTS[:2]
+    assert cli.run([*command, *scripts, "-o", str(tmp_path / "out")]) in (0, 1)
+    assert (tmp_path / "out").stat().st_size
+    assert scans == scripts
+    assert built[0] == 0
 
 
 # -- argument parsers ------------------------------------------------------------

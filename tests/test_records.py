@@ -19,8 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ywx import cli
-from ywx.annotations import Annotation, AnnotationDocument, Tag, parse_annotations
-from ywx.comments import SourceComment, detect_language, extract_comments
+from ywx.annotations import Annotation, AnnotationDocument, Tag, _script_tags, parse_annotations
+from ywx.comments import SourceComment, _read_scripts, detect_language, extract_comments
 from ywx.errors import YwxError
 from ywx.model import (
     Block,
@@ -201,7 +201,7 @@ def _outcome(load):
 def assert_routes_agree(path: Path, language=None):
     name = str(path)
     syntax = detect_language(name, language)
-    text = path.read_text(encoding="utf-8")
+    text = path.read_bytes().decode("utf-8")  # line endings kept, as ywx reads
 
     def library():
         return parse_annotations(extract_comments(text, syntax, file=name))
@@ -210,7 +210,9 @@ def assert_routes_agree(path: Path, language=None):
         return build_model(library(), root_name=path.stem, source_files=[name])
 
     annotations = _outcome(library)
-    read = _outcome(lambda: list(starmap(Annotation, cli._script_tags(name, syntax))))
+    read = _outcome(
+        lambda: list(starmap(Annotation, _script_tags(_read_scripts([name], language), None)[0]))
+    )
     assert read == annotations
     model = _outcome(library_model)
     assert _outcome(lambda: cli._model_from_inputs([name], language)) == model
@@ -282,7 +284,9 @@ _TAGS = st.sampled_from(sorted(_TAG_SPELLINGS)).flatmap(
 )
 _VALUES = st.sampled_from(["A", "B", "x", "y", "k", "a.b", "9bad", "bad-name", ""])
 _NOISE = st.sampled_from(["@\u0130n", "@\u0131n", "@inx", "x@in", "@", "@desc", "word", "a.b"])
-_SPACES = st.sampled_from([" ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\xa0", "\u2003"])
+_SPACES = st.sampled_from(
+    [" ", "  ", "\t", "\r", "\x0b", "\x0c", "\x1c", "\x1f", "\xa0", "\u2003"]
+)
 _PORTS = st.tuples(
     st.sampled_from(_TAG_SPELLINGS["in"] + _TAG_SPELLINGS["out"] + _TAG_SPELLINGS["param"]),
     st.sampled_from(["x", "y", "k", "a.b"]),

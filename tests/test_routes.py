@@ -5,6 +5,10 @@ For generated workflows, every ``graph`` view, with and without
 of the three inputs a command reads, and the model file re-serializes to
 itself. Two scripts under one implicit root have no single listing, so they
 are checked against their model file alone.
+
+A script file reads as its text does in memory: whatever line endings and
+other line-like characters it holds, the commands on the file print what
+the library prints for its decoded text.
 """
 
 import random
@@ -15,7 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from support import BLOCK_QUERIES, NAME_QUERIES, VIEWS, call, random_tree, script_from_tree
-from ywx.model import iter_blocks, parse_model, serialize_model
+from ywx.annotations import AnnotationDocument, parse_annotations, serialize_annotations
+from ywx.comments import detect_language, extract_comments
+from ywx.errors import YwxError
+from ywx.model import build_model, iter_blocks, parse_model, serialize_model
+from ywx.validate import validate_scripts, validate_sources
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -70,3 +78,54 @@ def test_two_scripts_and_their_model_file_agree(tmp_path):
     assert call(["model", *scripts, "-o", model_file])[0] == 0
     assert parse_model(Path(model_file).read_text()).root.span[0] == 0  # implicit
     _assert_routes_agree([scripts, [model_file]], model_file, random.Random(7))
+
+
+# -- a file reads as its text does in memory ------------------------------------
+
+# One workflow's lines, each followed by a break and at times by a code line.
+# Only "\n" ends a line, so a line joined to the next by any other break
+# merges into it: a comment swallows the code or the tags after it, and every
+# later line number shifts.
+_LINES = (
+    "# @begin W @in a @out b", "x = a", "# @begin P", "# @in a", "# @out b",
+    "b = g()", "# @end P", "# @end W",
+)
+_BREAKS = st.lists(
+    st.sampled_from(["\n", "\n", "\r\n", "\r", "\f", "\v", "\x85", "\u2028"]),
+    min_size=len(_LINES), max_size=len(_LINES),
+)
+_CODE = st.lists(
+    st.sampled_from(["", "y = a", "b = a"]), min_size=len(_LINES), max_size=len(_LINES)
+)
+
+
+def _outcome(make):
+    """What a command prints for the library's result: ``make()`` or its refusal."""
+    try:
+        return 0, make(), ""
+    except YwxError as exc:
+        return 2, "", f"ywx: error: {exc}\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(bom=st.booleans(), breaks=_BREAKS, code=_CODE)
+def test_a_file_reads_as_its_text_in_memory(tmp_path_factory, bom, breaks, code):
+    text = "\ufeff" * bom + "".join(
+        line + end + (extra and extra + end) for line, end, extra in zip(_LINES, breaks, code)
+    )
+    path = tmp_path_factory.mktemp("disk") / "w.py"
+    path.write_bytes(text.encode("utf-8"))
+    name, syntax = str(path), detect_language(str(path))
+    assert validate_scripts([path]) == validate_sources([(name, text, syntax)])
+
+    def annotations():
+        return tuple(parse_annotations(extract_comments(text, syntax, name)))
+
+    def listing():
+        return serialize_annotations(AnnotationDocument(name, "python", annotations()))
+
+    def model():
+        return serialize_model(build_model(annotations(), source_files=[name]))
+
+    assert call(["extract", name]) == _outcome(listing)
+    assert call(["model", name]) == _outcome(model)

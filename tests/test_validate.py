@@ -2,7 +2,6 @@
 
 import random
 import re
-import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ywx.comments
 from support import model_from_source, random_tree, script_from_tree
 from ywx.annotations import _FIELDS, Tag, parse_annotations
 from ywx.comments import LANGUAGES, detect_language, extract_comments, strip_comments
@@ -29,9 +27,8 @@ from ywx.model import _bracket, build_blocks, build_model, iter_blocks
 from ywx.queries import list_blocks
 from ywx.render import RenderOptions, render
 from ywx.validate import (
-    _STRUCTURE,
     Diagnostic,
-    _structure_diagnostic,
+    _diagnostic,
     check_port_names_in_code,
     diagnostics_as_dicts,
     format_diagnostics,
@@ -367,7 +364,7 @@ class TestBuildGuarantee:
         buildable, rejected = corpus
         for tree, script, model, expected, ambiguous in buildable[:60]:
             diags = validate_text(script)
-            assert not any(d.code in _STRUCTURE.values() for d in diags)
+            assert not any(d.code in _CODES.values() for d in diags)
             if has_errors(diags):
                 continue
             rebuilt = model_from_source(script)
@@ -485,22 +482,12 @@ class TestPortNamesInCode:
             "w.py:5: warning YW010 port name 'a' does not appear in the code of block 'W.P'"
         ]
 
-    def test_one_scan_per_file(self, monkeypatch):
-        original = ywx.comments._scan
-        scanned = []
-
-        def counting(source, syntax, file):
-            scanned.append(file)
-            return original(source, syntax, file)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("ywx") and getattr(module, "_scan", None) is original:
-                monkeypatch.setattr(module, "_scan", counting)
+    def test_one_scan_per_file(self, scans):
         a = "# @begin A @in x @out y\ny = f(x)  # first\n# @end A\n"
         b = "# @begin B @in y @out z\nz = g(y)\n# @end B\n"
         syntax = detect_language("any.py")
         validate_sources([("a.py", a, syntax), ("b.py", b, syntax)])
-        assert scanned == ["a.py", "b.py"]
+        assert scans == ["a.py", "b.py"]
 
 
 # -- one bracket walker: validate and the model builder agree ------------------
@@ -538,7 +525,7 @@ def test_structure_diagnostics_match_the_build(files):
         for ann in parse_annotations(extract_comments(text, syntax, file=path))
     ]
     problems, _, _ = _bracket(list(map(_FIELDS, merged)), "f0")
-    structure = [_structure_diagnostic(p) for p in problems]
+    structure = [_diagnostic(p) for p in problems]
     try:
         build_blocks(merged, root_name="f0")
     except NoBlocks:
@@ -556,7 +543,7 @@ def test_structure_diagnostics_match_the_build(files):
         assert structure == []
 
     diags = validate_sources(sources)
-    structural = [d for d in diags if d.code in _STRUCTURE.values()]
+    structural = [d for d in diags if d.code in _CODES.values()]
     assert sorted(structural, key=lambda d: (d.file, d.line, d.code, d.message)) == (
         sorted(structure, key=lambda d: (d.file, d.line, d.code, d.message))
     )
