@@ -630,12 +630,16 @@ def serialize_model(model: WorkflowModel) -> str:
 
 def _model_chunks(model: WorkflowModel) -> Iterator[str]:
     """The JSON text of a model file, one chunk per block record (a block's
-    head and tail, one chunk for a block without children), then the rest."""
+    head and tail, one chunk for a block without children) and per channel
+    record, then the rest."""
     yield '{\n  "root": '
     yield from _block_chunks(model.root)
-    channels = _json_list([_channel_json(ch) for ch in model.channels], "  ")
+    yield ',\n  "channels": ['
+    for i, ch in enumerate(model.channels):
+        yield f"{',' if i else ''}\n    {_channel_json(ch)}"
+    close = "\n  ]" if model.channels else "]"
     files = _json_list([_json_str(f) for f in model.source_files], "  ")
-    yield f',\n  "channels": {channels},\n  "source_files": {files}\n}}\n'
+    yield f'{close},\n  "source_files": {files}\n}}\n'
 
 
 def _block_chunks(root: Block) -> Iterator[str]:

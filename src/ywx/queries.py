@@ -158,13 +158,9 @@ def containing_blocks(model: WorkflowModel, block_name: str) -> list[str]:
 
 def downstream_blocks(model: WorkflowModel, block_name: str) -> set[str]:
     graph = build_dependency_graph(model)
-    block_q = _resolve_block(graph.index, block_name).qualified_name
-    out_of = Direction.OUT
-    start = {
-        ("data", ch.scope, ch.data)
-        for ch in model.channels
-        if ch.source.block == block_q and ch.source.direction is out_of
-    }
+    block = _resolve_block(graph.index, block_name)
+    scope = graph.index.parents[block.qualified_name]
+    start = {("data", scope, p.name) for p in block.ports if p.direction is Direction.OUT}
     return {n[1] for n in graph.reachable(start) if n[0] == "block"}
 
 

@@ -55,10 +55,11 @@ RANKDIRS = ("LR", "TB")
 
 
 def load_style_file(path: str | Path) -> dict[str, str]:
-    """Read a key=value style file; unknown keys are rejected."""
+    """Read a key=value style file; unknown keys are rejected. Lines end at
+    ``\\n`` only, as in every other input; ``strip`` drops a CRLF's ``\\r``."""
     style = dict(DEFAULT_STYLE)
     text = _read_text(path)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -149,12 +150,19 @@ class _Sheet:
         return workflow_q if self.nested and workflow_q != self.focus.qualified_name else None
 
     def add_node(
-        self, node_id: str, attrs: list[tuple[str, str]], anchor: tuple, cluster: str | None
+        self, node_id: str, shape_key: str, label: str, anchor: tuple, cluster: str | None,
+        param: bool = False,
     ) -> None:
-        """Format a node's DOT text at its first add; the first add wins."""
-        if node_id not in self.nodes:
-            rendered = ", ".join(f"{k}={_q(v)}" for k, v in attrs)
-            self.nodes[node_id] = (anchor, cluster, f"{_q(node_id)} [{rendered}]")
+        """Format a node's DOT text at its first add; the first add wins. A
+        parameter's node takes the muted colours when they are asked for."""
+        if node_id in self.nodes:
+            return
+        style = self.style
+        text = f"{_q(node_id)} [shape={_q(style[shape_key])}, label={_q(label)}"
+        if param and self.de_emphasize_params:
+            text += f", color={_q(style['param.node.color'])}"
+            text += f", fontcolor={_q(style['param.node.fontcolor'])}"
+        self.nodes[node_id] = (anchor, cluster, text + "]")
 
     def add_edge(self, src: str, dst: str, label: str, param: bool) -> None:
         key = (src, dst, label)
@@ -192,17 +200,12 @@ class _Sheet:
                 stack.append(level(item[1], indent + "  "))
         style = self.style
         for (src, dst, label), param in sorted(self.edges.items()):
-            attrs: list[tuple[str, str]] = []
-            if label:
-                attrs.append(("label", label))
+            attrs = [f"label={_q(label)}"] if label else []
             if param and self.de_emphasize_params:
-                attrs.append(("style", style["param.edge.style"]))
-                attrs.append(("color", style["param.edge.color"]))
-            if attrs:
-                rendered = ", ".join(f"{k}={_q(v)}" for k, v in attrs)
-                lines.append(f"  {_q(src)} -> {_q(dst)} [{rendered}]")
-            else:
-                lines.append(f"  {_q(src)} -> {_q(dst)}")
+                attrs.append(f"style={_q(style['param.edge.style'])}")
+                attrs.append(f"color={_q(style['param.edge.color'])}")
+            rendered = f" [{', '.join(attrs)}]" if attrs else ""
+            lines.append(f"  {_q(src)} -> {_q(dst)}{rendered}")
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -211,28 +214,31 @@ def _block_node(sheet: _Sheet, block: Block) -> str:
     node_id = block.qualified_name
     sheet.add_node(
         node_id,
-        [("shape", sheet.style["shape.program"]), ("label", block.name)],
+        "shape.program",
+        block.name,
         sheet.anchor(block.file, block.span[0], node_id),
         sheet.cluster(sheet.index.parents[node_id]),
     )
     return node_id
 
 
+# Read once: reading an enum member is a slow class-attribute hook, and
+# ``Enum.value`` is a property, so ``_value_`` is read in its place.
+_PARAMETER = Role.PARAMETER
+_IN = Direction.IN
+
+
 def _terminal_node(sheet: _Sheet, owner_q: str, port: Port) -> str:
-    # The member's own value: ``Enum.value`` is a property, and reading an
-    # enum member such as ``Direction.IN`` is a slow class-attribute hook.
     kind = port.direction._value_
     node_id = f"port:{kind}:{owner_q}:{port.name}"
-    shape_key = "shape.input" if kind == "in" else "shape.output"
-    attrs: list[tuple[str, str]] = [
-        ("shape", sheet.style[shape_key]),
-        ("label", port.name),
-    ]
-    if sheet.de_emphasize_params and port.role is Role.PARAMETER:
-        attrs.append(("color", sheet.style["param.node.color"]))
-        attrs.append(("fontcolor", sheet.style["param.node.fontcolor"]))
-    anchor = sheet.anchor(port.file, port.line, node_id)
-    sheet.add_node(node_id, attrs, anchor, sheet.cluster(owner_q))
+    sheet.add_node(
+        node_id,
+        "shape.input" if kind == "in" else "shape.output",
+        port.name,
+        sheet.anchor(port.file, port.line, node_id),
+        sheet.cluster(owner_q),
+        port.role is _PARAMETER,
+    )
     return node_id
 
 
@@ -263,28 +269,28 @@ def render_process_view(
     for port in sheet.focus.ports:
         _terminal_node(sheet, sheet.focus.qualified_name, port)
     index, focus_q = sheet.index, sheet.focus.qualified_name
-    parameter = Role.PARAMETER  # read once: see _terminal_node
     for ch in sheet.scoped_channels():
         if sheet.nested:
             writer, readers = index.writer(ch, focus_q), index.readers(ch, focus_q)
         else:
             writer, readers = ch.source, ch.sinks
         src = _end_node(sheet, ch, writer)
-        param = ch.role is parameter
+        param = ch.role is _PARAMETER
         for end in readers:
             sheet.add_edge(src, _end_node(sheet, ch, end), ch.data, param)
     return sheet.emit()
 
 
-# -- data grouping (shared by data and combined views) ------------------------
+# -- data flows (shared by data and combined views) ---------------------------
 
 @dataclass(eq=False)
 class _DataGroup:
-    """One data node: the (scope, name) keys it stands for, outermost first."""
+    """One data node: the ports of the channels it stands for, and any port
+    of the focus that no channel joins."""
 
     scope: str
     name: str
-    keys: list[tuple[str, str]] = field(default_factory=list)
+    ports: list[Port] = field(default_factory=list)
     param: bool = False
 
     @property
@@ -292,73 +298,49 @@ class _DataGroup:
         return f"data:{self.scope}:{self.name}"
 
 
-def _data_groups(sheet: _Sheet) -> dict[tuple[str, str], _DataGroup]:
-    """Map every in-scope (scope, data-name) key to its display group.
+def _data_flows(sheet: _Sheet) -> list[tuple[Block, list[_DataGroup], list[_DataGroup]]]:
+    """Add one node per data group, anchored at its earliest port, and return
+    each drawn block with the groups it reads and writes.
 
     Non-nested: one group per focus-scope name. Nested: a channel that
     passes its data through a boundary port of its own scope joins the
     group of the same-named channel one scope out, unless its scope is the
     focus. Channels come in scope pre-order, so that group is made first,
-    and each group is named after its outermost key.
+    and each group is named after its outermost channel. A block has at
+    most one port per name and direction, so no group is read or written
+    twice by one block.
     """
-    focus_q = sheet.focus.qualified_name
-    parameter = Role.PARAMETER  # read once: see _terminal_node
+    index, focus_q = sheet.index, sheet.focus.qualified_name
     groups: dict[tuple[str, str], _DataGroup] = {}
     for ch in sheet.scoped_channels():
         key = (ch.scope, ch.data)
-        outer = sheet.index.outer(ch) if sheet.nested and ch.scope != focus_q else None
+        outer = index.outer(ch) if sheet.nested and ch.scope != focus_q else None
         group = _DataGroup(*key) if outer is None else groups[(outer.scope, outer.data)]
-        group.keys.append(key)
-        group.param |= ch.role is parameter
+        ends = (ch.source, *ch.sinks)
+        group.ports += [index.ports[(e.block, ch.data, e.direction)] for e in ends]
+        group.param |= ch.role is _PARAMETER
         groups[key] = group
     for port in sheet.focus.ports:
         key = (focus_q, port.name)
-        group = groups.get(key)
-        if group is None:
-            group = groups[key] = _DataGroup(*key, [key])
-        group.param |= port.role is parameter
-    return groups
-
-
-def _data_nodes(sheet: _Sheet) -> dict[tuple[str, str], _DataGroup]:
-    """Add one node per data group, anchored at its earliest port; return
-    ``_data_groups``."""
-    groups = _data_groups(sheet)
+        group = groups.setdefault(key, _DataGroup(*key))
+        if key not in index.chan:
+            group.ports.append(port)
+        group.param |= port.role is _PARAMETER
     for group in dict.fromkeys(groups.values()):
-        attrs: list[tuple[str, str]] = [
-            ("shape", sheet.style["shape.data"]),
-            ("label", group.name),
-        ]
-        if group.param and sheet.de_emphasize_params:
-            attrs.append(("color", sheet.style["param.node.color"]))
-            attrs.append(("fontcolor", sheet.style["param.node.fontcolor"]))
-        ports: list[Port] = []
-        for scope, name in group.keys:
-            ch = sheet.index.chan.get((scope, name))
-            if ch is None:  # a port of the focus that no channel joins
-                ports += [p for p in sheet.focus.ports if p.name == name]
-            else:
-                ends = (ch.source, *ch.sinks)
-                ports += [sheet.index.ports[(e.block, name, e.direction)] for e in ends]
-        anchor = min(sheet.anchor(p.file, p.line, group.node_id) for p in ports)
-        sheet.add_node(group.node_id, attrs, anchor, sheet.cluster(group.scope))
-    return groups
-
-
-def _block_flows(
-    sheet: _Sheet, groups: dict[tuple[str, str], _DataGroup], block: Block
-) -> tuple[list[_DataGroup], list[_DataGroup]]:
-    """The data groups a drawn block reads and writes, per its scope channels."""
-    scope = sheet.index.parents[block.qualified_name]
-    reads: dict[_DataGroup, None] = {}
-    writes: dict[_DataGroup, None] = {}
-    into = Direction.IN  # read once: see _terminal_node
-    for port in block.ports:
-        key = (scope, port.name)
-        if key in sheet.index.chan:
-            side = reads if port.direction is into else writes
-            side[groups[key]] = None
-    return list(reads), list(writes)
+        node_id = group.node_id
+        anchor = min(sheet.anchor(p.file, p.line, node_id) for p in group.ports)
+        cluster = sheet.cluster(group.scope)
+        sheet.add_node(node_id, "shape.data", group.name, anchor, cluster, group.param)
+    flows = []
+    for block in sheet.drawn_blocks():
+        scope = index.parents[block.qualified_name]
+        reads, writes = [], []
+        for port in block.ports:
+            key = (scope, port.name)
+            if key in index.chan:
+                (reads if port.direction is _IN else writes).append(groups[key])
+        flows.append((block, reads, writes))
+    return flows
 
 
 def render_data_view(
@@ -367,9 +349,7 @@ def render_data_view(
     style: dict[str, str] | None = None,
 ) -> str:
     sheet = _Sheet(model, options, style)
-    groups = _data_nodes(sheet)
-    for block in sheet.drawn_blocks():
-        reads, writes = _block_flows(sheet, groups, block)
+    for block, reads, writes in _data_flows(sheet):
         for read in reads:
             for write in writes:
                 sheet.add_edge(read.node_id, write.node_id, block.name, read.param)
@@ -382,10 +362,8 @@ def render_combined_view(
     style: dict[str, str] | None = None,
 ) -> str:
     sheet = _Sheet(model, options, style)
-    groups = _data_nodes(sheet)
-    for block in sheet.drawn_blocks():
+    for block, reads, writes in _data_flows(sheet):
         node_id = _block_node(sheet, block)
-        reads, writes = _block_flows(sheet, groups, block)
         for read in reads:
             sheet.add_edge(read.node_id, node_id, "", read.param)
         for write in writes:

@@ -126,6 +126,19 @@ def _word_lines(lines: list[str]) -> dict[str, list[int]]:
     return index
 
 
+def _name_lines(name: str, lines: list[str], index: dict[str, list[int]]) -> list[int]:
+    """The sorted lines a name occurs on as a whole word. Every word run
+    inside such a match is a maximal run of its line, so only the lines of
+    the name's leading word are searched, or every line when the name holds
+    no word character."""
+    word = _WORD.search(name)
+    candidates = range(1, len(lines) + 1) if word is None else index.get(word.group(), ())
+    if not candidates:  # a word the file lacks, or a name whose leading word it lacks
+        return []
+    whole = re.compile(r"(?<![A-Za-z0-9_])" + re.escape(name) + r"(?![A-Za-z0-9_])")
+    return [n for n in candidates if whole.search(lines[n - 1])]
+
+
 def check_port_names_in_code(
     tree: Block, stripped_sources: dict[str, str]
 ) -> list[Diagnostic]:
@@ -139,10 +152,11 @@ def check_port_names_in_code(
     identifiers simply earn a warning.
 
     Each file is tokenised once into an index from every word to the lines
-    it occurs on, so an identifier-shaped name is looked up by bisection; a
-    word cannot cross a newline, so this equals a whole-word search of the
-    span. Other names (``results.csv``) are searched for in the span text.
-    ``stripped_sources`` holds the blanked text of every file a block is in.
+    it occurs on, so a name is looked up by bisection; a name cannot cross a
+    newline, so this equals a whole-word search of the span. A name the
+    index lacks, such as ``results.csv``, enters it from ``_name_lines`` at
+    its first lookup in a file. ``stripped_sources`` holds the blanked text
+    of every file a block is in.
     """
     found: list[Diagnostic] = []
     files: dict[str, tuple[list[str], dict[str, list[int]]]] = {}
@@ -152,20 +166,12 @@ def check_port_names_in_code(
             files[block.file] = (lines, _word_lines(lines))
         lines, index = files[block.file]
         first, last = max(block.span[0], 1), block.span[1]
-        segment = None
         for port in block.ports:
-            if _WORD.fullmatch(port.name):
-                occurs = index.get(port.name, ())
-                k = bisect_left(occurs, first)
-                present = k < len(occurs) and occurs[k] <= last
-            else:
-                if segment is None:
-                    segment = "\n".join(lines[first - 1 : last])
-                present = re.search(
-                    r"(?<![A-Za-z0-9_])" + re.escape(port.name) + r"(?![A-Za-z0-9_])",
-                    segment,
-                ) is not None
-            if not present:
+            occurs = index.get(port.name)
+            if occurs is None:
+                occurs = index[port.name] = _name_lines(port.name, lines, index)
+            k = bisect_left(occurs, first)
+            if not (k < len(occurs) and occurs[k] <= last):
                 found.append(
                     Diagnostic(
                         WARNING,

@@ -43,6 +43,7 @@ from ywx.model import (
     Port,
     Role,
     WorkflowModel,
+    _model_chunks,
     build_blocks,
     build_model,
     infer_channels,
@@ -696,6 +697,20 @@ class TestInterchange:
         one = serialize_model(model)
         assert one.endswith("\n")
         assert one == serialize_model(parse_model(one))
+
+    def test_each_chunk_holds_at_most_one_record(self):
+        """A 1,000-deep pass-through nest is written one block or channel
+        record per chunk, so no chunk grows with the number of records."""
+        depth = 1000
+        lines = [f"# @begin b{i} @in x @out y" for i in range(depth)]
+        lines += ["y = x"] + [f"# @end b{i}" for i in reversed(range(depth))]
+        model = model_from_source("\n".join(lines) + "\n")
+        records = [
+            chunk.count('"qualified_name": ') + chunk.count('"scope": ')
+            for chunk in _model_chunks(model)
+        ]
+        assert max(records) == 1
+        assert sum(records) == depth + len(model.channels)
 
     @pytest.mark.parametrize(
         "mutate",

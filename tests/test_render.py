@@ -502,6 +502,15 @@ class TestOptionsAndStyle:
         with pytest.raises(StyleError):
             load_style_file(style)
 
+    @pytest.mark.parametrize("sep", ["\f", "\v", "\r", "\x1c", "\x85", "\u2028"])
+    def test_style_file_lines_end_at_newline(self, tmp_path, sep):
+        """Only ``\\n`` ends a style file's line, as in every other input."""
+        style = tmp_path / "style.cfg"
+        style.write_bytes(f"# theme{sep}# notes\nshape.program\n".encode())
+        with pytest.raises(StyleError) as refused:
+            load_style_file(style)
+        assert refused.value.line == 2
+
 
 class TestDeterminismAndFormulas:
     def test_byte_identical_rerender(self):

@@ -380,6 +380,39 @@ class TestBuildGuarantee:
             assert has_errors(diags)
 
 
+class _CountingRe:
+    """Stands in for the ``re`` module in ``validate``: each text a search is
+    handed, by a module function or by a pattern it compiled, adds its
+    length to ``chars``."""
+
+    SEARCHES = ("search", "match", "fullmatch", "finditer", "findall")
+
+    def __init__(self):
+        self.chars = 0
+
+    def __getattr__(self, name):
+        if name in self.SEARCHES:
+            return lambda pattern, text, flags=0: getattr(self.compile(pattern, flags), name)(text)
+        return getattr(re, name)
+
+    def compile(self, pattern, flags=0):
+        return _CountedPattern(re.compile(pattern, flags), self)
+
+
+class _CountedPattern:
+    def __init__(self, pattern, tally):
+        self.pattern, self.tally = pattern, tally
+
+    def __getattr__(self, name):
+        method = getattr(self.pattern, name)
+
+        def counted(text, *args):
+            self.tally.chars += len(text)
+            return method(text, *args)
+
+        return counted if name in _CountingRe.SEARCHES else method
+
+
 class TestPortNamesInCode:
     """YW010 against its specification: a whole-word search of the span."""
 
@@ -488,6 +521,19 @@ class TestPortNamesInCode:
         syntax = detect_language("any.py")
         validate_sources([("a.py", a, syntax), ("b.py", b, syntax)])
         assert scans == ["a.py", "b.py"]
+
+    def test_dotted_names_search_text_linear_in_the_file(self, monkeypatch):
+        """A name that is not a word is searched for on a few lines of its
+        file, not in each enclosing block's span: a 2,000-deep pass-through
+        nest hands YW010's searches at most a few times the file's size."""
+        depth = 2000
+        lines = [f"# @begin b{i} @in a.csv @out b.csv" for i in range(depth)]
+        lines += ["b.csv = copy(a.csv)"] + [f"# @end b{i}" for i in reversed(range(depth))]
+        text = "\n".join(lines) + "\n"
+        tally = _CountingRe()
+        monkeypatch.setattr("ywx.validate.re", tally)
+        assert [d for d in validate_text(text) if d.code == "YW010"] == []
+        assert 0 < tally.chars <= 4 * len(text)
 
 
 # -- one bracket walker: validate and the model builder agree ------------------
