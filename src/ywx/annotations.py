@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from enum import Enum
 from itertools import starmap
 from json.encoder import encode_basestring_ascii as _json_str
@@ -250,11 +251,18 @@ _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
 def _decode_json(text: str, error: type[YwxError]) -> object:
-    """Decode a JSON intermediate, raising ``error`` with the line on failure."""
+    """Decode a JSON intermediate, raising ``error`` with the line on failure.
+
+    An integer longer than the interpreter's digit limit for ``int`` (see
+    ``sys.get_int_max_str_digits``) is refused the same way; the decoder
+    gives no position for it.
+    """
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise error(f"not valid JSON: {exc.msg}", line=exc.lineno) from exc
+    except ValueError as exc:  # no other JSON value fails to convert
+        raise error(f"an integer has more than {sys.get_int_max_str_digits()} digits") from exc
 
 
 def _check_unicode(text: str, payload: object, error: type[YwxError]) -> None:
@@ -264,9 +272,12 @@ def _check_unicode(text: str, payload: object, error: type[YwxError]) -> None:
     escape like ``\\ud800`` can write; it would pass every other check on
     an input file and make writing the output fail. Such a string needs a
     surrogate escape or a surrogate in ``text``, so only a text holding one
-    has its strings walked.
+    has its strings walked. An ASCII text, which is all ``ywx`` writes, holds
+    no surrogate, so only a text that is not ASCII is encoded to find one.
+    Readers call this once the payload's kind is known, so the refusal is
+    that kind's, and then drop ``text``: only the payload is checked further.
     """
-    if _SURROGATE_ESCAPE.search(text) is None and _encodes(text):
+    if _SURROGATE_ESCAPE.search(text) is None and (text.isascii() or _encodes(text)):
         return
     todo = [payload]
     while todo:
@@ -302,14 +313,16 @@ def _bad_record(index: int, problem: str, line: int | None = None) -> MalformedR
 
 def parse_annotation_file(text: str) -> AnnotationDocument:
     """Parse the JSON interchange form back into an annotation document."""
-    file, language, tags = _listing_from_json(text, _decode_json(text, MalformedRecord))
+    payload = _decode_json(text, MalformedRecord)
+    _check_unicode(text, payload, MalformedRecord)
+    file, language, tags = _listing_from_json(payload)
     return AnnotationDocument(file, language, tuple(starmap(Annotation, tags)))
 
 
-def _listing_from_json(text: str, payload: object) -> tuple[str, str, list[_Tagged]]:
-    """Check an annotation listing already decoded from ``text``; returns its
-    source file, its language and its annotations as tag-walk tuples."""
-    _check_unicode(text, payload, MalformedRecord)
+def _listing_from_json(payload: object) -> tuple[str, str, list[_Tagged]]:
+    """Check an annotation listing's decoded payload, already checked for
+    lone surrogates (``_check_unicode``); returns its source file, its
+    language and its annotations as tag-walk tuples."""
     _require(isinstance(payload, dict), "top level must be an object")
     source = payload.get("source")
     _require(isinstance(source, dict), "missing 'source' object")

@@ -25,9 +25,23 @@ from pathlib import Path
 from typing import Iterable
 
 from . import queries
-from .annotations import _decode_json, _listing_chunks, _listing_from_json, _script_tags, _Tagged
+from .annotations import (
+    _check_unicode,
+    _decode_json,
+    _listing_chunks,
+    _listing_from_json,
+    _script_tags,
+    _Tagged,
+)
 from .comments import _read_scripts
-from .errors import FormatMismatch, UsageError, YwxError, _read_text
+from .errors import (
+    FormatMismatch,
+    MalformedModel,
+    MalformedRecord,
+    UsageError,
+    YwxError,
+    _read_text,
+)
 from .model import (
     WorkflowModel,
     _build_model,
@@ -233,24 +247,30 @@ def _is_intermediate(path: str) -> bool:
 def _load_intermediate(path: str) -> tuple[str, str, list[_Tagged]] | WorkflowModel:
     """Read an annotation listing or a model file, decoding its JSON once.
 
-    The decoded payload's keys tell the two kinds apart, and the same
-    payload is then checked as ``parse_annotation_file`` or ``parse_model``
-    would do from the text. A listing comes back as its source file, its
-    language and its annotations as tag-walk tuples, with no records built.
-    Each format problem names the file once; a listing record's text names
-    the script line the record is about.
+    The decoded payload's keys tell the two kinds apart. The text is then
+    checked for lone surrogates with that kind's error and dropped, and
+    the payload is checked as ``parse_annotation_file`` or ``parse_model``
+    would do, so a load holds the text only until its JSON is decoded and
+    checked. A listing comes back as its source file, its language and its
+    annotations as tag-walk tuples, with no records built. Each format
+    problem names the file once; a listing record's text names the script
+    line the record is about.
     """
     text = _read_text(path)
     try:
         payload = _decode_json(text, FormatMismatch)
         if isinstance(payload, dict) and "annotations" in payload:
-            return _listing_from_json(text, payload)
-        if isinstance(payload, dict) and "root" in payload and "channels" in payload:
-            return _model_from_json(text, payload)
+            kind, from_json = MalformedRecord, _listing_from_json
+        elif isinstance(payload, dict) and "root" in payload and "channels" in payload:
+            kind, from_json = MalformedModel, _model_from_json
+        else:
+            raise FormatMismatch("neither an annotation listing nor a model file")
+        _check_unicode(text, payload, kind)
+        del text
+        return from_json(payload)
     except YwxError as exc:  # a format refusal names no file, a build error its script
         exc.file = exc.file or path
         raise
-    raise FormatMismatch("neither an annotation listing nor a model file", file=path)
 
 
 def _model_from_inputs(

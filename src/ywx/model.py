@@ -643,21 +643,28 @@ def _model_chunks(model: WorkflowModel) -> Iterator[str]:
 
 
 def _block_chunks(root: Block) -> Iterator[str]:
-    """The JSON of a block tree, walked depth first with an explicit stack."""
-    yield _block_head(root, "    ")
-    stack = [(root, "    ", enumerate(root.children))]
+    """The JSON of a block tree, walked depth first with an explicit stack.
+
+    Only the open block's indentation ``key`` is held: one per stack entry
+    would hold text growing with the square of the depth.
+    """
+    key = "    "
+    yield _block_head(root, key)
+    stack = [(root, enumerate(root.children))]
     while stack:
-        block, key, pending = stack[-1]
+        block, pending = stack[-1]
         index, child = next(pending, (0, None))
         if child is None:
             stack.pop()
             yield _block_tail(block, key)
+            key = key[:-4]
             continue
         lead = f"{',' if index else ''}\n{key}  "
         inner = key + "    "
         if child.children:
             yield lead + _block_head(child, inner)
-            stack.append((child, inner, enumerate(child.children)))
+            stack.append((child, enumerate(child.children)))
+            key = inner
         else:
             yield lead + _block_head(child, inner) + _block_tail(child, inner)
 
@@ -839,26 +846,30 @@ def _tags_from_json(raw: object) -> tuple[list[_Tagged], list[_Tagged], _Tagged]
 def parse_model(text: str) -> WorkflowModel:
     """Parse a model file's JSON text back into a model.
 
-    The text is decoded once, and ``_model_from_json`` makes every check on
-    the payload. The CLI calls that with the payload it decoded to tell the
-    two intermediate kinds apart, so a file is never decoded twice.
+    The text is decoded once and checked for lone surrogates, and
+    ``_model_from_json`` makes every other check on the payload. The CLI
+    calls that with the payload it decoded to tell the two intermediate
+    kinds apart, so a file is never decoded twice.
     """
-    return _model_from_json(text, _decode_json(text, MalformedModel))
+    payload = _decode_json(text, MalformedModel)
+    _check_unicode(text, payload, MalformedModel)
+    return _model_from_json(payload)
 
 
-def _model_from_json(text: str, payload: object) -> WorkflowModel:
-    """Check and convert a model file's payload, already decoded from ``text``.
+def _model_from_json(payload: object) -> WorkflowModel:
+    """Check and convert a model file's decoded payload, already checked
+    for lone surrogates (``_check_unicode``).
 
     The listing route's builder, ``_build_model``, builds the model from the
     tag stream the file's tree describes, so only the file's format is
     checked here. An implicit root must be the one its children make, and
     the file's channels must equal the derived ones, so every later walk
-    can rely on them matching the ports.
+    can rely on them matching the ports. ``"root"`` is taken out of the
+    payload, so the tree's dicts are freed once they are the tag stream.
     """
-    _check_unicode(text, payload, MalformedModel)
     if not isinstance(payload, dict):
         raise MalformedModel("top level must be an object")
-    stream, head, tail = _tags_from_json(payload.get("root"))
+    stream, head, tail = _tags_from_json(payload.pop("root", None))
     raw_files = payload.get("source_files", [])
     if not (isinstance(raw_files, list) and all(isinstance(f, str) for f in raw_files)):
         raise MalformedModel("'source_files' must be a list of strings")

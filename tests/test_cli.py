@@ -13,11 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ywx import cli
-from ywx.annotations import _FIELDS, parse_annotations
+from ywx.annotations import _FIELDS, parse_annotation_file, parse_annotations
 from ywx.cli import run
 from ywx.comments import detect_language, extract_comments
-from ywx.errors import DuplicateBlockName
-from ywx.model import _bracket, build_blocks, iter_blocks
+from ywx.errors import DuplicateBlockName, MalformedManifest, MalformedModel, MalformedRecord
+from ywx.model import _bracket, build_blocks, iter_blocks, parse_model
+from ywx.queries import parse_manifest
 from ywx.validate import _diagnostic
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -39,6 +40,15 @@ def run_err(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.err
+
+
+def digit_limit():
+    """The most digits ``int()`` converts, which ``json.loads`` calls on every
+    integer; skips the test on an interpreter with no limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit == 0:
+        pytest.skip("this interpreter converts integers of any length")
+    return limit
 
 
 def run_child(*argv, **environ):
@@ -375,6 +385,58 @@ class TestIntermediateHandling:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("ywx: error: ")
         assert "surrogate" in proc.stderr
+
+    @staticmethod
+    def long_int_in_listing(tmp_path, digits):
+        doc = tmp_path / "annotations.json"
+        assert run(["extract", AFFY, "-o", str(doc)]) == 0
+        payload = json.loads(doc.read_text())
+        payload["annotations"][0]["line"] = "LONG"
+        doc.write_text(json.dumps(payload).replace('"LONG"', digits))
+        return doc, ["query", "blocks", str(doc)]
+
+    @staticmethod
+    def long_int_in_model(tmp_path, digits):
+        model_file = tmp_path / "model.json"
+        assert run(["model", AFFY, "-o", str(model_file)]) == 0
+        payload = json.loads(model_file.read_text())
+        payload["root"]["ports"][0]["line"] = "LONG"
+        model_file.write_text(json.dumps(payload).replace('"LONG"', digits))
+        return model_file, ["graph", str(model_file)]
+
+    @staticmethod
+    def long_int_in_manifest(tmp_path, digits):
+        manifest = json.loads(Path(MANIFEST).read_text())
+        manifest["run_id"] = "LONG"
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest).replace('"LONG"', digits))
+        return path, ["query", "lineage", MSTMIP, "--manifest", str(path), "--name", "NEE_std"]
+
+    @pytest.mark.parametrize(
+        "edit", ["long_int_in_listing", "long_int_in_model", "long_int_in_manifest"]
+    )
+    def test_integer_past_the_digit_limit_is_input_error(self, tmp_path, edit):
+        limit = digit_limit()
+        path, argv = getattr(self, edit)(tmp_path, "7" * (limit + 1))
+        proc = run_child(*argv)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == f"ywx: error: {path}: an integer has more than {limit} digits\n"
+
+    @pytest.mark.parametrize(
+        "read, error",
+        [
+            (parse_annotation_file, MalformedRecord),
+            (parse_model, MalformedModel),
+            (lambda text: parse_manifest(text, cli._model_from_inputs([MSTMIP], None)),
+             MalformedManifest),
+        ],
+        ids=["listing", "model", "manifest"],
+    )
+    def test_integer_past_the_digit_limit_is_the_readers_error(self, read, error):
+        limit = digit_limit()
+        with pytest.raises(error, match=f"more than {limit} digits"):
+            read('{"line": ' + "7" * (limit + 1) + "}")
 
 
 class TestIntermediateLoad:

@@ -8,11 +8,15 @@ makes the model in the one walk that brackets the tags, with no later walk
 over the tree. A plain call, which every benchmark command is, builds no
 argparse parser; any other builds the full tree. ``cli.run`` suspends the
 cyclic garbage collector while a command runs and leaves it as it found it.
+A model file loads within the memory of its own JSON decode, and a model
+file is written within a few times the memory of its largest chunk.
 """
 
 import argparse
 import gc
 import json
+import os
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -20,6 +24,7 @@ import pytest
 
 from ywx import cli, model
 from ywx.annotations import Annotation, AnnotationDocument
+from ywx.errors import _read_text
 from ywx.validate import validate_scripts
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -142,6 +147,81 @@ def test_every_command_scans_each_file_once(scans, built, tmp_path, command):
     assert scans == scripts
     assert built[0] == 0
 
+
+# -- memory ----------------------------------------------------------------------
+
+
+def traced_peak(call):
+    """The ``tracemalloc`` peak of ``call()`` above the memory traced before it."""
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def chain_script(stages=4, steps=50, outputs=80):
+    """A chain of ``stages`` sub-workflows of ``steps`` programs that fans out
+    to ``outputs`` programs at the root, each writing one root output."""
+    names = [f"report_{i:03d}" for i in range(outputs)]
+    lines = ["# @begin pipeline @in raw_input @param cfg"]
+    lines += ["# " + " ".join(f"@out {n}" for n in names[k : k + 10]) for k in range(0, outputs, 10)]
+    previous = "raw_input"
+    for s in range(stages):
+        stage_out = "chain_output" if s == stages - 1 else f"s{s:02d}_{steps - 1:02d}"
+        lines.append(f"# @begin stage_{s:02d} @in {previous} @param cfg @out {stage_out}")
+        data = previous
+        for j in range(steps):
+            out = stage_out if j == steps - 1 else f"s{s:02d}_{j:02d}"
+            lines.append(f"# @begin step_{j:02d} transforms the data @in {data} @out {out}")
+            lines += [f"{out} = step_{j:02d}({data})", f"# @end step_{j:02d}"]
+            data = out
+        lines.append(f"# @end stage_{s:02d}")
+        previous = stage_out
+    for i, out in enumerate(names):
+        lines.append(f"# @begin summarize_{i:03d} @in chain_output @out {out}")
+        lines += [f"{out} = summarize(chain_output)", f"# @end summarize_{i:03d}"]
+    lines.append("# @end pipeline")
+    return "\n".join(lines) + "\n"
+
+
+def test_model_file_load_peaks_at_its_json_decode(tmp_path):
+    # The text is dropped once decoded and checked, and the tree's dicts as
+    # they become the tag stream, so the load's peak is the decode's.
+    script = tmp_path / "chain.py"
+    script.write_text(chain_script())
+    path = str(tmp_path / "model.json")
+    assert cli.run(["model", str(script), "-o", path]) == 0
+    assert len(cli._load_intermediate(path).channels) > 280
+    decode = traced_peak(lambda: json.loads(_read_text(path)))
+    assert traced_peak(lambda: cli._load_intermediate(path)) <= 1.1 * decode
+
+
+def test_model_file_write_peaks_near_its_largest_chunk(tmp_path):
+    # A 1,000-deep nest's deepest records are indented 4,000 spaces a line,
+    # so text kept per open level would dwarf the largest chunk. Building a
+    # chunk takes about twice its size, the sink encodes it once more, and
+    # the walk's stack grows with the depth as the chunk does: about 4 here.
+    depth = 1000
+    lines = [f"# @begin b{i} @in x @out y" for i in range(depth)]
+    lines += ["y = x"] + [f"# @end b{i}" for i in reversed(range(depth))]
+    script = tmp_path / "nest.py"
+    script.write_text("\n".join(lines) + "\n")
+    nest = cli._model_from_inputs([str(script)], None)
+    largest = max(len(chunk) for chunk in model._model_chunks(nest))
+
+    def write():
+        with open(os.devnull, "w", encoding="utf-8") as sink:
+            sink.writelines(model._model_chunks(nest))
+
+    assert traced_peak(write) <= 6 * largest
 
 # -- argument parsers ------------------------------------------------------------
 
