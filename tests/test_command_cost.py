@@ -172,7 +172,8 @@ def chain_script(stages=4, steps=50, outputs=80):
     to ``outputs`` programs at the root, each writing one root output."""
     names = [f"report_{i:03d}" for i in range(outputs)]
     lines = ["# @begin pipeline @in raw_input @param cfg"]
-    lines += ["# " + " ".join(f"@out {n}" for n in names[k : k + 10]) for k in range(0, outputs, 10)]
+    for k in range(0, outputs, 10):
+        lines.append("# " + " ".join(f"@out {n}" for n in names[k : k + 10]))
     previous = "raw_input"
     for s in range(stages):
         stage_out = "chain_output" if s == stages - 1 else f"s{s:02d}_{steps - 1:02d}"
