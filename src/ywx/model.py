@@ -165,7 +165,7 @@ class ModelIndex:
         self.chan: dict[tuple[str, str], Channel] = {
             (ch.scope, ch.data): ch for ch in model.channels
         }
-        self._links: dict[tuple[str, str, bool], list | None] = {}
+        self._links: dict[tuple[str, str, bool], list] = {}
         self._ends: dict[tuple, tuple[Endpoint, ...]] = {}
 
     def is_bound(self, block_q: str, port: Port) -> bool:
@@ -217,28 +217,21 @@ class ModelIndex:
         For one data name a boundary joins a scope only to its parent, so a
         walk that never turns straight back meets no channel twice. What a
         channel resolves to depends on the walk only through the scope it
-        came from, and the memo is keyed by that. A channel none of whose
-        ends crosses a boundary resolves to those ends, whatever the walk,
-        and is neither walked nor memoised.
+        came from, and the memo is keyed by that.
         """
-        links = self._crossings(ch, writers)
-        if links is None:
-            return (ch.source,) if writers else ch.sinks
         data, memo = ch.data, self._ends
         top = (ch.scope, None, data, stop, writers)
-        stack = [] if top in memo else [[top, iter(links), []]]
+        stack = [] if top in memo else [[top, iter(self._crossings(ch, writers)), []]]
         while stack:
             key, pending, found = stack[-1]
             scope, came = key[:2]
             for end, far in pending:
                 if far is None or far.scope == came or end.block == stop:
                     found.append(end)
-                elif (links := self._crossings(far, writers)) is None:
-                    found.extend((far.source,) if writers else far.sinks)
                 elif (step := (far.scope, scope, data, stop, writers)) in memo:
                     found.extend(memo[step])
                 else:
-                    stack.append([step, iter(links), []])
+                    stack.append([step, iter(self._crossings(far, writers)), []])
                     break
             else:
                 stack.pop()
@@ -247,18 +240,14 @@ class ModelIndex:
                     stack[-1][2].extend(memo[key])
         return memo[top]
 
-    def _crossings(self, ch: Channel, writers: bool) -> list | None:
+    def _crossings(self, ch: Channel, writers: bool) -> list:
         """The source (or the sinks) of ``ch``, each with the channel across
-        it, or None when no end crosses a boundary; memoised."""
+        it or None; memoised."""
         key = (ch.scope, ch.data, writers)
-        try:
-            return self._links[key]
-        except KeyError:
-            pass
-        links = [(e, self.across(ch, e)) for e in ((ch.source,) if writers else ch.sinks)]
-        if all(far is None for _, far in links):
-            links = None
-        self._links[key] = links
+        links = self._links.get(key)
+        if links is None:
+            ends = (ch.source,) if writers else ch.sinks
+            links = self._links[key] = [(e, self.across(ch, e)) for e in ends]
         return links
 
 

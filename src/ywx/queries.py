@@ -175,13 +175,19 @@ def blocks_affected_by_input(model: WorkflowModel, input_name: str) -> set[str]:
 
 def upstream_inputs(model: WorkflowModel, output_name: str) -> set[str]:
     graph = build_dependency_graph(model)
-    return _upstream_inputs(graph, {_require_root_data(graph, output_name)})
+    return {p.name for p in _reached_root_ports(graph, [output_name], Direction.IN)}
 
 
-def _upstream_inputs(graph: DependencyGraph, targets: set[NodeKey]) -> set[str]:
-    """The root inputs that any of the target nodes depends on."""
-    root_q, seen = graph.index.root_q, graph.reachable(targets, "reverse")
-    return {n for n in _root_ports(graph.index, Direction.IN) if ("data", root_q, n) in seen}
+def _reached_root_ports(
+    graph: DependencyGraph, names: Sequence[str], towards: Direction
+) -> list[Port]:
+    """The root ports of direction ``towards`` that a walk from the named root
+    data nodes reaches: backwards to the inputs, forwards to the outputs."""
+    root_q = graph.index.root_q
+    walk = "reverse" if towards is Direction.IN else "forward"
+    seen = graph.reachable({_require_root_data(graph, n) for n in names}, walk)
+    ports = graph.index.blocks[root_q].ports
+    return [p for p in ports if p.direction is towards and ("data", root_q, p.name) in seen]
 
 
 def deriving_blocks(model: WorkflowModel, data_name: str) -> set[str]:
@@ -407,22 +413,23 @@ def infer_file_lineage(
 
     Upstream lineage of an output lists the files bound to every root input
     it depends on; downstream lineage of an input lists the files bound to
-    every root output derived from it. Either way the answer is only trusted
+    every root output derived from it. Each record carries the role of the
+    root port it was reached through. Either way the answer is only trusted
     when the dependency chains involved are complete, otherwise the
     annotations cannot settle the question and AmbiguousLineage is raised.
 
-    The call builds one dependency graph. Upstream lineage walks it backwards
-    once from all resolved outputs; downstream lineage walks it forwards once
-    from all resolved inputs, and an output qualifies when that walk reaches
-    it. The chain check scans every chain involved in one pass as well.
+    The call builds one dependency graph and walks it once, from all the
+    resolved root ports together: backwards from outputs, forwards from
+    inputs. The chain check scans every chain involved in one pass as well.
     """
-    if direction not in ("upstream", "downstream"):
+    if direction == "upstream":
+        start, towards, kind = Direction.OUT, Direction.IN, "output"
+    elif direction == "downstream":
+        start, towards, kind = Direction.IN, Direction.OUT, "input"
+    else:
         raise ValueError(f"direction must be upstream or downstream, got {direction!r}")
     graph = build_dependency_graph(model)
-    index = graph.index
-    role_of = {p.name: p.role.value for p in model.root.ports}
-
-    if name in role_of:
+    if any(p.name == name for p in model.root.ports):
         port_names = {name}
     else:
         port_names = {bound for bound, files in manifest.bindings.items() if name in files}
@@ -431,25 +438,15 @@ def infer_file_lineage(
                 f"{name!r} is neither a top-level port nor a file in the manifest"
             )
 
-    root_q, out_of = index.root_q, Direction.OUT
-    if direction == "upstream":
-        outputs = {n for n in port_names if (root_q, n, out_of) in index.ports}
-        if not outputs:
-            raise UnknownName(f"{name!r} does not resolve to a workflow output")
-        _require_complete_chains(graph, sorted(outputs))
-        reached = _upstream_inputs(graph, {("data", root_q, n) for n in outputs})
-    else:
-        inputs = {n for n in port_names if (root_q, n, Direction.IN) in index.ports}
-        if not inputs:
-            raise UnknownName(f"{name!r} does not resolve to a workflow input")
-        outputs = _root_ports(index, out_of)
-        _require_complete_chains(graph, sorted(outputs))
-        downstream = graph.reachable({("data", root_q, n) for n in inputs})
-        reached = {n for n in outputs if ("data", root_q, n) in downstream}
+    starts = [p.name for p in model.root.ports if p.direction is start and p.name in port_names]
+    if not starts:
+        raise UnknownName(f"{name!r} does not resolve to a workflow {kind}")
+    outputs = starts if start is Direction.OUT else _root_ports(graph.index, Direction.OUT)
+    _require_complete_chains(graph, sorted(outputs))
     records = {
-        LineageRecord(path, port, role_of[port])
-        for port in reached
-        for path in manifest.bindings.get(port, ())
+        LineageRecord(path, port.name, port.role.value)
+        for port in _reached_root_ports(graph, starts, towards)
+        for path in manifest.bindings.get(port.name, ())
     }
     return sorted(records, key=lambda r: (r.file, r.port))
 

@@ -90,10 +90,12 @@ def _q(text: str) -> str:
 
 
 class _Sheet:
-    """One drawing: the model, options and style it is drawn with, the shared
-    ``ModelIndex`` and the focus, and what is gathered before text emission:
-    each node as ``(anchor, cluster, DOT text)`` and each cluster as
-    ``(anchor, parent, label)``, both by id, and the edges. ``options``
+    """One drawing: the options and style it is drawn with, the shared
+    ``ModelIndex``, the focus, the blocks drawn as boxes and the channels
+    drawn (the focus's children and channels, or in a nested view the
+    programs and channels of its subtree), and what is gathered before text
+    emission: each node as ``(anchor, cluster, DOT text)`` and each cluster
+    as ``(anchor, parent, label)``, both by id, and the edges. ``options``
     defaults to ``RenderOptions()`` and ``style`` to ``DEFAULT_STYLE``. Each
     view function draws its own view, so ``options.view`` is not read."""
 
@@ -103,7 +105,6 @@ class _Sheet:
         options = options or RenderOptions()
         if options.rankdir not in RANKDIRS:
             raise ValueError(f"rankdir must be one of {RANKDIRS}, got {options.rankdir!r}")
-        self.model = model
         self.style = style or DEFAULT_STYLE
         self.rankdir = options.rankdir
         self.nested = options.nested
@@ -118,31 +119,24 @@ class _Sheet:
         self.nodes: dict[str, tuple[tuple, str | None, str]] = {}
         self.clusters: dict[str, tuple[tuple, str | None, str]] = {}
         self.edges: dict[tuple[str, str, str], bool] = {}
+        self.blocks: list[Block] = [] if self.nested else list(focus.children)
+        scopes = {focus_q}
         # In a nested view each sub-workflow of the focus is a cluster.
-        for wf in iter_blocks(focus) if self.nested else ():
-            if wf.is_workflow and wf is not focus:
-                qname = wf.qualified_name
+        for block in iter_blocks(focus) if self.nested else ():
+            qname = block.qualified_name
+            if not block.is_workflow:
+                self.blocks.append(block)
+            elif block is not focus:
+                scopes.add(qname)
                 self.clusters[qname] = (
-                    self.anchor(wf.file, wf.span[0], "cluster_" + qname),
+                    self.anchor(block.file, block.span[0], "cluster_" + qname),
                     self.cluster(self.index.parents[qname]),
-                    wf.name,
+                    block.name,
                 )
+        self.channels = [ch for ch in model.channels if ch.scope in scopes]
 
     def anchor(self, file: str, line: int, node_id: str) -> tuple:
         return (self.file_idx.get(file, len(self.file_idx)), line, node_id)
-
-    def scoped_channels(self) -> list[Channel]:
-        """Channels drawn by the current options: focus scope, or its subtree."""
-        scopes = {self.focus.qualified_name}
-        if self.nested:
-            scopes = {b.qualified_name for b in iter_blocks(self.focus)}
-        return [ch for ch in self.model.channels if ch.scope in scopes]
-
-    def drawn_blocks(self) -> list[Block]:
-        """Blocks that appear as boxes: children of focus, or subtree programs."""
-        if self.nested:
-            return [b for b in iter_blocks(self.focus) if not b.is_workflow]
-        return list(self.focus.children)
 
     def cluster(self, workflow_q: str | None) -> str | None:
         """The cluster that draws the members of workflow ``workflow_q``: None
@@ -264,12 +258,12 @@ def render_process_view(
     style: dict[str, str] | None = None,
 ) -> str:
     sheet = _Sheet(model, options, style)
-    for block in sheet.drawn_blocks():
+    for block in sheet.blocks:
         _block_node(sheet, block)
     for port in sheet.focus.ports:
         _terminal_node(sheet, sheet.focus.qualified_name, port)
     index, focus_q = sheet.index, sheet.focus.qualified_name
-    for ch in sheet.scoped_channels():
+    for ch in sheet.channels:
         if sheet.nested:
             writer, readers = index.writer(ch, focus_q), index.readers(ch, focus_q)
         else:
@@ -312,7 +306,7 @@ def _data_flows(sheet: _Sheet) -> list[tuple[Block, list[_DataGroup], list[_Data
     """
     index, focus_q = sheet.index, sheet.focus.qualified_name
     groups: dict[tuple[str, str], _DataGroup] = {}
-    for ch in sheet.scoped_channels():
+    for ch in sheet.channels:
         key = (ch.scope, ch.data)
         outer = index.outer(ch) if sheet.nested and ch.scope != focus_q else None
         group = _DataGroup(*key) if outer is None else groups[(outer.scope, outer.data)]
@@ -332,7 +326,7 @@ def _data_flows(sheet: _Sheet) -> list[tuple[Block, list[_DataGroup], list[_Data
         cluster = sheet.cluster(group.scope)
         sheet.add_node(node_id, "shape.data", group.name, anchor, cluster, group.param)
     flows = []
-    for block in sheet.drawn_blocks():
+    for block in sheet.blocks:
         scope = index.parents[block.qualified_name]
         reads, writes = [], []
         for port in block.ports:

@@ -581,6 +581,22 @@ class TestLineage:
         with pytest.raises(ValueError):
             infer_file_lineage(model, manifest, "sideways", "NEE_std")
 
+    @pytest.mark.parametrize("ports", ["@param x @out x @out y", "@out x @out y @param x"])
+    def test_record_takes_its_root_ports_role(self, ports):
+        """A root input and a root output may share a name: each record takes
+        the role of the root port it was reached through, in either order of
+        declaration."""
+        script = f"# @begin W {ports}\n# @begin P @in x @out y\n# @end P\n# @end W\n"
+        model = model_from_source(script)
+        manifest = RunManifest("run", {"x": ("cfg.txt",), "y": ("y.txt",)})
+        assert infer_file_lineage(model, manifest, "upstream", "y") == [
+            LineageRecord("cfg.txt", "x", "parameter")
+        ]
+        assert infer_file_lineage(model, manifest, "downstream", "x") == [
+            LineageRecord("cfg.txt", "x", "data"),
+            LineageRecord("y.txt", "y", "data"),
+        ]
+
 
 def bind_every_root_port(model):
     """A manifest giving each root port its own file plus one file they share."""
@@ -610,8 +626,8 @@ class TestOnePassEquivalence:
     @staticmethod
     def expected_lineage(model, manifest, direction, name):
         """Files per the per-output definitions, or the AmbiguousLineage text."""
-        root_ports = {p.name: p for p in model.root.ports}
-        if name in root_ports:
+        root_ports = {(p.name, p.direction): p for p in model.root.ports}
+        if any(p.name == name for p in model.root.ports):
             names = {name}
         else:
             names = {n for n, files in manifest.bindings.items() if name in files}
@@ -624,17 +640,18 @@ class TestOnePassEquivalence:
             if queries._chain_defects(build_dependency_graph(model), output):
                 return f"dependency chain behind output {output!r} has unbound ports"
         if direction == "upstream":
-            ports = set()
+            reached, ports = Direction.IN, set()
             for output in names & set(outputs):
                 ports |= oracle_upstream_inputs(model, output)
         else:
+            reached = Direction.OUT
             ports = {
                 output
                 for output in outputs
                 if names & inputs & oracle_upstream_inputs(model, output)
             }
         return sorted(
-            (path, port, root_ports[port].role.value)
+            (path, port, root_ports[(port, reached)].role.value)
             for port in ports
             for path in manifest.bindings[port]
         )
