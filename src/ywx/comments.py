@@ -1,18 +1,19 @@
 """Comment extraction for annotated scripts.
 
-A single forward scan classifies every character of a source file as code,
-string text, or comment. Comment markers inside string literals are ignored;
-quotes inside comments are ignored. The scanner never parses the host
-language, so a handful of constructs (apostrophes in code, raw strings with
-escaped quotes) can misclassify part of a line. Strings are assumed not to
-span lines, which bounds any such misclassification to a single line.
+The scanner never parses the host language: it knows only a syntax's line
+markers, block delimiters and string quotes. Each syntax compiles one
+pattern whose alternatives each match one whole construct: a block comment
+through its closer, a line comment to the end of its line, or a string
+through what ends it. One ``finditer`` over the source finds them in
+document order. Strings are skipped, so a comment marker inside one is
+code; a comment is matched whole, so a quote inside one is comment text.
 
-The scan does not step through characters one by one. In code, one compiled
-alternation jumps to the next block opener, line marker or quote; a line
-comment then runs to the end of its line, a block comment to its closer,
-and a string to its closing quote or the end of its line, each found by one
-search. Line numbers are counted between jumps. The patterns are compiled
-once per CommentSyntax, on first use.
+A string ends at its closing quote, at a newline, at a backslash that
+escapes nothing, or at the end of the text, so no string spans lines and a
+stray quote cannot swallow later lines. A construct these rules do not name
+is misread: the later lines of a Python triple-quoted string are read as
+code, and a MATLAB transpose ``'`` or the quote of an R raw string opens a
+string.
 """
 
 from __future__ import annotations
@@ -97,34 +98,32 @@ class SourceComment:
 
 
 class _Scanner:
-    """The compiled patterns of one CommentSyntax, built on first use.
+    """The one compiled pattern of a CommentSyntax, built on first use.
 
-    ``code`` finds the next token that leaves plain code: block openers
-    longest first, then line markers longest first, then quotes, so that
-    leftmost-first matching picks the same token the rules name. ``kinds``
-    maps a token's text to what it opens. ``string_body[q]`` matches the
-    inside of a string opened by ``q`` up to, not including, the character
-    that ends it: the closing quote, a newline, or a backslash that escapes
-    nothing.
+    Its alternatives, in precedence order: for each block opener, longest
+    first, the comment up to its closer and then the opener alone (a
+    comment never closed); each line marker, longest first, up to its
+    newline; each quote through the character that ends its string. Each
+    alternative holds one capturing group after its literal lead, for the
+    inner text, and ``kinds[match.lastindex]`` names what it matched:
+    "block", "open", "line" or "string". Leftmost-first matching then picks
+    the construct the rules name at the first position where any starts.
     """
 
     def __init__(self, syntax: CommentSyntax) -> None:
-        opens = sorted(syntax.block_delimiters, key=lambda pair: -len(pair[0]))
-        markers = sorted(syntax.line_markers, key=len, reverse=True)
-        quotes = list(syntax.string_quotes)
-        self.kinds: dict[str, tuple[str, str]] = {}
-        for opener, closer in opens:
-            self.kinds.setdefault(opener, ("block", closer))
-        for marker in markers:
-            self.kinds.setdefault(marker, ("line", ""))
-        for quote in quotes:
-            self.kinds.setdefault(quote, ("string", quote))
-        tokens = [o for o, _ in opens] + markers + quotes
-        self.code = re.compile("|".join(re.escape(t) for t in tokens))
-        self.string_body: dict[str, re.Pattern[str]] = {}
-        for quote in quotes:
-            plain = "[^" + re.escape("\\" + quote) + r"\n]*"
-            self.string_body[quote] = re.compile(rf"{plain}(?:\\[^\n]{plain})*")
+        alternatives: list[tuple[str, str]] = []
+        for opener, closer in sorted(syntax.block_delimiters, key=lambda pair: -len(pair[0])):
+            lead = re.escape(opener)
+            alternatives += [("block", f"{lead}(.*?){re.escape(closer)}"), ("open", f"{lead}()")]
+        for marker in sorted(syntax.line_markers, key=len, reverse=True):
+            alternatives.append(("line", re.escape(marker) + r"([^\n]*)"))
+        for quote in syntax.string_quotes:
+            ends = re.escape("\\" + quote) + r"\n"
+            alternatives.append(
+                ("string", rf"{re.escape(quote)}([^{ends}]*(?:\\[^\n][^{ends}]*)*)[{ends}]?")
+            )
+        self.kinds = [""] + [kind for kind, _ in alternatives]
+        self.pattern = re.compile("|".join(alt for _, alt in alternatives), re.DOTALL)
 
 
 # A comment as the scan finds it: ``(kind, start, end, inner_start,
@@ -137,55 +136,38 @@ _Span = tuple[str, int, int, int, int, int, int]
 def _scan(source: str, syntax: CommentSyntax, file: str) -> list[_Span]:
     """Locate every comment span in ``source``, in document order.
 
-    The scan is in one of three states: plain code, inside a string, or
-    inside a comment. Block delimiters are matched before line markers so
-    that a block opener sharing a prefix with a line marker (e.g. ``%{`` vs
-    ``%``) wins. Each step jumps to the next token with a compiled pattern,
-    and line numbers are counted between jumps.
+    One ``finditer`` of the syntax's pattern walks the source construct by
+    construct: strings are skipped, each comment becomes a span, and a
+    block opener with no closer raises ``UnterminatedBlockComment`` at its
+    line. Line numbers are counted between comments.
 
     Every command reads a script through it, in ``annotations._script_tags``:
     the spans give the comment lines (``_lines``) and, for ``validate``, the
     blanked code (``_blanked``). The public functions here wrap it.
     """
-    scanner = syntax._scanner
+    kinds = syntax._scanner.kinds
     spans: list[_Span] = []
-    n = len(source)
     line = 1  # the line number at ``counted``
     counted = 0
-    i = 0
-    while True:
-        token = scanner.code.search(source, i)
-        if token is None:
-            return spans
-        kind, arg = scanner.kinds[token.group()]
+    for match in syntax._scanner.pattern.finditer(source):
+        group = match.lastindex
+        kind = kinds[group]
         if kind == "string":
-            # Strings are assumed single-line: one ends at its closing quote
-            # or at the end of its line, so a stray quote cannot swallow the
-            # rest of the file.
-            i = scanner.string_body[arg].match(source, token.end()).end() + 1
             continue
-        start = token.start()
+        start, end = match.span()
+        inner_start, inner_end = match.span(group)
         line += source.count("\n", counted, start)
-        counted = start
-        if kind == "line":
-            eol = source.find("\n", start)
-            if eol < 0:
-                eol = n
-            spans.append(("line", start, eol, token.end(), eol, line, line))
-            i = eol
-            continue
-        close_at = source.find(arg, token.end())
-        if close_at < 0:
+        if kind == "open":
             raise UnterminatedBlockComment(
-                f"block comment opened with {token.group()!r} is never closed",
+                f"block comment opened with {match.group()!r} is never closed",
                 file=file,
                 line=line,
             )
-        end = close_at + len(arg)
-        end_line = line + source.count("\n", token.end(), close_at)
-        spans.append(("block", start, end, token.end(), close_at, line, end_line))
-        line = end_line + source.count("\n", close_at, end)
-        counted = i = end
+        # A line comment's inner text holds no newline.
+        end_line = line + source.count("\n", inner_start, inner_end) if kind == "block" else line
+        spans.append((kind, start, end, inner_start, inner_end, line, end_line))
+        line, counted = end_line, inner_end
+    return spans
 
 
 def _read_scripts(

@@ -110,7 +110,7 @@ class _Sheet:
         self.nested = options.nested
         self.de_emphasize_params = options.de_emphasize_params
         self.index = ModelIndex(model)
-        focus_q = options.focus or model.root.qualified_name
+        focus_q = model.root.qualified_name if options.focus is None else options.focus
         focus = self.index.blocks.get(focus_q)
         if focus is None or not focus.is_workflow:
             raise UnknownFocus(f"{focus_q!r} does not name a workflow")

@@ -249,3 +249,69 @@ def test_string_quote_not_one_character_rejected(quote):
     # would read a comment marker inside it as a comment.
     with pytest.raises(ValueError, match="string quotes must be single characters"):
         CommentSyntax("bad", ("#",), string_quotes=(quote,))
+
+
+# -- scanner rules, one hand-written case each --------------------------------
+
+_HASHES = CommentSyntax("hashes", ("#", "##"))
+_BRACES = CommentSyntax("braces", ("#",), (("#{", "}#"), ("#{{", "}}#")))
+_QUOTE_MARKER = CommentSyntax("quote-marker", ("'",), string_quotes=("'", '"'))
+_NO_QUOTES = CommentSyntax("no-quotes", ("#",), string_quotes=())
+
+# (syntax, source, expected spans, or the (line, message) of the
+# UnterminatedBlockComment it raises)
+_SCANNER_RULES = {
+    "longest-marker-first": (_HASHES, "a ## b\n", [("line", 2, 6, 4, 6, 1, 1)]),
+    "longest-opener-first": (_BRACES, "#{{ x }}#\n", [("block", 0, 9, 3, 6, 1, 1)]),
+    "longest-opener-unclosed": (
+        _BRACES, "#{{ x }#\n", (1, "block comment opened with '#{{' is never closed")
+    ),
+    "quote-that-is-a-marker": (
+        _QUOTE_MARKER, "s = \"it's\" ' note\n", [("line", 11, 17, 12, 17, 1, 1)]
+    ),
+    "backslash-before-newline": (PY, "s = 'a\\\n# c\n", [("line", 8, 11, 9, 11, 2, 2)]),
+    "backslash-at-end": (PY, '# a\nx = "b\\', [("line", 0, 3, 1, 3, 1, 1)]),
+    "block-ends-the-file": (M, "x;\n%{\na\n%}", [("block", 3, 10, 5, 8, 2, 4)]),
+    "unclosed-after-block-and-string": (
+        M,
+        "%{\na\n%}\ns = '%{';\n%{\nb\n",
+        (5, "block comment opened with '%{' is never closed"),
+    ),
+    "no-quotes": (_NO_QUOTES, 'x = "# y"\n', [("line", 5, 9, 6, 9, 1, 1)]),
+}
+
+
+@pytest.mark.parametrize("syntax, source, expected", _SCANNER_RULES.values(), ids=_SCANNER_RULES)
+def test_scanner_rule(syntax, source, expected):
+    if isinstance(expected, list):
+        assert _scan(source, syntax, "s") == expected
+        return
+    with pytest.raises(UnterminatedBlockComment) as err:
+        _scan(source, syntax, "s")
+    assert (err.value.file, err.value.line, err.value.message) == ("s", *expected)
+
+
+# The comments ROADMAP item 1's rules expect where the scanner reads a
+# language construct it does not know; each fails today.
+_LANGUAGE_RULES = {
+    "python-plain-triple-is-comment-text": (
+        PY, "x = 1\n'''\n@begin Hidden\n'''\n", [("@begin Hidden", 3)]
+    ),
+    "python-hash-inside-triple-string": (
+        PY, 's = """\n# @begin Fake\n"""\n# real\n', [("real", 4)]
+    ),
+    "matlab-transpose-is-no-quote": (M, "y = A'; % @begin T\n", [("@begin T", 1)]),
+    "r-raw-string": (R, 'x <- r"(a " # @begin Fake)"  # real\n', [("real", 1)]),
+    "matlab-inline-brace-is-line-comment": (
+        M, "x = 1; %{ note\ny = 2; % tail\n", [("{ note", 1), ("tail", 2)]
+    ),
+}
+
+
+@pytest.mark.xfail(
+    strict=True, raises=(AssertionError, UnterminatedBlockComment), reason="ROADMAP item 1"
+)
+@pytest.mark.parametrize("syntax, source, expected", _LANGUAGE_RULES.values(), ids=_LANGUAGE_RULES)
+def test_language_rule(syntax, source, expected):
+    got = extract_comments(source, syntax)
+    assert [(c.text, c.start_line) for c in got] == expected

@@ -421,8 +421,10 @@ class TestNested:
         }
 
     def test_unknown_focus(self):
-        with pytest.raises(UnknownFocus):
-            render_text(nested_model(), focus="outer.Missing")
+        # An empty name is no workflow either; only None means the root.
+        for focus in ("outer.Missing", ""):
+            with pytest.raises(UnknownFocus):
+                render_text(nested_model(), focus=focus)
 
 
 class TestOptionsAndStyle:
