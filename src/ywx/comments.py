@@ -46,6 +46,10 @@ class CommentSyntax:
             raise ValueError("block delimiters must be non-empty")
         if any(len(q) != 1 for q in self.string_quotes):
             raise ValueError("string quotes must be single characters")
+        # The scan counts lines between comments, never inside a token.
+        tokens = (*self.line_markers, *sum(self.block_delimiters, ()), *self.string_quotes)
+        if any("\n" in token for token in tokens):
+            raise ValueError("markers, delimiters and quotes must not hold a newline")
 
     @cached_property
     def _scanner(self) -> _Scanner:

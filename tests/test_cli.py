@@ -757,17 +757,6 @@ class TestStagedPipelines:
         assert first["tag"] == "begin"
         assert first["value"] == "affy_analysis"
 
-    @pytest.mark.parametrize("view", ["process", "data", "combined"])
-    def test_staged_equals_single_shot(self, tmp_path, capsys, view):
-        doc = tmp_path / "annotations.json"
-        model_file = tmp_path / "model.json"
-        run(["extract", AFFY, "-o", str(doc)])
-        run(["model", str(doc), "-o", str(model_file)])
-        capsys.readouterr()
-        staged = run_ok(capsys, "graph", str(model_file), "--view", view)
-        direct = run_ok(capsys, "graph", AFFY, "--view", view)
-        assert staged == direct
-
     def test_query_on_intermediates_matches_script(self, tmp_path, capsys):
         model_file = tmp_path / "model.json"
         run(["model", MSTMIP, "-o", str(model_file)])
@@ -1100,13 +1089,78 @@ class TestValidateCommand:
         assert "YW001" in out
 
 
+# -- the command line contract, one row per check ------------------------------
+#
+# Each row: a command, the input it reads (``{}``), and either a second input it
+# prints the same bytes for or the lines it prints. Every command exits 0.
+# A script and its model file draw and answer alike, muted parameters included;
+# a CRLF copy reads as the script; a lone carriage return starts no line.
+
+_QUERIES = {
+    "blocks": "blocks {}",
+    "derivation": "derivation {} --name NEE_std",
+    "sources": "sources {} --block Standardize",
+    "lineage-up": "lineage {} --manifest {manifest} --name NEE_std",
+    "upstream-inputs": "upstream-inputs {} --name NEE_std",
+    "affected-by": "affected-by {} --name NEE_data",
+    "deriving-blocks": "deriving-blocks {} --name NEE_std",
+    "lineage-down": "lineage {} --direction downstream --manifest {manifest} --name NEE_data",
+}
+CONTRACT = {
+    "model-file-data-nested": ("graph {} --view data --nested", "affy_model", "affy"),
+    "model-file-combined-nested-muted": (
+        "graph {} --view combined --nested --de-emphasize-params", "affy_model", "affy"
+    ),
+    "model-file-process-muted": (
+        "graph {} --view process --de-emphasize-params", "affy_model", "affy"
+    ),
+    **{
+        f"model-file-{key}{form}": (f"query {query}{option}", "mstmip_model", "mstmip")
+        for key, query in _QUERIES.items()
+        for form, option in (("", ""), ("-json", " --json"))
+    },
+    "crlf-graph": ("graph {}", "crlf", "mstmip"),
+    "crlf-blocks": ("query blocks {}", "crlf", "mstmip"),
+    "lone-cr-yw010": (
+        "validate {}",
+        "cr",
+        ["{}:5: warning YW010 port name 'a' does not appear in the code of block 'W.P'"],
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def contract_files(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("contract")
+    files = {"affy": AFFY, "mstmip": MSTMIP, "cr": tmp / "cr.py", "crlf": tmp / "crlf.m"}
+    for name in ("affy", "mstmip"):
+        files[f"{name}_model"] = tmp / f"{name}.json"
+        assert run(["model", files[name], "-o", str(files[f"{name}_model"])]) == 0
+    files["crlf"].write_bytes(Path(MSTMIP).read_bytes().replace(b"\n", b"\r\n"))
+    files["cr"].write_bytes(
+        b"# @begin W @in a @out b\ny = 0\rz = 1\nx = a\n# @begin P\n# @in a\n"
+        b"# @out b\nb = g()\n# @end P\n# @end W\n"
+    )
+    return files
+
+
+@pytest.mark.parametrize("command, given, expected", CONTRACT.values(), ids=CONTRACT)
+def test_contract(contract_files, capsys, command, given, expected):
+    def output(name):
+        path = contract_files[name]
+        return run_ok(capsys, *(arg.format(path, manifest=MANIFEST) for arg in command.split()))
+
+    out = output(given)
+    assert out
+    if isinstance(expected, list):
+        assert out.splitlines() == [line.format(contract_files[given]) for line in expected]
+    else:
+        assert out == output(expected)
+
+
 class TestInstalledEntryPoint:
     def test_help_via_subprocess(self):
         proc = run_child("--help")
-        if proc.returncode != 0:
-            proc = subprocess.run(
-                ["ywx", "--help"], capture_output=True, text=True
-            )
         assert proc.returncode == 0
         assert "extract" in proc.stdout
         assert "validate" in proc.stdout

@@ -132,45 +132,6 @@ class TestSyntaxValidation:
             CommentSyntax("bad", ("",))
 
 
-# Fragments chosen to exercise every scanner state transition.
-_FRAGMENTS = st.sampled_from(
-    [
-        "x = f(y)\n",
-        "# plain comment\n",
-        "s = '# not here'\n",
-        's = "it\'s odd"\n',
-        "%{\nblock\n%}\n",
-        "% trailing\n",
-        "q = 'open\n",
-        "\n",
-        "z = 1  % tail\n",
-        "'%}'\n",
-    ]
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(_FRAGMENTS, max_size=12))
-def test_span_scan_is_a_partition(pieces):
-    """Spans are ordered, disjoint, in bounds, and carry true line numbers."""
-    source = "".join(pieces)
-    for syntax in (PY, M):
-        try:
-            spans = _scan(source, syntax, "<source>")
-        except UnterminatedBlockComment:
-            continue
-        previous_end = 0
-        for _, start, end, inner_start, inner_end, start_line, end_line in spans:
-            assert previous_end <= start < end <= len(source)
-            assert start <= inner_start <= inner_end <= end
-            previous_end = end
-            assert start_line == source.count("\n", 0, start) + 1
-            assert end_line == source.count("\n", 0, inner_end) + 1
-        stripped = strip_comments(source, syntax)
-        assert len(stripped) == len(source)
-        assert stripped.count("\n") == source.count("\n")
-
-
 # -- independent oracle: the stdlib tokenizer ---------------------------------
 
 def _py_string(quote):
@@ -232,9 +193,6 @@ def test_strip_keeps_layout_and_leaves_no_comment(source):
         ]
         assert all(a == b or a == " " for a, b in zip(stripped, source))
         assert _scan(stripped, syntax, "<source>") == []
-        for _, start, _, _, inner_end, start_line, end_line in _scan(source, syntax, "<source>"):
-            assert start_line == source.count("\n", 0, start) + 1
-            assert end_line == source.count("\n", 0, inner_end) + 1
 
 
 @pytest.mark.parametrize("delimiters", [("", "*/"), ("/*", "")])
@@ -249,6 +207,18 @@ def test_string_quote_not_one_character_rejected(quote):
     # would read a comment marker inside it as a comment.
     with pytest.raises(ValueError, match="string quotes must be single characters"):
         CommentSyntax("bad", ("#",), string_quotes=(quote,))
+
+
+# Each newline once numbered a later comment a line short, or dropped it.
+@pytest.mark.parametrize(
+    "markers, delimiters, quotes",
+    [(("\n#",), (), ()), (("#",), (("{\n", "}"),), ()), (("#",), (("{", "\n}"),), ()),
+     (("#",), (), ("\n",))],
+    ids=["marker", "opener", "closer", "quote"],
+)
+def test_newline_in_a_token_rejected(markers, delimiters, quotes):
+    with pytest.raises(ValueError, match="must not hold a newline"):
+        CommentSyntax("nl", markers, delimiters, quotes)
 
 
 # -- scanner rules, one hand-written case each --------------------------------
@@ -315,3 +285,70 @@ _LANGUAGE_RULES = {
 def test_language_rule(syntax, source, expected):
     got = extract_comments(source, syntax)
     assert [(c.text, c.start_line) for c in got] == expected
+
+
+# -- every accepted syntax scans as README "Library use" documents -------------
+
+def _reference_scan(source, syntax):
+    """The spans of ``_scan``, or the line of its ``UnterminatedBlockComment``,
+    found by trying at each position the block openers (longest first, then
+    first declared), the line markers (longest first) and then the quotes.
+    Every line is ``source.count("\n", 0, offset) + 1``."""
+    openers = sorted(syntax.block_delimiters, key=lambda pair: -len(pair[0]))
+    markers = sorted(syntax.line_markers, key=len, reverse=True)
+    spans, at = [], 0
+    while at < len(source):
+        line = source.count("\n", 0, at) + 1
+        opened = next((pair for pair in openers if source.startswith(pair[0], at)), None)
+        marker = next((m for m in markers if source.startswith(m, at)), None)
+        if opened:
+            inner = at + len(opened[0])
+            close = source.find(opened[1], inner)
+            if close < 0:
+                return line
+            end = close + len(opened[1])
+            spans.append(("block", at, end, inner, close, line, source.count("\n", 0, close) + 1))
+        elif marker:
+            inner = at + len(marker)
+            end = (source + "\n").index("\n", inner)
+            spans.append(("line", at, end, inner, end, line, line))
+        elif source[at] in syntax.string_quotes:
+            end = at + 1
+            while end < len(source):
+                char, end = source[end], end + 1
+                if char == "\\" and source[end : end + 1] not in ("", "\n"):
+                    end += 1
+                elif char in (source[at], "\n", "\\"):
+                    break
+        else:
+            end = at + 1
+        at = end
+    return spans
+
+
+_TOKEN = st.text(st.sampled_from("#{'\\"), min_size=1, max_size=3)
+_SYNTAX = st.tuples(
+    st.lists(_TOKEN, max_size=3),
+    st.lists(st.tuples(_TOKEN, _TOKEN), max_size=3),
+    st.lists(st.sampled_from("#{'\"\\"), max_size=2),
+).filter(lambda parts: parts[0] or parts[1]).map(
+    lambda parts: CommentSyntax("random", *map(tuple, parts))
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_SYNTAX, st.data())
+def test_every_accepted_syntax_scans_as_documented(syntax, data):
+    """Markers, openers and quotes overlap, or there are no quotes; on a text
+    of their tokens and the built-in ones, ``_scan`` ends with the reference's
+    spans, each at the line its offset gives, or raises at the reference's
+    line, for that syntax and every built-in one."""
+    tokens = [*syntax.line_markers, *sum(syntax.block_delimiters, ()), *syntax.string_quotes]
+    pieces = [*tokens, "%{", "%}", "%", "\n", "\\", " a"]
+    source = "".join(data.draw(st.lists(st.sampled_from(pieces))))
+    for checked in (syntax, *LANGUAGES.values()):
+        try:
+            got = _scan(source, checked, "s")
+        except UnterminatedBlockComment as err:
+            got = err.line
+        assert got == _reference_scan(source, checked)

@@ -5,6 +5,7 @@ themselves, and what ``from ywx import *`` yields, must not change silently.
 """
 
 import ast
+import warnings
 from pathlib import Path
 
 import ywx
@@ -159,3 +160,14 @@ def test_every_public_name_is_used():
         if not name.startswith("_") and name not in ywx.__all__
     ]
     assert unused == []
+
+
+def test_every_module_compiles_with_warnings_as_errors():
+    """``compile`` writes no bytecode, so every module is compiled afresh and
+    an invalid escape in a pattern string fails here instead of warning once."""
+    root = Path(__file__).parent.parent
+    paths = sorted(p for d in ("src/ywx", "tools", "tests") for p in (root / d).rglob("*.py"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for path in paths:
+            compile(path.read_bytes(), str(path), "exec")

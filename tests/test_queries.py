@@ -65,11 +65,6 @@ z = post(clean)
 # @end outer
 """
 
-DIAMOND_SRC = """\
-# @begin recon @in série @out final
-# @end recon
-"""
-
 
 def nested_model():
     return model_from_source(NESTED_SRC)
