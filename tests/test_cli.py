@@ -757,6 +757,17 @@ class TestStagedPipelines:
         assert first["tag"] == "begin"
         assert first["value"] == "affy_analysis"
 
+    @pytest.mark.parametrize("view", ["process", "data", "combined"])
+    def test_staged_equals_single_shot(self, tmp_path, capsys, view):
+        doc = tmp_path / "annotations.json"
+        model_file = tmp_path / "model.json"
+        run(["extract", AFFY, "-o", str(doc)])
+        run(["model", str(doc), "-o", str(model_file)])
+        capsys.readouterr()
+        staged = run_ok(capsys, "graph", str(model_file), "--view", view)
+        direct = run_ok(capsys, "graph", AFFY, "--view", view)
+        assert staged == direct
+
     def test_query_on_intermediates_matches_script(self, tmp_path, capsys):
         model_file = tmp_path / "model.json"
         run(["model", MSTMIP, "-o", str(model_file)])
