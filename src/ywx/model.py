@@ -7,11 +7,11 @@ workflow's own input or exactly one child's output, and every matching
 reader becomes a sink. Nested workflows re-declare ports at each level,
 so channel inference never looks across more than one boundary at a time.
 
-Every load builds its model in one pass over the tags: each Block is made,
-frozen, at its ``@end``, and each workflow's scope gets its channels at the
-workflow's ``@end`` (see ``_bracket``). A model file is read as the tag
-stream its tree describes, so the same pass builds it. Records are frozen,
-so equal ``Endpoint``s of one model may be one object.
+Every load makes each Block, frozen, at its ``@end`` in one pass over the
+tags, listing the blocks in pre-order (``_bracket``). Channels are derived
+once, from that list, after the last ``@end`` (``_joined``). A model file is
+read as the tag stream its tree describes, so the same passes build it.
+Records are frozen, so equal ``Endpoint``s of one model may be one object.
 """
 
 from __future__ import annotations
@@ -140,11 +140,11 @@ class ModelIndex:
     It keeps no set of root names: a query resolves a data name against
     the dependency graph's nodes, and a root port by its ``ports`` key.
 
-    It is also the one boundary resolver. ``writer`` and ``readers`` follow
-    a channel through workflow boundaries, up to a stopping scope, to the
-    ends that really write and read its data, and ``outer`` gives the
-    same-named channel one scope out. Resolved ends are memoised per index,
-    and ``across`` steps over each channel end at most once.
+    It is also the one boundary resolver. ``ends`` follows a channel through
+    workflow boundaries, up to a stopping scope, to the ends that really
+    write or read its data, and ``outer`` gives the same-named channel one
+    scope out. Resolved ends are memoised per index, and ``across`` steps
+    over each channel end at most once.
     """
 
     def __init__(self, model: WorkflowModel) -> None:
@@ -197,27 +197,17 @@ class ModelIndex:
                 return self.across(ch, end)
         return None
 
-    def writer(self, ch: Channel, stop: str) -> Endpoint:
-        """The end that really writes ``ch``'s data; see ``readers``."""
-        return self._resolve(ch, stop, True)[0]
+    def ends(self, ch: Channel, stop: str, writers: bool) -> tuple[Endpoint, ...]:
+        """The ends that really write (the one writer) or read ``ch``'s data.
 
-    def readers(self, ch: Channel, stop: str) -> tuple[Endpoint, ...]:
-        """The ends that really read ``ch``'s data, through workflow boundaries.
-
-        Each sink is followed through the boundaries it crosses to a
-        program's port, or to a boundary port the walk does not pass: a port
-        of ``stop``, one with nothing connected beyond it, or one leading
-        straight back to the channel the walk came from.
-        """
-        return self._resolve(ch, stop, False)
-
-    def _resolve(self, ch: Channel, stop: str, writers: bool) -> tuple[Endpoint, ...]:
-        """Resolve the source (or the sinks) of ``ch``, memoised, without recursion.
-
-        For one data name a boundary joins a scope only to its parent, so a
-        walk that never turns straight back meets no channel twice. What a
-        channel resolves to depends on the walk only through the scope it
-        came from, and the memo is keyed by that.
+        The source (or each sink) is followed through the boundaries it
+        crosses to a program's port, or to a boundary port the walk does not
+        pass: a port of ``stop``, one with nothing connected beyond it, or
+        one leading straight back to the channel the walk came from. For one
+        data name a boundary joins a scope only to its parent, so a walk that
+        never turns straight back meets no channel twice and needs no
+        recursion. What a channel resolves to depends on the walk only
+        through the scope it came from, and the memo is keyed by that.
         """
         data, memo = ch.data, self._ends
         top = (ch.scope, None, data, stop, writers)
@@ -289,9 +279,6 @@ _PORT_TAGS = {
     Tag.PARAM: (Direction.IN, Role.PARAMETER),
 }
 
-# A scope's channels, or the AmbiguousWriter of its first ambiguous data name;
-# None for a program, which has no scope.
-_Scope = list[Channel] | AmbiguousWriter | None
 # A port as a writer or reader of a data name in a scope: its block's
 # qualified name, its block's endpoint on its side, and the port.
 _PortAt = tuple[str, Endpoint, Port]
@@ -323,20 +310,19 @@ def _explicit_root(annotations: Sequence[_Tagged]) -> bool:
 def _bracket(
     annotations: Sequence[_Tagged],
     root_name: str | None = None,
-    checks: list[_Group] | None = None,
     *,
     files: Sequence[str] = (),
-) -> tuple[list[ModelError], Block | None, list[_Scope]]:
+) -> tuple[list[ModelError], Block | None, list[Block]]:
     """Match a document-ordered stream's ``@begin``/``@end`` pairs into blocks.
 
     The stream is the tag walk's ``(tag, value, description, file, line)``
     tuples; ``_FIELDS`` reads them off ``Annotation`` records. This is the
     one begin/end stack of the toolchain, and the one pass from tags to
-    model. The root is decided first (``_explicit_root``), so a qualified
-    name is final at its ``@begin``. Each Block is made at its ``@end``, and
-    a workflow's ``@end`` puts its scope's channels (``_scope_channels``,
-    given ``checks``) in the slot it reserved at its ``@begin``, so the
-    slots hold them in pre-order.
+    tree. The root is decided first (``_explicit_root``), so a qualified
+    name is final at its ``@begin``. Each Block is made at its ``@end`` and
+    put in the slot its ``@begin`` reserved, so the slots list the blocks in
+    pre-order, the root first, with no walk over the tree. No channel is
+    derived here: ``_joined`` derives them from the slots.
 
     It returns every structural problem in document order, the block tree
     (None when there is a problem or no block at all) and the slots. Each
@@ -359,8 +345,7 @@ def _bracket(
     implicit = sanitize_name(root_name or Path(files[0] if files else first_file).stem)
     explicit = _explicit_root(annotations)
     prefix = "" if explicit else f"{implicit}."
-    slots: list[_Scope] = [] if explicit else [None]
-    ends: dict[str, tuple[Endpoint, Endpoint]] = {}
+    slots: list[Block | None] = [] if explicit else [None]
     # First declarations by qualified name, as (owner, file, line).
     first: dict[str, tuple[_Skeleton | None, str, int]] = {}
     # Dotted-name collisions, as (problem index, qualified name, first
@@ -414,8 +399,7 @@ def _bracket(
                 closed.name, closed.qualified, closed.description, tuple(closed.ports),
                 tuple(closed.children), (closed.line, line), closed.file,
             )
-            if closed.children:
-                slots[closed.slot] = _scope_channels(block, ends, checks)
+            slots[closed.slot] = block
             (stack[-1].children if stack else top_level).append(block)
         else:
             if not stack:
@@ -448,9 +432,8 @@ def _bracket(
         return problems, None, []
     if explicit:
         return problems, top_level[0], slots
-    root = Block(implicit, implicit, None, (), tuple(top_level), (0, max_line + 1), first_file)
-    slots[0] = _scope_channels(root, ends, checks)
-    return problems, root, slots
+    slots[0] = Block(implicit, implicit, None, (), tuple(top_level), (0, max_line + 1), first_file)
+    return problems, slots[0], slots
 
 
 def build_blocks(annotations: Sequence[Annotation], root_name: str | None = None) -> Block:
@@ -467,14 +450,14 @@ def build_blocks(annotations: Sequence[Annotation], root_name: str | None = None
 
 def _tree(
     annotations: Sequence[_Tagged], root_name: str | None, files: Sequence[str],
-    problems: list[YwxError] | None = None, checks: list[_Group] | None = None,
-) -> tuple[Block | None, list[_Scope]]:
+    problems: list[YwxError] | None = None,
+) -> tuple[Block | None, list[Block]]:
     """``_bracket``'s block tree and slots. With ``problems`` None it raises
     the first structural problem, then refuses a stream with no block naming
     ``files``. Otherwise it appends them there, the no-block one at the first
     of ``files`` and only if nothing else explains it; the tree is then None
     if there is one."""
-    found, root, slots = _bracket(annotations, root_name, checks, files=files)
+    found, root, slots = _bracket(annotations, root_name, files=files)
     names = ", ".join(files)
     if problems is not None:
         problems += found
@@ -492,21 +475,21 @@ def _tree(
 
 def _scope_channels(
     workflow: Block, ends: dict[str, tuple[Endpoint, Endpoint]], checks: list[_Group] | None
-) -> list[Channel] | AmbiguousWriter:
+) -> list[Channel]:
     """The channels of one workflow's scope, in data name order.
 
     Within a workflow W and data name d: candidate writers are W's own
     in/param ports named d plus each child's out ports named d; candidate
-    readers are the children's in/param ports named d plus W's own out
-    ports named d. One writer and a reader make a channel, a parameter one
-    if a parameter port is among them. Several writers and a reader make d
-    ambiguous: the AmbiguousWriter of the first such name comes back instead
-    of the channels. A name nothing writes is neither a channel nor checked.
+    readers are the children's in/param ports named d plus W's own out ports
+    named d. One writer and a reader make a channel, a parameter one if a
+    parameter port is among them. Several writers and a reader make d
+    ambiguous: with ``checks`` None the first such name raises
+    AmbiguousWriter. A name nothing writes is neither a channel nor checked.
     With ``checks`` a list, every ambiguous name and every name nothing
-    reads is appended to it. ``ends`` holds the load's in and out endpoints
-    by block, so equal endpoints are one object. A block has at most one
-    port per name and direction, so sorting the readers by block name is
-    sorting them by endpoint.
+    reads is appended to it instead. ``ends`` holds the load's in and out
+    endpoints by block, so equal endpoints are one object. A block has at
+    most one port per name and direction, so sorting the readers by block
+    name is sorting them by endpoint.
     """
     # Enum members are read once: on Python 3.11 each read goes through the
     # metaclass's __getattr__ hook.
@@ -535,17 +518,16 @@ def _scope_channels(
                 params.add(name)
         writes = out_of
     channels: list[Channel] = []
-    ambiguous = None
     for data in sorted(writers):
         sources = writers[data]
         sinks = readers.get(data)
         if sinks is None or len(sources) > 1:
             if checks is not None:
                 checks.append((scope, data, sources, sinks or []))
-            if sinks is not None and ambiguous is None:
+            elif sinks is not None:
                 listed = ", ".join(f"{b} ({p.file}:{p.line})" for b, _, p in sources)
                 second = sources[1][2]
-                ambiguous = AmbiguousWriter(
+                raise AmbiguousWriter(
                     f"data {data!r} has several writers in scope {scope!r}: {listed}",
                     file=second.file,
                     line=second.line,
@@ -560,19 +542,17 @@ def _scope_channels(
             sources[0][1],
             tuple([end for _, end, _ in sinks]),
         ))
-    return channels if ambiguous is None else ambiguous
+    return channels
 
 
-def _joined(slots: Iterable[_Scope]) -> tuple[Channel, ...]:
-    """The scopes' channels in slot order, or the first AmbiguousWriter raised:
-    a copy, since the one in ``slots`` would be reachable from the frames its
-    traceback holds, a reference cycle."""
+def _joined(blocks: Iterable[Block], checks: list[_Group] | None = None) -> tuple[Channel, ...]:
+    """The one channel pass: every channel of each workflow among ``blocks``,
+    in order. ``checks`` is as for ``_scope_channels``."""
+    ends: dict[str, tuple[Endpoint, Endpoint]] = {}
     channels: list[Channel] = []
-    for found in slots:
-        if isinstance(found, AmbiguousWriter):
-            raise AmbiguousWriter(found.message, file=found.file, line=found.line)
-        if found:
-            channels += found
+    for block in blocks:
+        if block.children:
+            channels += _scope_channels(block, ends, checks)
     return tuple(channels)
 
 
@@ -580,10 +560,9 @@ def infer_channels(root: Block) -> tuple[Channel, ...]:
     """Derive every channel in every scope; single writer per name and scope.
 
     This is for a tree built some other way: every load, a model file's
-    included, derives each scope's channels in ``_bracket`` instead.
+    included, passes ``_bracket``'s pre-order slots to ``_joined`` instead.
     """
-    ends: dict[str, tuple[Endpoint, Endpoint]] = {}
-    return _joined([_scope_channels(b, ends, None) for b in iter_blocks(root) if b.children])
+    return _joined(iter_blocks(root))
 
 
 def build_model(

@@ -13,7 +13,7 @@ dependency graph, which carries the index, and every step of the call
 shares them. The graph's nodes are the root data names a query resolves;
 its pass-through edges take one ``ModelIndex.across`` lookup per crossing,
 not per channel end. A step's input sources read the writer
-``ModelIndex.writer`` resolves through the boundaries.
+``ModelIndex.ends`` resolves through the boundaries.
 Questions asked about many root outputs at once walk the graph once for all
 of them: downstream lineage is a single forward pass from the resolved
 inputs, and the completeness check behind lineage and YW020 scans the union
@@ -225,7 +225,7 @@ def _port_source(index: ModelIndex, block: Block, port: Port) -> PortSource:
     if block.qualified_name == index.root_q:
         return PortSource(port.name, "script-input")
     ch = index.chan.get((index.parents[block.qualified_name], port.name))
-    writer = None if ch is None else index.writer(ch, index.root_q).block
+    writer = None if ch is None else index.ends(ch, index.root_q, True)[0].block
     if writer in index.programs:
         return PortSource(port.name, "produced-by", writer)
     if writer == index.root_q:

@@ -15,10 +15,10 @@ stub terminal inside its cluster.
 
 Every view reads the model through one shared ``ModelIndex``, which is the
 one boundary resolver: the process view draws each channel from the writer
-and reader ends ``ModelIndex.writer`` and ``ModelIndex.readers`` resolve up
-to the focus, and the data views put a channel in the data node of the
-channel ``ModelIndex.outer`` names one scope out. Nothing here walks a
-boundary itself or recurses, so a nest of any depth renders.
+and reader ends ``ModelIndex.ends`` resolves up to the focus, and the data
+views put a channel in the data node of the channel ``ModelIndex.outer``
+names one scope out. Nothing here walks a boundary itself or recurses, so
+a nest of any depth renders.
 """
 
 from __future__ import annotations
@@ -265,7 +265,7 @@ def render_process_view(
     index, focus_q = sheet.index, sheet.focus.qualified_name
     for ch in sheet.channels:
         if sheet.nested:
-            writer, readers = index.writer(ch, focus_q), index.readers(ch, focus_q)
+            writer, readers = index.ends(ch, focus_q, True)[0], index.ends(ch, focus_q, False)
         else:
             writer, readers = ch.source, ch.sinks
         src = _end_node(sheet, ch, writer)

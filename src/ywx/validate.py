@@ -190,9 +190,9 @@ def check_port_names_in_code(
 def check_channel_sanity(groups: Sequence[_Group]) -> list[Diagnostic]:
     """Flag data names with several writers and ports nothing ever reads.
 
-    Takes the names the model build appended to ``_bracket``'s ``checks``,
-    as ``(scope, data, writers, readers)``: those with a reader and several
-    writers, and those nothing reads.
+    Takes the names the channel pass appended to ``model._joined``'s
+    ``checks``, as ``(scope, data, writers, readers)``: those with a reader
+    and several writers, and those nothing reads.
     """
     found: list[Diagnostic] = []
     for scope, data, sources, sinks in groups:
@@ -245,22 +245,23 @@ def validate_sources(
     here collect each problem a command would refuse them for instead of
     raising it. Each file is scanned once: its spans give its annotations and
     the blanked code YW010 searches. The one bracketing pass names the root
-    as a model load does, and gives the tree, its channels, and the data
-    names YW030 and YW031 flag.
+    as a model load does and lists the blocks; the one channel pass over
+    them gives the channels and the data names YW030 and YW031 flag.
     """
     paths = [path for path, _, _ in sources]
     problems: list[YwxError] = []
     merged, spans = _script_tags(sources, problems)
     checks: list[_Group] = []
-    tree, slots = _tree(merged, None, paths, problems, checks)
+    tree, slots = _tree(merged, None, paths, problems)
     diagnostics = [_diagnostic(problem) for problem in problems]
     if tree is not None:
+        channels = _joined(slots, checks)
         sanity = check_channel_sanity(checks)
         diagnostics.extend(sanity)
         stripped = {path: _blanked(text, at) for (path, text, _), at in zip(sources, spans)}
         diagnostics.extend(check_port_names_in_code(tree, stripped))
         if not any(d.code == "YW030" for d in sanity):
-            model = WorkflowModel(tree, _joined(slots), tuple(paths))
+            model = WorkflowModel(tree, channels, tuple(paths))
             diagnostics.extend(check_dependency_chains(model))
 
     file_order = {path: i for i, path in enumerate(paths)}

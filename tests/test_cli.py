@@ -71,22 +71,11 @@ class TestExitCodes:
     def test_unknown_subquery(self, capsys):
         assert run(["query", "teleport", AFFY]) == 2
 
-    def test_missing_block_flag(self, capsys):
-        code, err = run_err(capsys, "query", "nested", AFFY)
-        assert code == 2
-        assert "--block" in err
-
-    def test_missing_name_flag(self, capsys):
-        code, err = run_err(capsys, "query", "derivation", AFFY)
-        assert code == 2
-        assert "--name" in err
-
     def test_lineage_requires_manifest(self, capsys):
         code, err = run_err(
             capsys, "query", "lineage", MSTMIP, "--name", "NEE_std"
         )
-        assert code == 2
-        assert "--manifest" in err
+        assert (code, err) == (2, "ywx: error: query lineage requires --manifest\n")
 
     # The options each subquery needs on mstmip_nee.m, in the order a
     # missing one is named, with a value it answers.

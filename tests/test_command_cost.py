@@ -22,9 +22,10 @@ from pathlib import Path
 
 import pytest
 
+from support import annotations_from_source
 from ywx import cli, model
 from ywx.annotations import Annotation, AnnotationDocument
-from ywx.errors import _read_text
+from ywx.errors import AmbiguousWriter, _read_text
 from ywx.validate import validate_scripts
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -131,6 +132,28 @@ def test_model_file_load_infers_channels_once(walks, monkeypatch, tmp_path, scri
     assert walks == Counter({"_bracket": 1})
     assert loaded.channels
     assert loaded == cli._model_from_inputs([script], None)
+
+
+def test_tree_build_derives_no_channels(monkeypatch):
+    # Channels are derived after the tree is bracketed, so a tree alone
+    # derives none, even from a stream whose channels are ambiguous.
+    stream = annotations_from_source(
+        "# @begin W @in x @out y\n"
+        "# @begin A @in x @out d\n# @end A\n"
+        "# @begin B @in x @out d\n# @end B\n"
+        "# @begin C @in d @out y\n# @end C\n"
+        "# @end W\n"
+    )
+    derive, calls = model._scope_channels, []
+    monkeypatch.setattr(model, "_scope_channels", lambda *args: calls.append(1) or derive(*args))
+    assert [b.name for b in model.build_blocks(stream).children] == ["A", "B", "C"]
+    assert calls == []
+    with pytest.raises(AmbiguousWriter) as refused:
+        model.build_model(stream)
+    assert str(refused.value) == (
+        "script.py:4: data 'd' has several writers in scope 'W': "
+        "W.A (script.py:2), W.B (script.py:4)"
+    )
 
 
 @pytest.mark.parametrize(
